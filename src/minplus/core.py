@@ -18,6 +18,7 @@ read-only), so they can be shared freely across threads.
 from __future__ import annotations
 
 import enum
+import operator
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence, Union
 
@@ -140,6 +141,13 @@ def values_satisfy(values: np.ndarray, tag: MonotoneTag) -> bool:
     return bool(np.all(diffs == 0))
 
 
+def _as_index(i) -> int:
+    """``i`` as a Python int; floats and bools are rejected, not truncated."""
+    if isinstance(i, bool):
+        raise TypeError(f"subsequence index must be an integer, got {i!r}")
+    return operator.index(i)
+
+
 @dataclass(frozen=True)
 class Subsequence:
     """A tagged subsequence of a host sequence, stored as 0-based positions.
@@ -152,7 +160,7 @@ class Subsequence:
     tag: MonotoneTag
 
     def __post_init__(self):
-        object.__setattr__(self, "indices", tuple(int(i) for i in self.indices))
+        object.__setattr__(self, "indices", tuple(map(_as_index, self.indices)))
         for a, b in zip(self.indices, self.indices[1:]):
             if b <= a:
                 raise ValueError(f"indices not strictly increasing: {a} !< {b}")
@@ -209,6 +217,8 @@ def _as_int64(values: IntSeq, what: str) -> np.ndarray:
         return arr
     if arr.dtype.kind not in "iu":
         raise TypeError(f"{what} must hold integers, got dtype {arr.dtype}")
+    if arr.dtype.kind == "u" and arr.size and arr.max() > INT64_MAX:
+        raise ValueError(f"{what} holds unsigned values beyond the int64 range")
     return arr.astype(np.int64)
 
 
@@ -224,7 +234,7 @@ class IntVector:
         n = arr.shape[0]
         if n < 1 or n > MAX_DIMENSION:
             raise ValueError(f"vector length {n} outside [1, {MAX_DIMENSION}]")
-        if np.abs(arr).max() > entry_bound:
+        if arr.min() < -entry_bound or arr.max() > entry_bound:
             raise ValueError(
                 f"coordinate magnitude exceeds the bound {entry_bound}"
             )
@@ -265,7 +275,7 @@ class IntMatrix:
         n = arr.shape[0]
         if n < 1 or n > MAX_DIMENSION:
             raise ValueError(f"dimension {n} outside [1, {MAX_DIMENSION}]")
-        if np.abs(arr).max() > entry_bound:
+        if arr.min() < -entry_bound or arr.max() > entry_bound:
             raise ValueError(
                 f"entry magnitude exceeds the bound {entry_bound}"
             )

@@ -1,16 +1,24 @@
 """Exact integer convolution, Boolean convolution, and extreme-witness
 computation for Boolean convolutions.
 
-The integer convolution is exact: a number-theoretic transform modulo a
-single FFT-friendly prime carries large inputs, and a direct summation
-kernel handles small ones where it is faster.  A precision-window guard
-rejects inputs whose true coefficients could reach the modulus.
+Large convolutions run on a float64 FFT (``numpy.fft.rfft``/``irfft``)
+rounded with ``np.rint``; a direct summation kernel handles small ones,
+where it is faster.  The rounding is exact inside the precision window
+that ``_check_window`` enforces: inputs are non-negative and
+``max(p) * max(q) * min(len(p), len(q)) < CONV_WINDOW < 2**30``.  Equal-length
+inputs then have ``||p||_2 * ||q||_2 <= max(p) * max(q) * n < 2**30``, and
+the 0/1 block slices of the witness search have ``||p||_2 * ||q||_2 <= n
+<= 2**20``.  The error of a float64 FFT convolution of length N is at most
+a small constant times ``2**-53 * log2(N) * ||p||_2 * ||q||_2``, here about
+``2**30 * 2**-53 * 22 < 3e-6``, far below the 0.5 that rounding tolerates.
 
-Extreme witnesses use square-root blocking: positions of the first vector
-are split into contiguous blocks, each block slice is convolved with the
-second vector to find, per output position, the first (minimum) or last
-(maximum) block containing a witness, and that block is then scanned
-directly.
+Extreme witnesses use square-root blocking (Alon, Galil, Margalit and Naor,
+FOCS 1992): positions of the first vector are split into contiguous blocks
+of size s, each block slice is convolved with the second vector to find,
+per output position, the first (minimum) or last (maximum) block containing
+a witness, and that block is then scanned directly.  The second vector is
+transformed once per call and the blocks are transformed together, in row
+chunks that keep the transform scratch near 1 MB.
 """
 
 from __future__ import annotations
@@ -29,70 +37,28 @@ from .core import (
     WitnessArray,
 )
 
-#: Prime modulus 119 * 2^23 + 1 with primitive root 3; supports transforms
-#: of length up to 2^23.
-NTT_MOD = 998244353
-NTT_ROOT = 3
+#: Inputs are accepted while max(p) * max(q) * min(len(p), len(q)) stays
+#: below this bound, which keeps float64 FFT rounding exact (see above).
+CONV_WINDOW = 998244353
 
 #: Below this length the direct summation kernel beats the transform.
 _DIRECT_CUTOFF = 512
 
-
-def _mod_powers(base: int, count: int) -> np.ndarray:
-    """base^0 .. base^{count-1} modulo NTT_MOD."""
-    out = np.ones(count, dtype=np.int64)
-    exps = np.arange(count)
-    bit, cur = 1, base % NTT_MOD
-    while bit < count:
-        mask = (exps & bit) != 0
-        out[mask] = (out[mask] * cur) % NTT_MOD
-        cur = (cur * cur) % NTT_MOD
-        bit <<= 1
-    return out
+#: float64 elements per chunk of block transforms in the witness search.
+_CHUNK_ELEMENTS = 1 << 17
 
 
-def _bit_reverse_permutation(n: int) -> np.ndarray:
-    bits = n.bit_length() - 1
-    idx = np.arange(n)
-    rev = np.zeros(n, dtype=np.int64)
-    for i in range(bits):
-        rev |= ((idx >> i) & 1) << (bits - 1 - i)
-    return rev
+def _fft_size(out_len: int) -> int:
+    return 1 << max(1, (out_len - 1).bit_length())
 
 
-def _ntt(a: np.ndarray, invert: bool) -> np.ndarray:
-    """Iterative radix-2 transform of a length-2^k int64 array (< MOD)."""
-    n = a.shape[0]
-    a = a[_bit_reverse_permutation(n)]
-    length = 2
-    while length <= n:
-        half = length // 2
-        root = pow(NTT_ROOT, (NTT_MOD - 1) // length, NTT_MOD)
-        if invert:
-            root = pow(root, NTT_MOD - 2, NTT_MOD)
-        ws = _mod_powers(root, half)
-        blocks = a.reshape(-1, length)
-        lo = blocks[:, :half].copy()  # blocks is a view; keep lo stable
-        hi = (blocks[:, half:] * ws) % NTT_MOD
-        blocks[:, :half] = (lo + hi) % NTT_MOD
-        blocks[:, half:] = (lo - hi) % NTT_MOD
-        length <<= 1
-    if invert:
-        a = (a * pow(n, NTT_MOD - 2, NTT_MOD)) % NTT_MOD
-    return a
+def _conv_fft(pa: np.ndarray, qa: np.ndarray) -> np.ndarray:
+    from numpy import fft
 
-
-def _conv_ntt(pa: np.ndarray, qa: np.ndarray) -> np.ndarray:
     out_len = pa.shape[0] + qa.shape[0] - 1
-    size = 1 << max(1, (out_len - 1).bit_length())
-    fa = np.zeros(size, dtype=np.int64)
-    fb = np.zeros(size, dtype=np.int64)
-    fa[: pa.shape[0]] = pa % NTT_MOD
-    fb[: qa.shape[0]] = qa % NTT_MOD
-    fa = _ntt(fa, invert=False)
-    fb = _ntt(fb, invert=False)
-    fa = (fa * fb) % NTT_MOD
-    return _ntt(fa, invert=True)[:out_len]
+    size = _fft_size(out_len)
+    spectrum = fft.rfft(pa, size) * fft.rfft(qa, size)
+    return np.rint(fft.irfft(spectrum, size)[:out_len]).astype(np.int64)
 
 
 def _check_window(pa: np.ndarray, qa: np.ndarray) -> None:
@@ -101,9 +67,9 @@ def _check_window(pa: np.ndarray, qa: np.ndarray) -> None:
     if np.any(pa < 0) or np.any(qa < 0):
         raise ValueError("convolution inputs must be non-negative")
     worst = int(pa.max()) * int(qa.max()) * min(pa.shape[0], qa.shape[0])
-    if worst >= NTT_MOD:
+    if worst >= CONV_WINDOW:
         raise PrecisionWindowExceeded(
-            f"coefficient bound {worst} reaches the modulus {NTT_MOD}"
+            f"coefficient bound {worst} reaches the exactness window {CONV_WINDOW}"
         )
 
 
@@ -111,11 +77,11 @@ def _conv_exact(pa: np.ndarray, qa: np.ndarray, method: str = "auto") -> np.ndar
     """Exact convolution of non-negative int64 arrays inside the window."""
     _check_window(pa, qa)
     if method == "auto":
-        method = "direct" if max(pa.shape[0], qa.shape[0]) <= _DIRECT_CUTOFF else "ntt"
+        method = "direct" if max(pa.shape[0], qa.shape[0]) <= _DIRECT_CUTOFF else "fft"
     if method == "direct":
         return np.convolve(pa, qa)
-    if method == "ntt":
-        return _conv_ntt(pa, qa)
+    if method == "fft":
+        return _conv_fft(pa, qa)
     raise ValueError(f"unknown convolution method {method!r}")
 
 
@@ -123,8 +89,8 @@ def int_convolution(p: IntVector, q: IntVector, *, method: str = "auto") -> IntV
     """Exact arithmetic convolution c_i = sum_l p_l * q_{i-l}, length 2n-1.
 
     Inputs must be non-negative and small enough that every coefficient
-    stays below the transform modulus (raises PrecisionWindowExceeded
-    otherwise).  ``method`` forces the "ntt" or "direct" kernel; "auto"
+    stays inside the exactness window (raises PrecisionWindowExceeded
+    otherwise).  ``method`` forces the "fft" or "direct" kernel; "auto"
     picks by size.
     """
     if p.n != q.n:
@@ -175,22 +141,31 @@ def conv_extreme_witness(
     if p.n != q.n:
         raise LengthMismatch(f"vector lengths differ: {p.n} vs {q.n}")
     kind = _normalize_kind(kind)
+    from numpy import fft
+
     n = p.n
     s = _checked_block_size(n, block_size)
     nblocks = -(-n // s)
-    qi = q.bits.astype(np.int64)
 
-    # Per output position, the extreme block holding a witness.  Convolving
-    # just the block slice of p gives the same counts as convolving the
-    # full-length masked vector, shifted by the block offset.
+    # Per output position, the extreme block holding a witness.  Row t of
+    # ``blocks`` is the block slice of p; its convolution with q gives the
+    # same counts as the full-length masked vector, shifted by t * s.
+    size = _fft_size(s + n - 1)
+    q_spectrum = fft.rfft(q.bits.astype(np.float64), size)
+    blocks = np.zeros(nblocks * s)
+    blocks[:n] = p.bits
+    blocks = blocks.reshape(nblocks, s)
+    rows = max(1, _CHUNK_ELEMENTS // size)
+    starts = range(0, nblocks, rows)
     extreme_block = np.full(2 * n - 1, -1, dtype=np.int64)
-    order = range(nblocks) if kind == "min" else range(nblocks - 1, -1, -1)
-    for t in order:
-        lo, hi = t * s, min(t * s + s, n)
-        counts = _conv_exact(p.bits[lo:hi].astype(np.int64), qi)
-        ks = lo + np.flatnonzero(counts)
-        fresh = ks[extreme_block[ks] < 0]
-        extreme_block[fresh] = t
+    for r0 in starts if kind == "min" else reversed(starts):
+        chunk = fft.irfft(fft.rfft(blocks[r0 : r0 + rows], size) * q_spectrum, size)
+        hit = chunk[:, : s + n - 1] > 0.5
+        in_chunk = range(r0, r0 + hit.shape[0])
+        for t in in_chunk if kind == "min" else reversed(in_chunk):
+            ks = t * s + np.flatnonzero(hit[t - r0])
+            fresh = ks[extreme_block[ks] < 0]
+            extreme_block[fresh] = t
 
     wit = np.full(2 * n - 1, NO_WITNESS, dtype=np.int64)
     for t in range(nblocks):

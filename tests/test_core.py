@@ -76,6 +76,25 @@ class TestVectorsAndMatrices:
         with pytest.raises(TypeError):
             IntVector([0.5, 1.5])
 
+    def test_int64_min_is_out_of_bounds(self):
+        # np.abs(INT64_MIN) overflows to INT64_MIN, so a bound check on it passes.
+        with pytest.raises(ValueError):
+            IntVector([INT64_MIN])
+        with pytest.raises(ValueError):
+            IntMatrix([[INT64_MIN, 0], [0, 0]])
+        with pytest.raises(ValueError):
+            IntMatrix([[INT64_MIN]], entry_bound=SHIFTED_ENTRY_BOUND)
+
+    def test_unsigned_values_beyond_int64_rejected(self):
+        assert IntVector(np.array([7], dtype=np.uint64))[0] == 7
+        with pytest.raises(ValueError):
+            IntVector(np.array([2**64 - 1], dtype=np.uint64))
+        with pytest.raises(ValueError):
+            IntMatrix(
+                np.array([[2**63]], dtype=np.uint64),
+                entry_bound=SHIFTED_ENTRY_BOUND,
+            )
+
     def test_matrix_one_based_accessors(self):
         M = IntMatrix([[1, 2], [3, 4]])
         assert M.entry(1, 1) == 1 and M.entry(2, 1) == 3
@@ -138,6 +157,12 @@ class TestSubsequence:
             Subsequence((3, 1), ND)
         with pytest.raises(ValueError):
             Subsequence((-1, 2), ND)
+
+    def test_indices_must_be_integers(self):
+        assert Subsequence((np.int64(1), np.uint8(4)), ND).indices == (1, 4)
+        for bad in ((0.7, 1.2), (0.0, 1.0), (False, True), (np.True_,)):
+            with pytest.raises(TypeError):
+                Subsequence(bad, ND)
 
     def test_values_reads_host(self):
         host = np.array([10, 11, 12, 13])

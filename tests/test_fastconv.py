@@ -43,16 +43,16 @@ class TestIntConvolution:
             p = IntVector(rng.integers(0, 31, n))
             q = IntVector(rng.integers(0, 31, n))
             direct = int_convolution(p, q, method="direct")
-            ntt = int_convolution(p, q, method="ntt")
+            fft = int_convolution(p, q, method="fft")
             auto = int_convolution(p, q)
-            assert direct == ntt == auto
+            assert direct == fft == auto
 
     def test_small_sizes_match_oracle(self):
         rng = np.random.default_rng(3)
         for n in (1, 2, 3, 9):
             p = rng.integers(0, 50, n)
             q = rng.integers(0, 50, n)
-            out = int_convolution(IntVector(p), IntVector(q), method="ntt")
+            out = int_convolution(IntVector(p), IntVector(q), method="fft")
             assert np.array_equal(out.coords, oracles.int_conv(p, q))
 
     @given(
@@ -79,6 +79,20 @@ class TestIntConvolution:
         big = IntVector(np.full(200, 10**5))
         with pytest.raises(PrecisionWindowExceeded):
             int_convolution(big, big)
+
+    def test_exact_at_the_window_edge(self):
+        # 1289**2 * 600 = 996,912,600 is just inside the window; 1290 is not.
+        n, top = 600, 1289
+        rng = np.random.default_rng(13)
+        full = np.full(n, top)
+        pairs = [(full, full), (rng.integers(0, top + 1, n), full)]
+        for p, q in pairs:
+            out = int_convolution(IntVector(p), IntVector(q), method="fft")
+            assert np.array_equal(out.coords, oracles.int_conv(p, q))
+        assert int_convolution(IntVector(full), IntVector(full))[n - 1] == 996_912_600
+        over = IntVector(np.full(n, top + 1))
+        with pytest.raises(PrecisionWindowExceeded):
+            int_convolution(over, over, method="fft")
 
 
 class TestBoolConvolution:
@@ -137,6 +151,18 @@ class TestConvExtremeWitness:
                     ]
                     for got in results:
                         assert np.array_equal(got, want), (n, kind, density)
+
+    def test_matches_oracle_across_transform_chunks(self):
+        # Block size 1 makes n transform rows, more than one chunk holds.
+        rng = np.random.default_rng(17)
+        for n in (600, 1000):
+            p = rng.random(n) < 0.2
+            q = rng.random(n) < 0.2
+            for kind in ("min", "max"):
+                want = oracles.conv_witness_loops(p, q, kind)
+                for bs in (1, 7, None):
+                    got = conv_extreme_witness(bv(p), bv(q), kind, block_size=bs)
+                    assert np.array_equal(got.values, want), (n, kind, bs)
 
     def test_all_zero_side_has_no_witnesses(self):
         w = conv_extreme_witness(bv([0, 0, 0]), bv([1, 1, 1]), "min")
