@@ -10,8 +10,6 @@ are then scanned directly.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .core import (
@@ -20,6 +18,7 @@ from .core import (
     DimensionMismatch,
     OpCounters,
     WitnessArray,
+    checked_size,
 )
 
 
@@ -61,13 +60,6 @@ def bool_matmul(
     return BoolMatrix(bits)
 
 
-def _checked_block_size(n: int, block_size: int | None) -> int:
-    r = math.isqrt(n - 1) + 1 if block_size is None else block_size
-    if not 1 <= r <= n:
-        raise ValueError(f"block size {r} outside [1, {n}]")
-    return r
-
-
 def mat_extreme_witness(
     P: BoolMatrix,
     Q: BoolMatrix,
@@ -88,7 +80,7 @@ def mat_extreme_witness(
     if kind not in ("min", "max"):
         raise ValueError(f"witness kind must be 'min' or 'max', got {kind!r}")
     n = P.n
-    r = _checked_block_size(n, block_size)
+    r = checked_size(n, block_size, "block size")
     nblocks = -(-n // r)
 
     extreme_block = np.full((n, n), -1, dtype=np.int64)

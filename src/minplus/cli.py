@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 import time
 
@@ -25,12 +24,13 @@ from .core import (
     MinPlusOutput,
     MonotoneTag,
     OpCounters,
-    values_satisfy,
+    checked_size,
+    first_part_breaking,
 )
 from .decompose import (
-    decompose_monotone_greedy,
-    decompose_nondecreasing,
-    decompose_nonincreasing,
+    DECOMPOSE_MODES,
+    decompose_cols,
+    decompose_rows,
     decompose_uniform,
     decomposition_stats,
 )
@@ -62,12 +62,9 @@ ALGOS = ("naive", "fig1", "fig2", "fig3", "fig4", "fewvalues")
 MATRIX_ALGOS = {"fig1", "fig2", "fewvalues"}
 VECTOR_ALGOS = {"fig3", "fig4"}
 
-_MODE_FNS = {
-    "nondec": decompose_nondecreasing,
-    "noninc": decompose_nonincreasing,
-    "greedy": decompose_monotone_greedy,
-    "uniform": decompose_uniform,
-}
+#: The decomposition mode table itself, not a copy: ``decompose_rows`` and
+#: ``decompose_cols`` look modes up in it too.
+_MODE_FNS = DECOMPOSE_MODES
 
 _OPPOSITE = {"nondec": "noninc", "noninc": "nondec"}
 
@@ -85,45 +82,18 @@ def _require(condition: bool, message: str) -> None:
 
 
 def _infer_matrix_direction(inst: fileio.MatrixInstance) -> str:
-    def holds(tag: MonotoneTag) -> bool:
-        for i, d in enumerate(inst.dec_rows):
-            host = inst.A.entries[i]
-            if not all(
-                values_satisfy(host[list(p.indices)], tag) for p in d.parts
-            ):
-                return False
-        for j, d in enumerate(inst.dec_cols):
-            host = inst.B.entries[:, j]
-            if not all(
-                values_satisfy(host[list(p.indices)], tag) for p in d.parts
-            ):
-                return False
-        return True
-
-    if holds(MonotoneTag.NON_DECREASING):
-        return "nondec"
-    if holds(MonotoneTag.NON_INCREASING):
-        return "noninc"
+    decs = [*inst.dec_rows, *inst.dec_cols]
+    hosts = [*inst.A.entries, *inst.B.entries.T]
+    for tag in (MonotoneTag.NON_DECREASING, MonotoneTag.NON_INCREASING):
+        if all(first_part_breaking(d, h, tag) is None for d, h in zip(decs, hosts)):
+            return tag.value
     raise DirectionViolation(
         "row and column parts do not share one direction; pass --direction"
     )
 
 
-def _uniform_row_decs(inst: fileio.MatrixInstance):
-    if inst.dec_rows is not None:
-        return inst.dec_rows
-    return [decompose_uniform(inst.A.entries[i]) for i in range(inst.A.n)]
-
-
-def _uniform_col_decs(inst: fileio.MatrixInstance):
-    if inst.dec_cols is not None:
-        return inst.dec_cols
-    return [decompose_uniform(inst.B.entries[:, j]) for j in range(inst.B.n)]
-
-
 def _run_algorithm(inst, algo: str, args, counters: OpCounters):
     """Dispatch, returning (MinPlusOutput, params dict for provenance)."""
-    threads = getattr(args, "threads", 1)
     block_size = getattr(args, "block_size", None)
     if isinstance(inst, fileio.MatrixInstance):
         _require(
@@ -147,7 +117,6 @@ def _run_algorithm(inst, algo: str, args, counters: OpCounters):
                 direction,
                 block_size=block_size,
                 counters=counters,
-                threads=threads,
             )
             return out, {"direction": direction}
         if algo == "fig2":
@@ -163,15 +132,16 @@ def _run_algorithm(inst, algo: str, args, counters: OpCounters):
                 inst.dec_cols,
                 block_size=block_size,
                 counters=counters,
-                threads=threads,
             )
             return out, {}
+        dec_rows = inst.dec_rows
+        if dec_rows is None:
+            dec_rows = decompose_rows(inst.A, "uniform")
+        dec_cols = inst.dec_cols
+        if dec_cols is None:
+            dec_cols = decompose_cols(inst.B, "uniform")
         out = minplus_few_values_product(
-            inst.A,
-            _uniform_row_decs(inst),
-            inst.B,
-            _uniform_col_decs(inst),
-            counters=counters,
+            inst.A, dec_rows, inst.B, dec_cols, counters=counters
         )
         return out, {}
     _require(
@@ -193,16 +163,12 @@ def _run_algorithm(inst, algo: str, args, counters: OpCounters):
             inst.dec_b,
             block_size=block_size,
             counters=counters,
-            threads=threads,
         )
         return out, {}
     dec_b = inst.dec_b
     if dec_b is None:
         dec_b = decompose_uniform(inst.b.coords)
-    n = inst.a.n
-    ell = getattr(args, "ell", None)
-    if ell is None:
-        ell = math.isqrt(n - 1) + 1 if n > 1 else 1
+    ell = checked_size(inst.a.n, getattr(args, "ell", None), "group size")
     out = conv_few_values(inst.a, inst.b, dec_b, ell=ell, counters=counters)
     return out, {"ell": str(ell)}
 
@@ -300,45 +266,35 @@ def _stats_line(label: str, dec: Decomposition, host: np.ndarray) -> str:
 
 def _cmd_decompose(args) -> int:
     inst = fileio.parse_path(args.input)
-    fn = _MODE_FNS[args.mode]
     report: list[str] = []
     if isinstance(inst, fileio.VectorInstance):
         _require(
             args.target in ("a", "b", "both"),
             "vector instances take --target a|b|both",
         )
+        fn = _MODE_FNS[args.mode]
         if args.target in ("a", "both"):
-            dec = fn(inst.a.coords)
-            inst.dec_a = dec
-            line = _stats_line("a", dec, inst.a.coords)
-            inst.meta["dec-stats-a"] = line.partition(": ")[2]
-            report.append(line)
+            inst.dec_a = fn(inst.a.coords)
+            report.append(_stats_line("a", inst.dec_a, inst.a.coords))
         if args.target in ("b", "both"):
-            dec = fn(inst.b.coords)
-            inst.dec_b = dec
-            line = _stats_line("b", dec, inst.b.coords)
-            inst.meta["dec-stats-b"] = line.partition(": ")[2]
-            report.append(line)
+            inst.dec_b = fn(inst.b.coords)
+            report.append(_stats_line("b", inst.dec_b, inst.b.coords))
     else:
         _require(
             args.target in ("rows", "cols", "both"),
             "matrix instances take --target rows|cols|both",
         )
-        n = inst.A.n
         if args.target in ("rows", "both"):
-            decs = [fn(inst.A.entries[i]) for i in range(n)]
-            m = max(d.part_count for d in decs)
-            inst.dec_rows = tuple(d.padded(m) for d in decs)
-            line = f"rows: count={n} max-parts={m} mode={args.mode}"
-            inst.meta["dec-stats-rows"] = line.partition(": ")[2]
-            report.append(line)
+            inst.dec_rows = tuple(decompose_rows(inst.A, args.mode))
+            m = inst.dec_rows[0].part_count
+            report.append(f"rows: count={inst.A.n} max-parts={m} mode={args.mode}")
         if args.target in ("cols", "both"):
-            decs = [fn(inst.B.entries[:, j]) for j in range(n)]
-            m = max(d.part_count for d in decs)
-            inst.dec_cols = tuple(d.padded(m) for d in decs)
-            line = f"cols: count={n} max-parts={m} mode={args.mode}"
-            inst.meta["dec-stats-cols"] = line.partition(": ")[2]
-            report.append(line)
+            inst.dec_cols = tuple(decompose_cols(inst.B, args.mode))
+            m = inst.dec_cols[0].part_count
+            report.append(f"cols: count={inst.B.n} max-parts={m} mode={args.mode}")
+    for line in report:
+        label, _, stats = line.partition(": ")
+        inst.meta[f"dec-stats-{label}"] = stats
     if args.out:
         fileio.write_atomic(args.out, fileio.serialize(inst))
         for line in report:
@@ -356,8 +312,6 @@ def _cmd_compute(args) -> int:
     meta.update(params)
     if args.block_size is not None:
         meta["block-size"] = str(args.block_size)
-    if args.threads != 1:
-        meta["threads"] = str(args.threads)
     if "seed" in inst.meta:
         meta["seed"] = inst.meta["seed"]
     for key, value in counters.as_dict().items():
@@ -474,7 +428,6 @@ def _cmd_bench(args) -> int:
                 "ell": args.ell,
                 "direction": args.direction,
                 "block-size": args.block_size,
-                "threads": args.threads,
             },
             "rows": rows,
         }
@@ -486,7 +439,6 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--direction", choices=["nondec", "noninc"], default=None)
     p.add_argument("--block-size", dest="block_size", type=int, default=None)
     p.add_argument("--ell", type=int, default=None)
-    p.add_argument("--threads", type=int, default=1)
 
 
 def _add_gen_flags(p: argparse.ArgumentParser) -> None:

@@ -8,7 +8,6 @@ c_k = min over valid l of a_l + b_{k-l}, all 0-based.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -26,8 +25,11 @@ from .core import (
     MonotoneTag,
     OpCounters,
     UniformViolation,
+    checked_size,
+    first_part_breaking,
+    fold_min,
+    parse_direction,
     validate_decomposition,
-    values_satisfy,
 )
 from .decompose import char_vector
 from .fastconv import bool_convolution, conv_extreme_witness
@@ -50,32 +52,6 @@ def conv_naive(a: IntVector, b: IntVector) -> MinPlusOutput:
     return MinPlusOutput(out)
 
 
-def _parts_all_satisfy(
-    d: Decomposition, values: np.ndarray, tag: MonotoneTag
-) -> bool:
-    return all(
-        values_satisfy(values[list(p.indices)], tag) for p in d.parts
-    )
-
-
-def _fold_witnessed_conv(
-    c: np.ndarray,
-    finite: np.ndarray,
-    av: np.ndarray,
-    bv: np.ndarray,
-    witvals: np.ndarray,
-) -> None:
-    kk = np.flatnonzero(witvals != NO_WITNESS)
-    if kk.size == 0:
-        return
-    ll = witvals[kk]
-    cand = av[ll] + bv[kk - ll]
-    better = ~finite[kk] | (cand < c[kk])
-    sel = kk[better]
-    c[sel] = cand[better]
-    finite[sel] = True
-
-
 def conv_decomposed(
     a: IntVector,
     dec_a: Decomposition,
@@ -85,7 +61,6 @@ def conv_decomposed(
     block_size: int | None = None,
     counters: OpCounters | None = None,
     pair_hook: PairHook | None = None,
-    threads: int = 1,
 ) -> MinPlusOutput:
     """Exact (min,+) convolution when all parts of one vector are
     non-decreasing and all parts of the other are non-increasing
@@ -100,19 +75,21 @@ def conv_decomposed(
     covers every l.
 
     ``pair_hook(i, j, values, finite)`` observes the running output after
-    each pair; ``threads`` parallelizes the witness computations with a
-    fixed fold order.
+    each pair.
     """
     n = _check_same_length(a, b)
     validate_decomposition(dec_a, a.coords)
     validate_decomposition(dec_b, b.coords)
-    if _parts_all_satisfy(dec_a, a.coords, MonotoneTag.NON_DECREASING) and (
-        _parts_all_satisfy(dec_b, b.coords, MonotoneTag.NON_INCREASING)
-    ):
+
+    def holds(tag_a: MonotoneTag, tag_b: MonotoneTag) -> bool:
+        return (
+            first_part_breaking(dec_a, a.coords, tag_a) is None
+            and first_part_breaking(dec_b, b.coords, tag_b) is None
+        )
+
+    if holds(MonotoneTag.NON_DECREASING, MonotoneTag.NON_INCREASING):
         kind = "min"
-    elif _parts_all_satisfy(dec_a, a.coords, MonotoneTag.NON_INCREASING) and (
-        _parts_all_satisfy(dec_b, b.coords, MonotoneTag.NON_DECREASING)
-    ):
+    elif holds(MonotoneTag.NON_INCREASING, MonotoneTag.NON_DECREASING):
         kind = "max"
     else:
         raise DirectionViolation(
@@ -121,31 +98,19 @@ def conv_decomposed(
         )
     chars_a = [char_vector(p, n) for p in dec_a.parts]
     chars_b = [char_vector(p, n) for p in dec_b.parts]
-    pairs = [
-        (i, j) for i in range(len(chars_a)) for j in range(len(chars_b))
-    ]
-
-    def job(i: int, j: int):
-        return conv_extreme_witness(
-            chars_a[i], chars_b[j], kind, block_size=block_size
-        )
-
-    if threads <= 1:
-        witnesses = [job(i, j) for i, j in pairs]
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            witnesses = list(pool.map(lambda pr: job(*pr), pairs))
 
     c = np.zeros(2 * n - 1, dtype=np.int64)
     finite = np.zeros(2 * n - 1, dtype=bool)
-    for (i, j), W in zip(pairs, witnesses):
-        if counters is not None:
-            counters.witness_conv_calls += 1
-        _fold_witnessed_conv(c, finite, a.coords, b.coords, W.values)
-        if pair_hook is not None:
-            pair_hook(i, j, c.copy(), finite.copy())
+    for i, pa in enumerate(chars_a):
+        for j, pb in enumerate(chars_b):
+            W = conv_extreme_witness(
+                pa, pb, kind, block_size=block_size, counters=counters
+            )
+            kk = np.flatnonzero(W.values != NO_WITNESS)
+            ll = W.values[kk]
+            fold_min(c, finite, kk, a.coords[ll] + b.coords[kk - ll])
+            if pair_hook is not None:
+                pair_hook(i, j, c.copy(), finite.copy())
     return MinPlusOutput(c, finite)
 
 
@@ -164,48 +129,16 @@ class GroupPartition:
         return len(self.groups)
 
     @classmethod
-    def build(cls, values: np.ndarray, ell: int) -> "GroupPartition":
+    def build(cls, values: np.ndarray, ell: int | None) -> "GroupPartition":
+        """Partition ``values``; ``ell`` None picks ceil(sqrt(n))."""
         values = np.asarray(values)
-        if not 1 <= ell <= values.size:
-            raise ValueError(f"group size must be in [1, {values.size}]")
+        ell = checked_size(values.size, ell, "group size")
         order = np.argsort(values, kind="stable")
         groups = tuple(
             tuple(int(x) for x in order[t : t + ell])
             for t in range(0, values.size, ell)
         )
-        return cls(tuple(int(x) for x in order), groups, int(ell))
-
-
-def validate_group_partition(gp: GroupPartition, values: np.ndarray) -> None:
-    """Raise ValueError unless gp is a stable sorted order of values cut
-    into ceil(n/ell) consecutive groups of at most ell."""
-    values = np.asarray(values)
-    n = values.size
-    if sorted(gp.order) != list(range(n)):
-        raise ValueError("order is not a permutation of the index range")
-    ordered = values[list(gp.order)]
-    if np.any(np.diff(ordered) < 0):
-        raise ValueError("order does not sort the values")
-    ties = np.flatnonzero(np.diff(ordered) == 0)
-    for t in ties:
-        if gp.order[t] > gp.order[t + 1]:
-            raise ValueError("equal values out of original index order")
-    flat = [i for g in gp.groups for i in g]
-    if flat != list(gp.order):
-        raise ValueError("groups do not cut the order into consecutive runs")
-    expect = -(-n // gp.ell)
-    if gp.group_count != expect:
-        raise ValueError(f"expected {expect} groups, found {gp.group_count}")
-    if any(len(g) > gp.ell for g in gp.groups):
-        raise ValueError("a group exceeds the size limit")
-
-
-def _checked_group_size(n: int, ell: int | None) -> int:
-    if ell is None:
-        return math.isqrt(n - 1) + 1 if n > 1 else 1
-    if not 1 <= ell <= n:
-        raise ValueError(f"group size must be in [1, {n}], got {ell}")
-    return int(ell)
+        return cls(tuple(int(x) for x in order), groups, ell)
 
 
 def conv_few_values(
@@ -229,10 +162,9 @@ def conv_few_values(
     """
     n = _check_same_length(a, b)
     validate_decomposition(dec_b, b.coords)
-    for p, part in enumerate(dec_b.parts):
-        if not values_satisfy(b.coords[list(part.indices)], MonotoneTag.UNIFORM):
-            raise UniformViolation(f"part {p + 1} of b is not constant-valued")
-    ell = _checked_group_size(n, ell)
+    p = first_part_breaking(dec_b, b.coords, MonotoneTag.UNIFORM)
+    if p is not None:
+        raise UniformViolation(f"part {p + 1} of b is not constant-valued")
     gp = GroupPartition.build(a.coords, ell)
     group_chars = [BoolVector.from_indices(g, n) for g in gp.groups]
 
@@ -258,11 +190,7 @@ def conv_few_values(
             hits = np.zeros(ok.shape, dtype=bool)
             hits[ok] = qv.bits[diff[ok]]
             qsel = members[np.argmax(hits, axis=1)]
-            cand = a.coords[qsel] + b.coords[kk - qsel]
-            better = ~finite[kk] | (cand < c[kk])
-            sel = kk[better]
-            c[sel] = cand[better]
-            finite[sel] = True
+            fold_min(c, finite, kk, a.coords[qsel] + b.coords[kk - qsel])
     return MinPlusOutput(c, finite)
 
 
@@ -277,9 +205,7 @@ def shift_transform_vectors(
     subtracts).  Every candidate sum a_l + b_{k-l} then moves by exactly
     2*k*M, so the shifted convolution c' satisfies c'_k = c_k + 2*k*M
     (minus for the non-increasing variant).  Returns (a', b', M)."""
-    tag = direction if isinstance(direction, MonotoneTag) else MonotoneTag(direction)
-    if tag is MonotoneTag.UNIFORM:
-        raise ValueError("direction must be 'nondec' or 'noninc'")
+    tag = parse_direction(direction)
     n = _check_same_length(a, b)
     M = max(int(np.abs(a.coords).max()), int(np.abs(b.coords).max()))
     if M + 2 * (n - 1) * M > SHIFTED_ENTRY_BOUND:
@@ -296,14 +222,9 @@ def shift_transform_vectors(
     )
 
 
-def vector_monotone(v: IntVector, tag: MonotoneTag) -> bool:
-    """Whether the whole vector satisfies the tag's order."""
-    return values_satisfy(v.coords, tag)
-
-
 def conv_shift_offsets(n: int, M: int, direction="nondec") -> np.ndarray:
     """Per-output offsets 2*k*M (signed by direction) linking the shifted
     convolution to the original: c'_k = c_k + offset_k."""
-    tag = direction if isinstance(direction, MonotoneTag) else MonotoneTag(direction)
+    tag = parse_direction(direction)
     sign = 1 if tag is MonotoneTag.NON_DECREASING else -1
     return sign * (2 * M) * np.arange(2 * n - 1, dtype=np.int64)

@@ -18,6 +18,7 @@ read-only), so they can be shared freely across threads.
 from __future__ import annotations
 
 import enum
+import math
 import operator
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence, Union
@@ -104,19 +105,6 @@ class IndexOutOfRange(MinPlusError):
     """A subsequence index falls outside its host sequence."""
 
 
-def checked_add(x: int, y: int) -> int:
-    """Exact integer sum, refusing to produce a value outside 64 bits.
-
-    Both operands are expected to be within the 64-bit range already; the
-    guard is on the result, so pairs like 2**62 + 2**62 raise rather than
-    silently wrapping in downstream int64 arithmetic.
-    """
-    s = int(x) + int(y)
-    if s < INT64_MIN or s > INT64_MAX:
-        raise OverflowError(f"{x} + {y} leaves the 64-bit range")
-    return s
-
-
 class MonotoneTag(enum.Enum):
     """Direction of a monotone subsequence.
 
@@ -129,6 +117,31 @@ class MonotoneTag(enum.Enum):
     UNIFORM = "uniform"
 
 
+def parse_direction(direction) -> MonotoneTag:
+    """``"nondec"``/``"noninc"`` (or the tag itself) as a tag.  UNIFORM is
+    refused: it fixes neither a witness kind nor a shift sign."""
+    tag = direction if isinstance(direction, MonotoneTag) else MonotoneTag(direction)
+    if tag is MonotoneTag.UNIFORM:
+        raise ValueError("direction must be 'nondec' or 'noninc'")
+    return tag
+
+
+def checked_size(n: int, size: int | None, what: str) -> int:
+    """A block or group size in [1, n]; None picks ceil(sqrt(n))."""
+    s = math.isqrt(n - 1) + 1 if size is None else size
+    if not 1 <= s <= n:
+        raise ValueError(f"{what} {s} outside [1, {n}]")
+    return int(s)
+
+
+def fold_min(c: np.ndarray, finite: np.ndarray, where, cand: np.ndarray) -> None:
+    """Fold candidates into a running per-entry minimum: each entry named
+    by ``where`` (distinct entries) becomes the smaller of its value and
+    its candidate, or the candidate if it was still +infinity."""
+    c[where] = np.where(finite[where], np.minimum(c[where], cand), cand)
+    finite[where] = True
+
+
 def values_satisfy(values: np.ndarray, tag: MonotoneTag) -> bool:
     """Whether a value sequence satisfies the (weak) order of ``tag``."""
     if len(values) <= 1:
@@ -139,6 +152,17 @@ def values_satisfy(values: np.ndarray, tag: MonotoneTag) -> bool:
     if tag is MonotoneTag.NON_INCREASING:
         return bool(np.all(diffs <= 0))
     return bool(np.all(diffs == 0))
+
+
+def first_part_breaking(
+    d: Decomposition, host: np.ndarray, tag: MonotoneTag
+) -> int | None:
+    """Index of the first part of ``d`` whose host values do not satisfy
+    ``tag``; None when every part does."""
+    for p, part in enumerate(d.parts):
+        if not values_satisfy(part.values(host), tag):
+            return p
+    return None
 
 
 def _as_index(i) -> int:

@@ -2,8 +2,9 @@
 
 Provides exact minimum-cardinality decompositions for a single direction
 (non-decreasing or non-increasing), a greedy mixed-direction heuristic, the
-distinct-value (uniform) decomposition, and characteristic Boolean vectors
-of subsequences.
+distinct-value (uniform) decomposition, characteristic Boolean vectors
+of subsequences, and per-row/per-column decompositions of a matrix padded
+to a common part count.
 
 The single-direction decompositions use a patience-style greedy scan whose
 part count provably equals the length of the longest strictly decreasing
@@ -14,12 +15,14 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from .core import (
     BoolVector,
     Decomposition,
+    IntMatrix,
     IntVector,
     MonotoneTag,
     Subsequence,
@@ -158,6 +161,38 @@ def decompose_uniform(s) -> Decomposition:
         Subsequence(tuple(ix), MonotoneTag.UNIFORM) for ix in by_value.values()
     )
     return Decomposition(values.shape[0], parts)
+
+
+#: Decomposition modes by name.  The CLI's ``--mode`` choices; lookups go
+#: through this dict at call time.
+DECOMPOSE_MODES = {
+    "nondec": decompose_nondecreasing,
+    "noninc": decompose_nonincreasing,
+    "greedy": decompose_monotone_greedy,
+    "uniform": decompose_uniform,
+}
+
+
+def pad_decompositions(
+    decs: Sequence[Decomposition],
+) -> tuple[list[Decomposition], int]:
+    """Pad every decomposition with empty parts to the common maximum part
+    count; returns the padded list and that count."""
+    m = max(1, max(d.part_count for d in decs))
+    return [d.padded(m) for d in decs], m
+
+
+def decompose_rows(A: IntMatrix, mode: str) -> list[Decomposition]:
+    """One decomposition per row of A, padded to a common part count.
+    Modes: the keys of :data:`DECOMPOSE_MODES`."""
+    fn = DECOMPOSE_MODES[mode]
+    return pad_decompositions([fn(A.entries[i]) for i in range(A.n)])[0]
+
+
+def decompose_cols(B: IntMatrix, mode: str) -> list[Decomposition]:
+    """One decomposition per column of B, padded to a common part count."""
+    fn = DECOMPOSE_MODES[mode]
+    return pad_decompositions([fn(B.entries[:, j]) for j in range(B.n)])[0]
 
 
 def char_vector(p: Subsequence, n: int) -> BoolVector:

@@ -23,8 +23,6 @@ chunks that keep the transform scratch near 1 MB.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .core import (
@@ -35,6 +33,7 @@ from .core import (
     OpCounters,
     PrecisionWindowExceeded,
     WitnessArray,
+    checked_size,
 )
 
 #: Inputs are accepted while max(p) * max(q) * min(len(p), len(q)) stays
@@ -116,13 +115,6 @@ def _normalize_kind(kind: str) -> str:
     return kind
 
 
-def _checked_block_size(n: int, block_size: int | None) -> int:
-    s = math.isqrt(n - 1) + 1 if block_size is None else block_size
-    if not 1 <= s <= n:
-        raise ValueError(f"block size {s} outside [1, {n}]")
-    return s
-
-
 def conv_extreme_witness(
     p: BoolVector,
     q: BoolVector,
@@ -144,7 +136,7 @@ def conv_extreme_witness(
     from numpy import fft
 
     n = p.n
-    s = _checked_block_size(n, block_size)
+    s = checked_size(n, block_size, "block size")
     nblocks = -(-n // s)
 
     # Per output position, the extreme block holding a witness.  Row t of

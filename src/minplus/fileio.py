@@ -21,6 +21,8 @@ instances hold ``vector a`` / ``vector b`` and optional single-line
 ``decomposition a`` / ``decomposition b`` sections with 0-based indices.
 Result documents hold one ``values`` section with n*n (matrix) or 2n-1
 (vector) whitespace-separated tokens; ``inf`` marks an undefined entry.
+Integers, ``n`` included, are ASCII ``-?[0-9]+``; Python's ``int()`` would
+also take ``+5``, ``1_0`` and non-ASCII digits, which do not round-trip.
 ``n`` is always the input dimension.  Blank lines and ``#`` comment lines
 are ignored.  parse(serialize(x)) == x.
 """
@@ -103,6 +105,16 @@ def _meaningful_lines(text: str) -> list[tuple[int, str]]:
     return out
 
 
+def _check_section_line(lineno: int, s: str) -> None:
+    """Section lines hold only integers, ``inf``, part tags and separators.
+    With ``+``, ``_`` and non-ASCII characters refused here, ``int()``
+    accepts exactly ``-?[0-9]+``, so every number read back round-trips."""
+    if s.isascii() and "+" not in s and "_" not in s:
+        return
+    bad = next(t for t in s.split() if not t.isascii() or "+" in t or "_" in t)
+    raise ParseError(f"bad token {bad!r}", lineno)
+
+
 def _split_headers_sections(lines):
     headers: list[tuple[int, str, str]] = []
     sections: dict[str, tuple[int, list[tuple[int, str]]]] = {}
@@ -131,6 +143,7 @@ def _split_headers_sections(lines):
                     f"section {name!r} not closed before {lines[pos][1]!r}",
                     lines[pos][0],
                 )
+            _check_section_line(*lines[pos])
             body.append(lines[pos])
             pos += 1
         if pos == len(lines):
@@ -246,10 +259,9 @@ def parse_document(text: str):
     kind = plain["kind"]
     if kind not in ("matrix", "vector", "result-matrix", "result-vector"):
         raise ParseError(f"unknown kind {kind!r}", where["kind"])
-    try:
-        n = int(plain["n"])
-    except ValueError:
-        raise ParseError(f"bad n {plain['n']!r}", where["n"]) from None
+    if not (plain["n"].isascii() and plain["n"].isdigit()):
+        raise ParseError(f"bad n {plain['n']!r}", where["n"])
+    n = int(plain["n"])
     if not 1 <= n <= MAX_DIMENSION:
         raise ParseError(
             f"n must be in [1, {MAX_DIMENSION}], got {n}", where["n"]

@@ -15,6 +15,7 @@ from .core import (
     IntVector,
     MonotoneTag,
     Subsequence,
+    parse_direction,
 )
 
 DEFAULT_VALUE_BOUND = 10**6
@@ -25,13 +26,6 @@ def as_generator(seed) -> np.random.Generator:
     if isinstance(seed, np.random.Generator):
         return seed
     return np.random.default_rng(seed)
-
-
-def _direction_tag(direction) -> MonotoneTag:
-    tag = direction if isinstance(direction, MonotoneTag) else MonotoneTag(direction)
-    if tag is MonotoneTag.UNIFORM:
-        raise ValueError("direction must be 'nondec' or 'noninc'")
-    return tag
 
 
 def random_index_partition(
@@ -89,7 +83,7 @@ def planted_monotone_vector(
     """Vector whose planted decomposition has exactly ``parts`` parts, all
     monotone in ``direction``."""
     rng = as_generator(seed)
-    tag = _direction_tag(direction)
+    tag = parse_direction(direction)
     values, dec = _plant_monotone_values(rng, n, parts, tag, value_bound)
     return IntVector(values), dec
 
@@ -134,7 +128,7 @@ def planted_matrix_rows(
     """Matrix whose every row carries a planted ``parts``-part monotone
     decomposition in ``direction``."""
     rng = as_generator(seed)
-    tag = _direction_tag(direction)
+    tag = parse_direction(direction)
     rows, decs = [], []
     for _ in range(n):
         values, dec = _plant_monotone_values(rng, n, parts, tag, value_bound)

@@ -10,7 +10,6 @@ into the output with a per-entry minimum.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Sequence
 
 import numpy as np
@@ -28,24 +27,15 @@ from .core import (
     MonotoneTag,
     OpCounters,
     UniformViolation,
+    first_part_breaking,
+    fold_min,
+    parse_direction,
     validate_decomposition,
     values_satisfy,
 )
-from .decompose import (
-    decompose_monotone_greedy,
-    decompose_nondecreasing,
-    decompose_nonincreasing,
-    decompose_uniform,
-)
+from .decompose import pad_decompositions
 
 PairHook = Callable[[int, int, np.ndarray, np.ndarray], None]
-
-
-def _direction_tag(direction) -> MonotoneTag:
-    tag = direction if isinstance(direction, MonotoneTag) else MonotoneTag(direction)
-    if tag is MonotoneTag.UNIFORM:
-        raise ValueError("direction must be 'nondec' or 'noninc'")
-    return tag
 
 
 def _check_same_n(A: IntMatrix, B: IntMatrix) -> int:
@@ -69,37 +59,18 @@ def _validate_axis_decs(
         validate_decomposition(decs[idx], _axis_values(M, axis, idx))
 
 
-def _check_axis_direction(
-    M: IntMatrix, decs: Sequence[Decomposition], axis: str, tag: MonotoneTag
-) -> None:
-    for idx, d in enumerate(decs):
-        host = _axis_values(M, axis, idx)
-        for p, part in enumerate(d.parts):
-            if not values_satisfy(host[list(part.indices)], tag):
-                raise DirectionViolation(
-                    f"{axis[:-1]} {idx + 1} part {p + 1} is not {tag.value}"
-                )
-
-
-def _check_axis_uniform(
-    M: IntMatrix, decs: Sequence[Decomposition], axis: str
-) -> None:
-    for idx, d in enumerate(decs):
-        host = _axis_values(M, axis, idx)
-        for p, part in enumerate(d.parts):
-            if not values_satisfy(host[list(part.indices)], MonotoneTag.UNIFORM):
-                raise UniformViolation(
-                    f"{axis[:-1]} {idx + 1} part {p + 1} is not constant-valued"
-                )
-
-
-def pad_decompositions(
+def _check_axis_parts(
+    M: IntMatrix,
     decs: Sequence[Decomposition],
-) -> tuple[list[Decomposition], int]:
-    """Pad every decomposition with empty parts to the common maximum part
-    count; returns the padded list and that count."""
-    m = max(1, max(d.part_count for d in decs))
-    return [d.padded(m) for d in decs], m
+    axis: str,
+    tag: MonotoneTag,
+    error: type[Exception],
+) -> None:
+    """Raise ``error`` naming the first row/column part that breaks ``tag``."""
+    for idx, d in enumerate(decs):
+        p = first_part_breaking(d, _axis_values(M, axis, idx), tag)
+        if p is not None:
+            raise error(f"{axis[:-1]} {idx + 1} part {p + 1} is not {tag.value}")
 
 
 def _char_stack_rows(decs: Sequence[Decomposition], n: int, m: int) -> np.ndarray:
@@ -124,30 +95,12 @@ def _char_stack_cols(decs: Sequence[Decomposition], n: int, m: int) -> np.ndarra
     return out
 
 
-def _run_pairs(pairs, job, threads: int) -> list:
-    if threads <= 1:
-        return [job(o, r) for o, r in pairs]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(lambda pr: job(*pr), pairs))
-
-
-def _fold_witnessed_sums(
-    c: np.ndarray,
-    finite: np.ndarray,
-    Ae: np.ndarray,
-    Be: np.ndarray,
-    witvals: np.ndarray,
-) -> None:
-    """Per-entry minimum fold of a_{i,k} + b_{k,j} over witnessed cells
-    (k = 1-based witness value)."""
+def _witnessed_sums(Ae: np.ndarray, Be: np.ndarray, witvals: np.ndarray):
+    """The witnessed cells (i, j) and their sums a_{i,k} + b_{k,j}, with k
+    the 1-based witness value; arguments for :func:`fold_min`."""
     ii, jj = np.nonzero(witvals != NO_WITNESS)
-    if ii.size == 0:
-        return
     kk = witvals[ii, jj] - 1
-    cand = Ae[ii, kk] + Be[kk, jj]
-    better = ~finite[ii, jj] | (cand < c[ii, jj])
-    c[ii[better], jj[better]] = cand[better]
-    finite[ii[better], jj[better]] = True
+    return (ii, jj), Ae[ii, kk] + Be[kk, jj]
 
 
 def minplus_naive(A: IntMatrix, B: IntMatrix) -> MinPlusOutput:
@@ -169,7 +122,6 @@ def minplus_decomposed(
     block_size: int | None = None,
     counters: OpCounters | None = None,
     pair_hook: PairHook | None = None,
-    threads: int = 1,
 ) -> MinPlusOutput:
     """Exact (min,+) product when all row parts of A and column parts of B
     share one direction (constant parts count as either).
@@ -183,37 +135,34 @@ def minplus_decomposed(
     once.
 
     ``pair_hook(o, r, values, finite)`` observes the running output after
-    each pair.  ``threads`` parallelizes the witness computations; the fold
-    order is fixed, so the result is schedule-independent.
+    each pair.
     """
-    tag = _direction_tag(direction)
+    tag = parse_direction(direction)
     n = _check_same_n(A, B)
     _validate_axis_decs(A, dec_rows, "rows")
     _validate_axis_decs(B, dec_cols, "cols")
-    _check_axis_direction(A, dec_rows, "rows", tag)
-    _check_axis_direction(B, dec_cols, "cols", tag)
+    _check_axis_parts(A, dec_rows, "rows", tag, DirectionViolation)
+    _check_axis_parts(B, dec_cols, "cols", tag, DirectionViolation)
     rows, m_a = pad_decompositions(dec_rows)
     cols, m_b = pad_decompositions(dec_cols)
     Ao = _char_stack_rows(rows, n, m_a)
     Br = _char_stack_cols(cols, n, m_b)
     kind = "min" if tag is MonotoneTag.NON_DECREASING else "max"
 
-    pairs = [(o, r) for o in range(m_a) for r in range(m_b)]
-
-    def job(o: int, r: int):
-        return mat_extreme_witness(
-            BoolMatrix(Ao[o]), BoolMatrix(Br[r]), kind, block_size=block_size
-        )
-
-    witnesses = _run_pairs(pairs, job, threads)
     c = np.zeros((n, n), dtype=np.int64)
     finite = np.zeros((n, n), dtype=bool)
-    for (o, r), W in zip(pairs, witnesses):
-        if counters is not None:
-            counters.witness_matrix_calls += 1
-        _fold_witnessed_sums(c, finite, A.entries, B.entries, W.values)
-        if pair_hook is not None:
-            pair_hook(o, r, c.copy(), finite.copy())
+    for o in range(m_a):
+        for r in range(m_b):
+            W = mat_extreme_witness(
+                BoolMatrix(Ao[o]),
+                BoolMatrix(Br[r]),
+                kind,
+                block_size=block_size,
+                counters=counters,
+            )
+            fold_min(c, finite, *_witnessed_sums(A.entries, B.entries, W.values))
+            if pair_hook is not None:
+                pair_hook(o, r, c.copy(), finite.copy())
     return MinPlusOutput(c, finite)
 
 
@@ -226,7 +175,6 @@ def minplus_mixed_uniform(
     block_size: int | None = None,
     counters: OpCounters | None = None,
     pair_hook: PairHook | None = None,
-    threads: int = 1,
 ) -> MinPlusOutput:
     """Exact (min,+) product when A's row parts are monotone in mixed
     directions and B's column parts are constant-valued.
@@ -240,7 +188,7 @@ def minplus_mixed_uniform(
     n = _check_same_n(A, B)
     _validate_axis_decs(A, dec_rows, "rows")
     _validate_axis_decs(B, dec_cols, "cols")
-    _check_axis_uniform(B, dec_cols, "cols")
+    _check_axis_parts(B, dec_cols, "cols", MonotoneTag.UNIFORM, UniformViolation)
     rows, m_a = pad_decompositions(dec_rows)
     cols, m_b = pad_decompositions(dec_cols)
     Ao = _char_stack_rows(rows, n, m_a)
@@ -253,25 +201,21 @@ def minplus_mixed_uniform(
                 A.entries[i][list(part.indices)], MonotoneTag.NON_DECREASING
             )
 
-    pairs = [(o, r) for o in range(m_a) for r in range(m_b)]
-
-    def job(o: int, r: int):
-        P, Q = BoolMatrix(Ao[o]), BoolMatrix(Br[r])
-        return (
-            mat_extreme_witness(P, Q, "min", block_size=block_size),
-            mat_extreme_witness(P, Q, "max", block_size=block_size),
-        )
-
-    witnesses = _run_pairs(pairs, job, threads)
     c = np.zeros((n, n), dtype=np.int64)
     finite = np.zeros((n, n), dtype=bool)
-    for (o, r), (Wmin, Wmax) in zip(pairs, witnesses):
-        if counters is not None:
-            counters.witness_matrix_calls += 2
-        witvals = np.where(use_min[o][:, None], Wmin.values, Wmax.values)
-        _fold_witnessed_sums(c, finite, A.entries, B.entries, witvals)
-        if pair_hook is not None:
-            pair_hook(o, r, c.copy(), finite.copy())
+    for o in range(m_a):
+        for r in range(m_b):
+            P, Q = BoolMatrix(Ao[o]), BoolMatrix(Br[r])
+            Wmin, Wmax = (
+                mat_extreme_witness(
+                    P, Q, kind, block_size=block_size, counters=counters
+                )
+                for kind in ("min", "max")
+            )
+            witvals = np.where(use_min[o][:, None], Wmin.values, Wmax.values)
+            fold_min(c, finite, *_witnessed_sums(A.entries, B.entries, witvals))
+            if pair_hook is not None:
+                pair_hook(o, r, c.copy(), finite.copy())
     return MinPlusOutput(c, finite)
 
 
@@ -283,7 +227,6 @@ def minplus_uniform_mixed(
     *,
     block_size: int | None = None,
     counters: OpCounters | None = None,
-    threads: int = 1,
 ) -> MinPlusOutput:
     """Symmetric case: A's row parts constant-valued, B's column parts
     monotone in mixed directions.  Uses the transpose identity: the
@@ -296,7 +239,6 @@ def minplus_uniform_mixed(
         dec_rows,
         block_size=block_size,
         counters=counters,
-        threads=threads,
     )
     return MinPlusOutput(out.values.T, out.finite.T)
 
@@ -319,8 +261,8 @@ def minplus_few_values_product(
     n = _check_same_n(A, B)
     _validate_axis_decs(A, dec_rows, "rows")
     _validate_axis_decs(B, dec_cols, "cols")
-    _check_axis_uniform(A, dec_rows, "rows")
-    _check_axis_uniform(B, dec_cols, "cols")
+    _check_axis_parts(A, dec_rows, "rows", MonotoneTag.UNIFORM, UniformViolation)
+    _check_axis_parts(B, dec_cols, "cols", MonotoneTag.UNIFORM, UniformViolation)
     rows, c_a = pad_decompositions(dec_rows)
     cols, c_b = pad_decompositions(dec_cols)
     Ao = _char_stack_rows(rows, n, c_a)
@@ -341,16 +283,9 @@ def minplus_few_values_product(
     finite = np.zeros((n, n), dtype=bool)
     for o in range(c_a):
         for r in range(c_b):
-            D = bool_matmul(BoolMatrix(Ao[o]), BoolMatrix(Br[r]))
-            if counters is not None:
-                counters.bool_products += 1
+            D = bool_matmul(BoolMatrix(Ao[o]), BoolMatrix(Br[r]), counters)
             ii, jj = np.nonzero(D.bits)
-            if ii.size == 0:
-                continue
-            cand = uval[o, ii] + vval[r, jj]
-            better = ~finite[ii, jj] | (cand < c[ii, jj])
-            c[ii[better], jj[better]] = cand[better]
-            finite[ii[better], jj[better]] = True
+            fold_min(c, finite, (ii, jj), uval[o, ii] + vval[r, jj])
     return MinPlusOutput(c, finite)
 
 
@@ -365,7 +300,7 @@ def shift_transform_matrices(
     gains 2*k*M and entry (k, j) of B loses it (k is the 1-based shared
     index), so each candidate sum a_{i,k} + b_{k,j} is unchanged.  Returns
     (A', B', M)."""
-    tag = _direction_tag(direction)
+    tag = parse_direction(direction)
     n = _check_same_n(A, B)
     M = max(int(np.abs(A.entries).max()), int(np.abs(B.entries).max()))
     if M + 2 * n * M > SHIFTED_ENTRY_BOUND:
@@ -381,34 +316,3 @@ def shift_transform_matrices(
         IntMatrix(B2, entry_bound=SHIFTED_ENTRY_BOUND),
         M,
     )
-
-
-def rows_monotone(M: IntMatrix, tag: MonotoneTag) -> bool:
-    """Whether every row of M satisfies the tag's order."""
-    return all(values_satisfy(M.entries[i], tag) for i in range(M.n))
-
-
-def cols_monotone(M: IntMatrix, tag: MonotoneTag) -> bool:
-    """Whether every column of M satisfies the tag's order."""
-    return all(values_satisfy(M.entries[:, j], tag) for j in range(M.n))
-
-
-_DECOMPOSE_MODES = {
-    "nondec": decompose_nondecreasing,
-    "noninc": decompose_nonincreasing,
-    "greedy": decompose_monotone_greedy,
-    "uniform": decompose_uniform,
-}
-
-
-def decompose_rows(A: IntMatrix, mode: str) -> list[Decomposition]:
-    """One decomposition per row of A, padded to a common part count.
-    Modes: nondec, noninc, greedy, uniform."""
-    fn = _DECOMPOSE_MODES[mode]
-    return pad_decompositions([fn(A.entries[i]) for i in range(A.n)])[0]
-
-
-def decompose_cols(B: IntMatrix, mode: str) -> list[Decomposition]:
-    """One decomposition per column of B, padded to a common part count."""
-    fn = _DECOMPOSE_MODES[mode]
-    return pad_decompositions([fn(B.entries[:, j]) for j in range(B.n)])[0]

@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from minplus.core import INT64_MAX, INT64_MIN, values_satisfy
+
 
 def minplus_matrix(A, B) -> np.ndarray:
     """Schoolbook (min,+) product on plain 2-D arrays."""
@@ -184,3 +186,55 @@ def min_monotone_parts(values, nondec: bool) -> int:
         if not frontier and full not in best:
             raise AssertionError("search exhausted without covering")
     return best[full]
+
+
+def checked_add(x: int, y: int) -> int:
+    """Exact integer sum, refusing to produce a value outside 64 bits.
+
+    Both operands are expected to be within the 64-bit range already; the
+    guard is on the result, so pairs like 2**62 + 2**62 raise rather than
+    silently wrapping in downstream int64 arithmetic.
+    """
+    s = int(x) + int(y)
+    if s < INT64_MIN or s > INT64_MAX:
+        raise OverflowError(f"{x} + {y} leaves the 64-bit range")
+    return s
+
+
+def rows_monotone(M, tag) -> bool:
+    """Whether every row of the IntMatrix M satisfies the tag's order."""
+    return all(values_satisfy(M.entries[i], tag) for i in range(M.n))
+
+
+def cols_monotone(M, tag) -> bool:
+    """Whether every column of the IntMatrix M satisfies the tag's order."""
+    return all(values_satisfy(M.entries[:, j], tag) for j in range(M.n))
+
+
+def vector_monotone(v, tag) -> bool:
+    """Whether the whole IntVector satisfies the tag's order."""
+    return values_satisfy(v.coords, tag)
+
+
+def validate_group_partition(gp, values) -> None:
+    """Raise ValueError unless the GroupPartition gp is a stable sorted
+    order of values cut into ceil(n/ell) consecutive groups of at most ell."""
+    values = np.asarray(values)
+    n = values.size
+    if sorted(gp.order) != list(range(n)):
+        raise ValueError("order is not a permutation of the index range")
+    ordered = values[list(gp.order)]
+    if np.any(np.diff(ordered) < 0):
+        raise ValueError("order does not sort the values")
+    ties = np.flatnonzero(np.diff(ordered) == 0)
+    for t in ties:
+        if gp.order[t] > gp.order[t + 1]:
+            raise ValueError("equal values out of original index order")
+    flat = [i for g in gp.groups for i in g]
+    if flat != list(gp.order):
+        raise ValueError("groups do not cut the order into consecutive runs")
+    expect = -(-n // gp.ell)
+    if gp.group_count != expect:
+        raise ValueError(f"expected {expect} groups, found {gp.group_count}")
+    if any(len(g) > gp.ell for g in gp.groups):
+        raise ValueError("a group exceeds the size limit")

@@ -21,7 +21,6 @@ from minplus import (
     OpCounters,
     Subsequence,
     char_vector,
-    cols_monotone,
     conv_decomposed,
     conv_extreme_witness,
     conv_few_values,
@@ -34,11 +33,10 @@ from minplus import (
     minplus_few_values_product,
     minplus_mixed_uniform,
     minplus_naive,
-    rows_monotone,
     shift_transform_matrices,
     shift_transform_vectors,
-    vector_monotone,
 )
+from oracles import cols_monotone, rows_monotone, vector_monotone
 from minplus.generators import (
     planted_matrix_cols,
     planted_matrix_rows,

@@ -1,0 +1,43 @@
+"""The benchmark's tracing wrappers against the names the library exposes.
+
+``perfbench/spans.py`` swaps timing wrappers in for the cross-module names
+that the algorithms and the CLI look up at call time.  A refactor that
+renames such a name, or binds it once instead of looking it up, would
+leave a layer unmeasured; these checks catch that in the plain suite.
+"""
+
+import importlib.util
+from pathlib import Path
+
+from minplus import cli, fileio
+from minplus.generators import random_matrix
+
+SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+
+
+def _load_spans():
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+spans = _load_spans()
+
+
+def test_every_patched_name_resolves():
+    for owner, key, _, _ in spans.SOLVE_PATCHES + spans.SETUP_PATCHES:
+        assert callable(spans._get(owner, key)), key
+
+
+def test_mode_wrapper_sees_every_cli_decomposition(tmp_path, capsys):
+    n = 6
+    src, dst = tmp_path / "in.txt", tmp_path / "dec.txt"
+    inst = fileio.MatrixInstance(random_matrix(0, n), random_matrix(1, n))
+    fileio.write_atomic(src, fileio.serialize(inst))
+    recorder = spans.Recorder()
+    table = [(cli._MODE_FNS, "nondec", "decompose", spans._parts_note)]
+    with recorder.patched(table):
+        argv = ["decompose", str(src), "--mode", "nondec", "--out", str(dst)]
+        assert cli.main(argv) == 0
+    assert [s.name for s in recorder.spans] == ["decompose"] * (2 * n)

@@ -23,9 +23,8 @@ from minplus import (
     decompose_nonincreasing,
     decompose_uniform,
     shift_transform_vectors,
-    validate_group_partition,
-    vector_monotone,
 )
+from oracles import validate_group_partition, vector_monotone
 from minplus.generators import (
     planted_monotone_vector,
     planted_uniform_vector,
@@ -124,14 +123,13 @@ class TestDecomposed:
         assert out == final
         assert len(calls) == da.part_count * db.part_count
 
-    def test_block_size_and_threads_invariant(self):
+    def test_block_size_invariant(self):
         a, da = planted_monotone_vector(13, 30, 3, "noninc")
         b, db = planted_monotone_vector(14, 30, 3, "nondec")
         base = conv_decomposed(a, da, b, db)
         assert base == conv_naive(a, b)
         for bs in (1, 6, 30):
             assert conv_decomposed(a, da, b, db, block_size=bs) == base
-        assert conv_decomposed(a, da, b, db, threads=3) == base
 
 
 class TestGroupPartition:
@@ -259,6 +257,13 @@ class TestShiftVectors:
         big = IntVector([0, 2**61], entry_bound=SHIFTED_ENTRY_BOUND)
         with pytest.raises(OverflowError):
             shift_transform_vectors(big, big)
+
+    def test_offsets_reject_uniform_direction(self):
+        # the offsets refuse exactly the directions the transform refuses
+        with pytest.raises(ValueError):
+            shift_transform_vectors(IntVector([1]), IntVector([2]), "uniform")
+        with pytest.raises(ValueError):
+            conv_shift_offsets(3, 5, "uniform")
 
 
 class TestDirectionalDecomposeRoundTrip:

@@ -25,10 +25,10 @@ from minplus import (
     OverlapError,
     Subsequence,
     WitnessArray,
-    checked_add,
     validate_decomposition,
     values_satisfy,
 )
+from oracles import checked_add
 
 ND = MonotoneTag.NON_DECREASING
 NI = MonotoneTag.NON_INCREASING

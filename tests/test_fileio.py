@@ -108,6 +108,16 @@ class TestRoundTrip:
         doc = ResultDocument("result-vector", 2, out, {})
         assert parse_document(serialize(doc)) == doc
 
+    @pytest.mark.parametrize("line", ["1 7 3", "1_0 +5 3", "\u0661 7 3"])
+    def test_only_round_tripping_text_parses(self, line):
+        text = VECTOR_TEXT.replace("1 7 3", line)
+        try:
+            doc = parse_document(text)
+        except ParseError as err:
+            assert err.line == 7
+        else:
+            assert serialize(doc) == text
+
     def test_serialized_text_ends_with_newline(self):
         assert serialize(mat_doc()).endswith("\n")
 
@@ -145,6 +155,14 @@ class TestParseErrors:
 
     def test_bad_integer(self):
         self.check(MATRIX_TEXT.replace("3 4", "3 x"), line=8)
+
+    @pytest.mark.parametrize("token", ["1_0", "+5", "\u0661"])
+    def test_integer_must_be_ascii_digits(self, token):
+        self.check(VECTOR_TEXT.replace("1 7 3", f"{token} 7 3"), line=7)
+
+    @pytest.mark.parametrize("token", ["0_3", "+3", "\u0663"])
+    def test_dimension_must_be_ascii_digits(self, token):
+        self.check(VECTOR_TEXT.replace("n: 3", f"n: {token}"), line=3)
 
     def test_wrong_token_count(self):
         # token counts are checked per section, reported at its begin line
