@@ -1,11 +1,23 @@
 """Boolean matrix product and extreme-witness Boolean matrix product.
 
-The product packs matrix rows into 64-bit words so the inner AND-OR runs
-one machine word at a time.  Extreme witnesses reuse that kernel inside a
-column-index blocking scheme: the index range is split into contiguous
-blocks, block-restricted products locate the first (minimum) or last
-(maximum) block holding a witness per entry, and that block's few indices
-are then scanned directly.
+Both run on dense floating-point GEMMs whose results are exact.  The
+Boolean product is one float32 GEMM of the 0/1 matrices: a sum of
+non-negative terms is 0 only when every term is 0, so ``> 0`` is the OR
+whatever the rounding (and counts below 2**24 are exact in float32).
+
+Extreme witnesses use square-root blocking (Alon, Galil, Margalit and
+Naor, FOCS 1992) in one pass: the column indices of P are split into
+contiguous blocks, walked in ascending order for "min" and descending
+order for "max".  Each block is one float64 GEMM ``(P[:, lo:hi] * w) @
+Q[lo:hi]`` in which ``w`` gives each index of the block its own power of
+two, the largest at the preferred end.  Entry (i, j) of the result is the
+sum of the weights of the block's witnesses for (i, j).  Blocks are at
+most 52 indices wide, so that is a sum of distinct powers of two below
+2**52 < 2**53: every partial sum is an integer that float64 holds
+exactly, in whatever order BLAS adds the terms.  A positive sum says the
+block holds a witness, and its top bit (``np.frexp``) names the extreme
+one.  Entries are set by the first block that hits them, and the pass
+stops once none is left unset; peak memory is a few n x n arrays.
 """
 
 from __future__ import annotations
@@ -21,30 +33,9 @@ from .core import (
     checked_size,
 )
 
-
-def _pack_rows(bits: np.ndarray) -> np.ndarray:
-    """Pack a (m, n) bool array into (m, ceil(n/64)) little-endian words."""
-    m, n = bits.shape
-    words = max(1, -(-n // 64))
-    padded = np.zeros((m, words * 64), dtype=bool)
-    padded[:, :n] = bits
-    return np.packbits(padded, axis=1, bitorder="little").view(np.uint64)
-
-
-def _unpack_rows(words: np.ndarray, n: int) -> np.ndarray:
-    u8 = np.ascontiguousarray(words).view(np.uint8)
-    return np.unpackbits(u8, axis=1, bitorder="little")[:, :n].astype(bool)
-
-
-def _packed_product(p_bits: np.ndarray, q_words: np.ndarray, n: int) -> np.ndarray:
-    """Rows of the Boolean product: OR of the packed q-rows selected by each
-    p-row.  ``p_bits`` is (n, k) over the same k-range as ``q_words``."""
-    out = np.zeros((p_bits.shape[0], q_words.shape[1]), dtype=np.uint64)
-    for i in range(p_bits.shape[0]):
-        sel = q_words[p_bits[i]]
-        if sel.shape[0]:
-            out[i] = np.bitwise_or.reduce(sel, axis=0)
-    return _unpack_rows(out, n)
+#: Widest block one weighted GEMM covers: its weights are 2**0 .. 2**51,
+#: so every sum stays below 2**52 and is exact in float64.
+_MAX_WIDTH = 52
 
 
 def bool_matmul(
@@ -54,7 +45,7 @@ def bool_matmul(
     Q[k,j] both set."""
     if P.n != Q.n:
         raise DimensionMismatch(f"dimensions differ: {P.n} vs {Q.n}")
-    bits = _packed_product(P.bits, _pack_rows(Q.bits), P.n)
+    bits = P.bits.astype(np.float32) @ Q.bits.astype(np.float32) > 0
     if counters is not None:
         counters.bool_products += 1
     return BoolMatrix(bits)
@@ -73,43 +64,34 @@ def mat_extreme_witness(
     Returns, for each entry (i, j) with product bit 1, the least ("min") or
     greatest ("max") 1-based index k with P[i,k] and Q[k,j] both set;
     NO_WITNESS where the bit is 0.  ``block_size`` tunes the blocking
-    (default ceil(sqrt(n))); the output is independent of it.
+    (default ceil(sqrt(n)), capped at 52); the output is independent of it.
     """
     if P.n != Q.n:
         raise DimensionMismatch(f"dimensions differ: {P.n} vs {Q.n}")
     if kind not in ("min", "max"):
         raise ValueError(f"witness kind must be 'min' or 'max', got {kind!r}")
     n = P.n
-    r = checked_size(n, block_size, "block size")
-    nblocks = -(-n // r)
-
-    extreme_block = np.full((n, n), -1, dtype=np.int64)
-    order = range(nblocks) if kind == "min" else range(nblocks - 1, -1, -1)
-    for t in order:
-        lo, hi = t * r, min(t * r + r, n)
-        if hi - lo == 1:
-            prod = P.bits[:, lo : lo + 1] & Q.bits[lo]
-        else:
-            prod = _packed_product(P.bits[:, lo:hi], _pack_rows(Q.bits[lo:hi]), n)
-        fresh = prod & (extreme_block < 0)
-        extreme_block[fresh] = t
-        if not (extreme_block < 0).any():
-            break
+    r = min(checked_size(n, block_size, "block size"), _MAX_WIDTH)
+    starts = range(0, n, r)
+    # Index lo + k of a block weighs 2**k for "max" and 2**(r-1-k) for
+    # "min"; a sum with top bit 2**(e-1) then names index lo + e - 1 or
+    # lo + r - e.
+    weights = np.ldexp(1.0, np.arange(r))
+    if kind == "min":
+        weights = weights[::-1]
 
     wit = np.full((n, n), NO_WITNESS, dtype=np.int64)
-    for t in range(nblocks):
-        mask = extreme_block == t
-        if not mask.any():
-            continue
-        lo, hi = t * r, min(t * r + r, n)
-        ii, jj = np.nonzero(mask)
-        ks = np.arange(lo, hi)
-        hits = P.bits[ii[:, None], ks[None, :]] & Q.bits[ks[None, :], jj[:, None]]
-        if kind == "min":
-            off = np.argmax(hits, axis=1)
-        else:
-            off = hits.shape[1] - 1 - np.argmax(hits[:, ::-1], axis=1)
-        wit[ii, jj] = ks[off] + 1  # witnesses are 1-based
+    unset = n * n
+    for lo in starts if kind == "min" else reversed(starts):
+        hi = min(lo + r, n)
+        weighted = P.bits[:, lo:hi] * weights[: hi - lo]
+        sums = weighted @ Q.bits[lo:hi].astype(np.float64)
+        fresh = (sums > 0) & (wit == NO_WITNESS)
+        _, top = np.frexp(sums[fresh])
+        wit[fresh] = lo + top if kind == "max" else lo + r + 1 - top
+        unset -= top.size
+        if not unset:
+            break
     if counters is not None:
         counters.witness_matrix_calls += 1
     return WitnessArray(wit)

@@ -95,6 +95,8 @@ def _infer_matrix_direction(inst: fileio.MatrixInstance) -> str:
 def _run_algorithm(inst, algo: str, args, counters: OpCounters):
     """Dispatch, returning (MinPlusOutput, params dict for provenance)."""
     block_size = getattr(args, "block_size", None)
+    # Only fig1, fig2 and fig3 run a witness engine, so only they record it.
+    blocked = {} if block_size is None else {"block-size": str(block_size)}
     if isinstance(inst, fileio.MatrixInstance):
         _require(
             algo == "naive" or algo in MATRIX_ALGOS,
@@ -118,7 +120,7 @@ def _run_algorithm(inst, algo: str, args, counters: OpCounters):
                 block_size=block_size,
                 counters=counters,
             )
-            return out, {"direction": direction}
+            return out, {"direction": direction, **blocked}
         if algo == "fig2":
             _require(
                 inst.dec_rows is not None and inst.dec_cols is not None,
@@ -133,7 +135,7 @@ def _run_algorithm(inst, algo: str, args, counters: OpCounters):
                 block_size=block_size,
                 counters=counters,
             )
-            return out, {}
+            return out, blocked
         dec_rows = inst.dec_rows
         if dec_rows is None:
             dec_rows = decompose_rows(inst.A, "uniform")
@@ -164,7 +166,7 @@ def _run_algorithm(inst, algo: str, args, counters: OpCounters):
             block_size=block_size,
             counters=counters,
         )
-        return out, {}
+        return out, blocked
     dec_b = inst.dec_b
     if dec_b is None:
         dec_b = decompose_uniform(inst.b.coords)
@@ -310,8 +312,6 @@ def _cmd_compute(args) -> int:
     output, params = _run_algorithm(inst, args.algo, args, counters)
     meta = {"algorithm": args.algo}
     meta.update(params)
-    if args.block_size is not None:
-        meta["block-size"] = str(args.block_size)
     if "seed" in inst.meta:
         meta["seed"] = inst.meta["seed"]
     for key, value in counters.as_dict().items():

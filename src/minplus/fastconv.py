@@ -109,12 +109,6 @@ def bool_convolution(
     return BoolVector(counts > 0)
 
 
-def _normalize_kind(kind: str) -> str:
-    if kind not in ("min", "max"):
-        raise ValueError(f"witness kind must be 'min' or 'max', got {kind!r}")
-    return kind
-
-
 def conv_extreme_witness(
     p: BoolVector,
     q: BoolVector,
@@ -132,7 +126,8 @@ def conv_extreme_witness(
     """
     if p.n != q.n:
         raise LengthMismatch(f"vector lengths differ: {p.n} vs {q.n}")
-    kind = _normalize_kind(kind)
+    if kind not in ("min", "max"):
+        raise ValueError(f"witness kind must be 'min' or 'max', got {kind!r}")
     from numpy import fft
 
     n = p.n

@@ -1,6 +1,8 @@
-"""Word-packed Boolean products and blocked extreme-witness products."""
+"""Boolean products and blocked extreme-witness products on exact float
+GEMMs."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -99,6 +101,48 @@ class TestMatExtremeWitness:
                             bm(P), bm(Q), kind, block_size=bs
                         ).values
                         assert np.array_equal(got, want), (n, kind, bs)
+
+    def test_weight_sums_at_saturation(self):
+        # All-ones inputs fill every weight of every block: a 52-wide block
+        # sums to 2**52 - 1, the largest value the engine produces.
+        n = 120
+        ones = bm(np.ones((n, n), dtype=bool))
+        for bs in (1, 52, 53, 120):
+            got = mat_extreme_witness(ones, ones, "min", block_size=bs)
+            assert (got.values == 1).all(), bs
+            got = mat_extreme_witness(ones, ones, "max", block_size=bs)
+            assert (got.values == n).all(), bs
+
+    def test_witness_on_last_column_of_a_full_block(self):
+        # P and Q share only index 52, the last column of the first
+        # 52-wide block: other indices are set in P or in Q, never both.
+        n = 120
+        rng = np.random.default_rng(5)
+        P = rng.random((n, n)) < 0.5
+        Q = rng.random((n, n)) < 0.5
+        P[:, 1::2] = False
+        Q[0::2, :] = False
+        P[:, 51], Q[51, :] = True, True
+        for kind in ("min", "max"):
+            want = oracles.mat_witness_tensor(P, Q, kind)
+            assert (want == 52).all()
+            for bs in (11, 52, 53, 120):
+                got = mat_extreme_witness(bm(P), bm(Q), kind, block_size=bs)
+                assert np.array_equal(got.values, want), (kind, bs)
+
+    def test_peak_memory_is_a_few_n_squared_arrays(self):
+        n = 512
+        rng = np.random.default_rng(9)
+        P = bm(rng.random((n, n)) < 0.3)
+        Q = bm(rng.random((n, n)) < 0.3)
+        for kind in ("min", "max"):
+            tracemalloc.start()
+            try:
+                mat_extreme_witness(P, Q, kind)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 6 * 8 * n * n, (kind, peak / (8 * n * n))
 
     def test_min_max_duality_under_index_reversal(self):
         rng = np.random.default_rng(21)

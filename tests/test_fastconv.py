@@ -174,6 +174,11 @@ class TestConvExtremeWitness:
             with pytest.raises(ValueError):
                 conv_extreme_witness(p, p, "min", block_size=bad)
 
+    def test_unknown_kind_rejected(self):
+        p = bv([1, 0, 1])
+        with pytest.raises(ValueError, match="'min' or 'max'"):
+            conv_extreme_witness(p, p, "median")
+
     def test_counter_bumps(self):
         c = OpCounters()
         conv_extreme_witness(bv([1, 0]), bv([1, 1]), "min", counters=c)
