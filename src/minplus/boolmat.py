@@ -1,23 +1,18 @@
 """Boolean matrix product and extreme-witness Boolean matrix product.
 
-Both run on dense floating-point GEMMs whose results are exact.  The
-Boolean product is one float32 GEMM of the 0/1 matrices: a sum of
+The Boolean product is one float32 GEMM of the 0/1 matrices: a sum of
 non-negative terms is 0 only when every term is 0, so ``> 0`` is the OR
 whatever the rounding (and counts below 2**24 are exact in float32).
 
 Extreme witnesses use square-root blocking (Alon, Galil, Margalit and
-Naor, FOCS 1992) in one pass: the column indices of P are split into
-contiguous blocks, walked in ascending order for "min" and descending
-order for "max".  Each block is one float64 GEMM ``(P[:, lo:hi] * w) @
-Q[lo:hi]`` in which ``w`` gives each index of the block its own power of
-two, the largest at the preferred end.  Entry (i, j) of the result is the
-sum of the weights of the block's witnesses for (i, j).  Blocks are at
-most 52 indices wide, so that is a sum of distinct powers of two below
-2**52 < 2**53: every partial sum is an integer that float64 holds
-exactly, in whatever order BLAS adds the terms.  A positive sum says the
-block holds a witness, and its top bit (``np.frexp``) names the extreme
-one.  Entries are set by the first block that hits them, and the pass
-stops once none is left unset; peak memory is a few n x n arrays.
+Naor, FOCS 1992) in one pass over the index blocks, ascending for "min"
+and descending for "max".  Each row of P and column of Q packs its bits
+of a block (at most 64 wide) into one uint64 word, the preferred end at
+bit 0: the lowest set bit of ``p_i & q_j`` (``w & -w``, read exactly by
+``np.frexp``) names the extreme witness of (i, j) in the block.  This runs
+on one core, not on BLAS threads, which slowed several-fold while another
+process held a core.  The first block hitting an entry sets it, the pass
+stops once none is left, and peak memory is a few n x n arrays.
 """
 
 from __future__ import annotations
@@ -33,11 +28,6 @@ from .core import (
     checked_size,
 )
 
-#: Widest block one weighted GEMM covers: its weights are 2**0 .. 2**51,
-#: so every sum stays below 2**52 and is exact in float64.
-_MAX_WIDTH = 52
-
-
 def bool_matmul(
     P: BoolMatrix, Q: BoolMatrix, counters: OpCounters | None = None
 ) -> BoolMatrix:
@@ -49,6 +39,17 @@ def bool_matmul(
     if counters is not None:
         counters.bool_products += 1
     return BoolMatrix(bits)
+
+
+def _block_words(bits: np.ndarray, width: int, reverse: bool) -> np.ndarray:
+    """(blocks, n) uint64: bit t of word [b, i] is bits[i, b*width + t]
+    (bit width-1-t if ``reverse``), 0 past the end."""
+    n = bits.shape[0]
+    blocks = np.pad(bits, ((0, 0), (0, -n % width))).reshape(n, -1, width)
+    words = np.zeros((*blocks.shape[:2], 64), dtype=bool)
+    words[:, :, :width] = blocks[:, :, ::-1] if reverse else blocks
+    packed = np.packbits(words, axis=-1, bitorder="little").view("<u8")
+    return np.ascontiguousarray(packed[:, :, 0].T)
 
 
 def mat_extreme_witness(
@@ -64,33 +65,33 @@ def mat_extreme_witness(
     Returns, for each entry (i, j) with product bit 1, the least ("min") or
     greatest ("max") 1-based index k with P[i,k] and Q[k,j] both set;
     NO_WITNESS where the bit is 0.  ``block_size`` tunes the blocking
-    (default ceil(sqrt(n)), capped at 52); the output is independent of it.
+    (default ceil(sqrt(n)), capped at 64); the output is independent of it.
     """
     if P.n != Q.n:
         raise DimensionMismatch(f"dimensions differ: {P.n} vs {Q.n}")
     if kind not in ("min", "max"):
         raise ValueError(f"witness kind must be 'min' or 'max', got {kind!r}")
     n = P.n
-    r = min(checked_size(n, block_size, "block size"), _MAX_WIDTH)
-    starts = range(0, n, r)
-    # Index lo + k of a block weighs 2**k for "max" and 2**(r-1-k) for
-    # "min"; a sum with top bit 2**(e-1) then names index lo + e - 1 or
-    # lo + r - e.
-    weights = np.ldexp(1.0, np.arange(r))
-    if kind == "min":
-        weights = weights[::-1]
-
+    r = min(checked_size(n, block_size, "block size"), 64)  # one uint64 word
+    # Lowest set bit 2**(top-1) of a word of block [lo, lo + r) names the
+    # 1-based index lo + top ("min") or lo + r + 1 - top ("max").
+    rows, cols = (_block_words(M, r, kind == "max") for M in (P.bits, Q.bits.T))
     wit = np.full((n, n), NO_WITNESS, dtype=np.int64)
-    unset = n * n
-    for lo in starts if kind == "min" else reversed(starts):
-        hi = min(lo + r, n)
-        weighted = P.bits[:, lo:hi] * weights[: hi - lo]
-        sums = weighted @ Q.bits[lo:hi].astype(np.float64)
-        fresh = (sums > 0) & (wit == NO_WITNESS)
-        _, top = np.frexp(sums[fresh])
-        wit[fresh] = lo + top if kind == "max" else lo + r + 1 - top
-        unset -= top.size
-        if not unset:
+    unset = np.ones((n, n), dtype=bool)
+    both, fresh = np.empty((n, n), dtype=np.uint64), np.empty((n, n), dtype=bool)
+    left = n * n
+    blocks = range(rows.shape[0])
+    for b in blocks if kind == "min" else reversed(blocks):
+        np.bitwise_and(rows[b][:, None], cols[b], out=both)
+        np.not_equal(both, 0, out=fresh)
+        fresh &= unset
+        low = both[fresh]
+        low &= -low
+        _, top = np.frexp(low.astype(np.float64))
+        wit[fresh] = b * r + top if kind == "min" else b * r + r + 1 - top
+        unset ^= fresh
+        left -= top.size
+        if not left:
             break
     if counters is not None:
         counters.witness_matrix_calls += 1

@@ -25,7 +25,7 @@ from .core import (
     MonotoneTag,
     OpCounters,
     checked_size,
-    first_part_breaking,
+    validate_decomposition,
 )
 from .decompose import (
     DECOMPOSE_MODES,
@@ -82,10 +82,10 @@ def _require(condition: bool, message: str) -> None:
 
 
 def _infer_matrix_direction(inst: fileio.MatrixInstance) -> str:
-    decs = [*inst.dec_rows, *inst.dec_cols]
-    hosts = [*inst.A.entries, *inst.B.entries.T]
+    rows = validate_decomposition(inst.dec_rows, inst.A.entries)
+    cols = validate_decomposition(inst.dec_cols, inst.B.entries.T)
     for tag in (MonotoneTag.NON_DECREASING, MonotoneTag.NON_INCREASING):
-        if all(first_part_breaking(d, h, tag) is None for d, h in zip(decs, hosts)):
+        if rows.holds[tag].all() and cols.holds[tag].all():
             return tag.value
     raise DirectionViolation(
         "row and column parts do not share one direction; pass --direction"

@@ -26,12 +26,10 @@ from .core import (
     OpCounters,
     UniformViolation,
     checked_size,
-    first_part_breaking,
     fold_min,
     parse_direction,
     validate_decomposition,
 )
-from .decompose import char_vector
 from .fastconv import bool_convolution, conv_extreme_witness
 
 PairHook = Callable[[int, int, np.ndarray, np.ndarray], None]
@@ -78,37 +76,31 @@ def conv_decomposed(
     each pair.
     """
     n = _check_same_length(a, b)
-    validate_decomposition(dec_a, a.coords)
-    validate_decomposition(dec_b, b.coords)
+    parts_a = validate_decomposition(dec_a, a.coords)
+    parts_b = validate_decomposition(dec_b, b.coords)
 
-    def holds(tag_a: MonotoneTag, tag_b: MonotoneTag) -> bool:
-        return (
-            first_part_breaking(dec_a, a.coords, tag_a) is None
-            and first_part_breaking(dec_b, b.coords, tag_b) is None
-        )
-
-    if holds(MonotoneTag.NON_DECREASING, MonotoneTag.NON_INCREASING):
-        kind = "min"
-    elif holds(MonotoneTag.NON_INCREASING, MonotoneTag.NON_DECREASING):
-        kind = "max"
+    ND, NI = MonotoneTag.NON_DECREASING, MonotoneTag.NON_INCREASING
+    for kind, tag_a, tag_b in (("min", ND, NI), ("max", NI, ND)):
+        if parts_a.holds[tag_a].all() and parts_b.holds[tag_b].all():
+            break
     else:
         raise DirectionViolation(
             "need all parts of a non-decreasing with all parts of b "
             "non-increasing, or vice versa"
         )
-    chars_a = [char_vector(p, n) for p in dec_a.parts]
-    chars_b = [char_vector(p, n) for p in dec_b.parts]
 
+    ks = np.arange(2 * n - 1)
     c = np.zeros(2 * n - 1, dtype=np.int64)
     finite = np.zeros(2 * n - 1, dtype=bool)
-    for i, pa in enumerate(chars_a):
-        for j, pb in enumerate(chars_b):
+    for i, pa in enumerate(parts_a.chars[:, 0]):
+        for j, pb in enumerate(parts_b.chars[:, 0]):
             W = conv_extreme_witness(
-                pa, pb, kind, block_size=block_size, counters=counters
+                BoolVector(pa), BoolVector(pb), kind,
+                block_size=block_size, counters=counters,
             )
-            kk = np.flatnonzero(W.values != NO_WITNESS)
-            ll = W.values[kk]
-            fold_min(c, finite, kk, a.coords[ll] + b.coords[kk - ll])
+            ll = np.maximum(W.values, 0)
+            cand = a.coords[ll] + b.coords[np.minimum(ks - ll, n - 1)]
+            fold_min(c, finite, W.values != NO_WITNESS, cand)
             if pair_hook is not None:
                 pair_hook(i, j, c.copy(), finite.copy())
     return MinPlusOutput(c, finite)
@@ -161,17 +153,18 @@ def conv_few_values(
     value is constant, so the smallest reachable a value is optimal.
     """
     n = _check_same_length(a, b)
-    validate_decomposition(dec_b, b.coords)
-    p = first_part_breaking(dec_b, b.coords, MonotoneTag.UNIFORM)
-    if p is not None:
-        raise UniformViolation(f"part {p + 1} of b is not constant-valued")
+    parts_b = validate_decomposition(dec_b, b.coords)
+    bad = np.flatnonzero(~parts_b.holds[MonotoneTag.UNIFORM])
+    if bad.size:
+        raise UniformViolation(f"part {bad[0] + 1} of b is not constant-valued")
     gp = GroupPartition.build(a.coords, ell)
     group_chars = [BoolVector.from_indices(g, n) for g in gp.groups]
 
+    ks = np.arange(2 * n - 1)
     c = np.zeros(2 * n - 1, dtype=np.int64)
     finite = np.zeros(2 * n - 1, dtype=bool)
-    for part in dec_b.parts:
-        qv = char_vector(part, n)
+    for qbits in parts_b.chars[:, 0]:
+        qv = BoolVector(qbits)
         dstack = np.stack(
             [
                 bool_convolution(gchar, qv, counters=counters).bits
@@ -180,6 +173,7 @@ def conv_few_values(
         )
         anyhit = dstack.any(axis=0)
         first = np.argmax(dstack, axis=0)
+        qsel = np.zeros(2 * n - 1, dtype=np.int64)
         for t in range(gp.group_count):
             kk = np.flatnonzero(anyhit & (first == t))
             if kk.size == 0:
@@ -189,8 +183,9 @@ def conv_few_values(
             ok = (diff >= 0) & (diff < n)
             hits = np.zeros(ok.shape, dtype=bool)
             hits[ok] = qv.bits[diff[ok]]
-            qsel = members[np.argmax(hits, axis=1)]
-            fold_min(c, finite, kk, a.coords[qsel] + b.coords[kk - qsel])
+            qsel[kk] = members[np.argmax(hits, axis=1)]
+        cand = a.coords[qsel] + b.coords[np.minimum(ks - qsel, n - 1)]
+        fold_min(c, finite, anyhit, cand)
     return MinPlusOutput(c, finite)
 
 

@@ -18,6 +18,7 @@ read-only), so they can be shared freely across threads.
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 import operator
 from dataclasses import dataclass, field
@@ -134,12 +135,12 @@ def checked_size(n: int, size: int | None, what: str) -> int:
     return int(s)
 
 
-def fold_min(c: np.ndarray, finite: np.ndarray, where, cand: np.ndarray) -> None:
-    """Fold candidates into a running per-entry minimum: each entry named
-    by ``where`` (distinct entries) becomes the smaller of its value and
-    its candidate, or the candidate if it was still +infinity."""
-    c[where] = np.where(finite[where], np.minimum(c[where], cand), cand)
-    finite[where] = True
+def fold_min(c: np.ndarray, finite: np.ndarray, hit, cand: np.ndarray) -> None:
+    """Fold full-shape candidates into a running per-entry minimum: each
+    entry where ``hit`` is set becomes the smaller of its value and its
+    candidate, or the candidate if it was still +infinity."""
+    np.copyto(c, cand, where=hit & (~finite | (cand < c)))
+    finite |= hit
 
 
 def values_satisfy(values: np.ndarray, tag: MonotoneTag) -> bool:
@@ -152,17 +153,6 @@ def values_satisfy(values: np.ndarray, tag: MonotoneTag) -> bool:
     if tag is MonotoneTag.NON_INCREASING:
         return bool(np.all(diffs <= 0))
     return bool(np.all(diffs == 0))
-
-
-def first_part_breaking(
-    d: Decomposition, host: np.ndarray, tag: MonotoneTag
-) -> int | None:
-    """Index of the first part of ``d`` whose host values do not satisfy
-    ``tag``; None when every part does."""
-    for p, part in enumerate(d.parts):
-        if not values_satisfy(part.values(host), tag):
-            return p
-    return None
 
 
 def _as_index(i) -> int:
@@ -556,38 +546,120 @@ class OpCounters:
         }
 
 
-def validate_decomposition(d: Decomposition, host: IntVector | IntSeq) -> None:
-    """Check that ``d`` is a partition of the host's positions and that every
-    part satisfies its monotonicity tag; raise on the first violation.
+@dataclass(frozen=True)
+class AxisParts:
+    """The parts of k validated decompositions of k length-n hosts, padded
+    to the largest part count m: ``chars[o, t]`` is the characteristic
+    vector of part o of decomposition t, ``first[o, t]`` the host value at
+    its first index (0 if empty), and ``holds[tag][o, t]`` whether its
+    values satisfy ``tag`` (empty parts satisfy every tag)."""
 
-    Raises OverlapError, CoverageGapError, IndexOutOfRange, LengthMismatch or
-    OrderViolation (naming the offending part and position).
+    chars: np.ndarray  # (m, k, n) bool
+    first: np.ndarray  # (m, k) int64
+    holds: dict[MonotoneTag, np.ndarray]  # (m, k) bool each
+
+
+#: Position of each tag in the per-tag order checks: nondec, noninc, uniform.
+_TAG_ROW = {tag: row for row, tag in enumerate(MonotoneTag)}
+
+
+def validate_decomposition(
+    d: Decomposition | Sequence[Decomposition], host: IntVector | IntSeq
+) -> AxisParts:
+    """Check that each decomposition partitions its host's positions and
+    that every part satisfies its own monotonicity tag; raise on the first
+    violation of the first failing decomposition, else return the parts.
+
+    ``d`` is one decomposition with a 1-D host (k = 1), or k decompositions
+    with a (k, n) array whose row t is decomposition t's host; one
+    vectorized pass checks all k.  n in-range indices per host that cover
+    every position form a partition, and a part breaks its tag where a
+    step between consecutive values goes the wrong way.
+
+    Raises OverlapError, CoverageGapError, IndexOutOfRange, LengthMismatch,
+    OrderViolation (naming the offending part and position), or
+    DimensionMismatch for a host array without one row per decomposition.
     """
-    values = host.coords if isinstance(host, IntVector) else _as_int64(host, "host")
+    if isinstance(d, Decomposition):
+        values = host.coords if isinstance(host, IntVector) else _as_int64(host, "host")
+        decs, hosts = (d,), values[None, :]
+    else:
+        decs, hosts = tuple(d), _as_int64(host, "host")
+        if hosts.ndim != 2 or hosts.shape[0] != len(decs):
+            raise DimensionMismatch(f"{len(decs)} decompositions, hosts {hosts.shape}")
+    k, n = hosts.shape
+    # Length and range are per-part checks (a part's last index is its
+    # largest); the decompositions before such a failure are checked first.
+    for t, dt in enumerate(decs):
+        if dt.host_length != n or any(
+            p.indices and p.indices[-1] >= n for p in dt.parts
+        ):
+            validate_decomposition(decs[:t], hosts[:t])
+            _raise_first_violation(dt, hosts[t])
+
+    m = max([1, *(dt.part_count for dt in decs)])
+    lens, tags = np.zeros((2, k, m), dtype=np.intp)
+    for t, dt in enumerate(decs):
+        lens[t, : dt.part_count] = [len(p) for p in dt.parts]
+        tags[t, : dt.part_count] = [_TAG_ROW[p.tag] for p in dt.parts]
+    sizes, lens = lens.sum(axis=1), lens.ravel()
+    starts = np.cumsum(lens) - lens
+    # Index i of part o of decomposition t is cell t*n + i of the hosts
+    # and cell (o*k + t)*n + i of the (m, k, n) stack.
+    cells = np.repeat(np.arange(k) * n, sizes)
+    cells += np.fromiter(
+        itertools.chain.from_iterable(p.indices for dt in decs for p in dt.parts),
+        dtype=np.int32,
+        count=cells.size,
+    )
+    vals = np.take(hosts, cells)
+    cells += np.repeat(np.tile(np.arange(m) * (k * n), k), lens)
+    chars = np.zeros((m, k, n), dtype=bool)
+    chars.reshape(-1)[cells] = True
+    del cells
+
+    nonempty = lens > 0
+    heads = starts[nonempty]
+    first = np.zeros(k * m, dtype=np.int64)
+    first[nonempty] = vals[heads]
+    # OR each nonempty part's wrong-way steps, minus the one out of its end.
+    turns = np.zeros((2, k * m), dtype=bool)
+    for w, wrong_way in enumerate((np.less, np.greater)):
+        step = np.zeros(vals.size, dtype=bool)
+        wrong_way(vals[1:], vals[:-1], out=step[:-1])
+        step[heads + lens[nonempty] - 1] = False
+        turns[w, nonempty] = np.logical_or.reduceat(step, heads)
+    falls, rises = turns.reshape(2, k, m)
+    wrong = (falls, rises, falls | rises)  # as in _TAG_ROW
+
+    partition = (sizes == n) & chars.any(axis=0).all(axis=1)
+    bad = np.flatnonzero(~partition | np.choose(tags, wrong).any(axis=1))
+    if bad.size:
+        _raise_first_violation(decs[bad[0]], hosts[bad[0]])
+    holds = {tag: ~w.T for tag, w in zip(_TAG_ROW, wrong)}
+    return AxisParts(chars, first.reshape(k, m).T, holds)
+
+
+def _raise_first_violation(d: Decomposition, values: np.ndarray) -> None:
+    """Name the first violation of one decomposition known to have one."""
     n = values.shape[0]
     if d.host_length != n:
         raise LengthMismatch(
             f"decomposition is for length {d.host_length}, host has {n}"
         )
-    owner = np.full(n, -1, dtype=np.int64)
+    owner = [-1] * n
     for p, part in enumerate(d.parts):
         for i in part.indices:
             if i >= n:
                 raise IndexOutOfRange(f"part {p} index {i} outside [0, {n})")
             if owner[i] >= 0:
-                raise OverlapError(i, int(owner[i]), p)
+                raise OverlapError(i, owner[i], p)
             owner[i] = p
-    uncovered = np.flatnonzero(owner < 0)
-    if uncovered.size:
-        raise CoverageGapError(int(uncovered[0]))
+    if -1 in owner:
+        raise CoverageGapError(owner.index(-1))
     for p, part in enumerate(d.parts):
         vals = part.values(values)
-        if not values_satisfy(vals, part.tag):
-            diffs = np.diff(vals)
-            if part.tag is MonotoneTag.NON_DECREASING:
-                bad = int(np.flatnonzero(diffs < 0)[0])
-            elif part.tag is MonotoneTag.NON_INCREASING:
-                bad = int(np.flatnonzero(diffs > 0)[0])
-            else:
-                bad = int(np.flatnonzero(diffs != 0)[0])
-            raise OrderViolation(p, bad)
+        falls, rises = vals[1:] < vals[:-1], vals[1:] > vals[:-1]
+        wrong = (falls, rises, falls | rises)[_TAG_ROW[part.tag]]
+        if wrong.any():
+            raise OrderViolation(p, int(np.argmax(wrong)))

@@ -306,13 +306,11 @@ def _parse_matrix_instance(sections, n, meta):
     if "decompositions A rows" in sections:
         lineno, body = sections["decompositions A rows"]
         dec_rows = _parse_axis_decompositions(body, lineno, "row", n)
-        for i, d in enumerate(dec_rows):
-            validate_decomposition(d, A.entries[i])
+        validate_decomposition(dec_rows, A.entries)
     if "decompositions B cols" in sections:
         lineno, body = sections["decompositions B cols"]
         dec_cols = _parse_axis_decompositions(body, lineno, "col", n)
-        for j, d in enumerate(dec_cols):
-            validate_decomposition(d, B.entries[:, j])
+        validate_decomposition(dec_cols, B.entries.T)
     return MatrixInstance(A, B, dec_rows, dec_cols, meta)
 
 

@@ -18,6 +18,7 @@ from .boolmat import bool_matmul, mat_extreme_witness
 from .core import (
     NO_WITNESS,
     SHIFTED_ENTRY_BOUND,
+    AxisParts,
     BoolMatrix,
     Decomposition,
     DimensionMismatch,
@@ -27,13 +28,10 @@ from .core import (
     MonotoneTag,
     OpCounters,
     UniformViolation,
-    first_part_breaking,
     fold_min,
     parse_direction,
     validate_decomposition,
-    values_satisfy,
 )
-from .decompose import pad_decompositions
 
 PairHook = Callable[[int, int, np.ndarray, np.ndarray], None]
 
@@ -44,63 +42,28 @@ def _check_same_n(A: IntMatrix, B: IntMatrix) -> int:
     return A.n
 
 
-def _axis_values(M: IntMatrix, axis: str, idx: int) -> np.ndarray:
-    return M.entries[idx] if axis == "rows" else M.entries[:, idx]
-
-
-def _validate_axis_decs(
-    M: IntMatrix, decs: Sequence[Decomposition], axis: str
-) -> None:
-    if len(decs) != M.n:
-        raise DimensionMismatch(
-            f"need one decomposition per {axis[:-1]}, got {len(decs)} for n={M.n}"
-        )
-    for idx in range(M.n):
-        validate_decomposition(decs[idx], _axis_values(M, axis, idx))
-
-
-def _check_axis_parts(
-    M: IntMatrix,
-    decs: Sequence[Decomposition],
-    axis: str,
-    tag: MonotoneTag,
-    error: type[Exception],
-) -> None:
+def _require_tag(parts: AxisParts, tag: MonotoneTag, axis: str, error) -> None:
     """Raise ``error`` naming the first row/column part that breaks ``tag``."""
-    for idx, d in enumerate(decs):
-        p = first_part_breaking(d, _axis_values(M, axis, idx), tag)
-        if p is not None:
-            raise error(f"{axis[:-1]} {idx + 1} part {p + 1} is not {tag.value}")
+    bad = np.argwhere(~parts.holds[tag].T)
+    if bad.size:
+        idx, p = bad[0]
+        raise error(f"{axis[:-1]} {idx + 1} part {p + 1} is not {tag.value}")
 
 
-def _char_stack_rows(decs: Sequence[Decomposition], n: int, m: int) -> np.ndarray:
-    """(m, n, n) bool; slice o is the matrix whose row i is the
-    characteristic vector of part o of row i's decomposition."""
-    out = np.zeros((m, n, n), dtype=bool)
-    for i, d in enumerate(decs):
-        for o, part in enumerate(d.parts):
-            if part.indices:
-                out[o, i, list(part.indices)] = True
-    return out
-
-
-def _char_stack_cols(decs: Sequence[Decomposition], n: int, m: int) -> np.ndarray:
-    """(m, n, n) bool; slice r is the matrix whose column j is the
-    characteristic vector of part r of column j's decomposition."""
-    out = np.zeros((m, n, n), dtype=bool)
-    for j, d in enumerate(decs):
-        for r, part in enumerate(d.parts):
-            if part.indices:
-                out[r, list(part.indices), j] = True
-    return out
-
-
-def _witnessed_sums(Ae: np.ndarray, Be: np.ndarray, witvals: np.ndarray):
-    """The witnessed cells (i, j) and their sums a_{i,k} + b_{k,j}, with k
-    the 1-based witness value; arguments for :func:`fold_min`."""
-    ii, jj = np.nonzero(witvals != NO_WITNESS)
-    kk = witvals[ii, jj] - 1
-    return (ii, jj), Ae[ii, kk] + Be[kk, jj]
+def _witness_candidates(A: IntMatrix, B: IntMatrix, witvals: np.ndarray):
+    """The cells with a witness, and every cell's sum a_{i,k} + b_{k,j} for
+    its 1-based witness k (k = 1 where none): arguments for fold_min."""
+    n = A.n
+    row_starts = np.arange(n)[:, None] * n
+    # One index buffer, i*n + k into A and then k*n + j into B: flat
+    # gathers, about twice as fast as take_along_axis at n=512.
+    flat = np.maximum(witvals, 1) + (row_starts - 1)
+    sums = np.take(A.entries, flat)
+    flat -= row_starts
+    flat *= n
+    flat += np.arange(n)
+    sums += np.take(B.entries, flat)
+    return witvals != NO_WITNESS, sums
 
 
 def minplus_naive(A: IntMatrix, B: IntMatrix) -> MinPlusOutput:
@@ -139,28 +102,24 @@ def minplus_decomposed(
     """
     tag = parse_direction(direction)
     n = _check_same_n(A, B)
-    _validate_axis_decs(A, dec_rows, "rows")
-    _validate_axis_decs(B, dec_cols, "cols")
-    _check_axis_parts(A, dec_rows, "rows", tag, DirectionViolation)
-    _check_axis_parts(B, dec_cols, "cols", tag, DirectionViolation)
-    rows, m_a = pad_decompositions(dec_rows)
-    cols, m_b = pad_decompositions(dec_cols)
-    Ao = _char_stack_rows(rows, n, m_a)
-    Br = _char_stack_cols(cols, n, m_b)
+    rows = validate_decomposition(dec_rows, A.entries)
+    cols = validate_decomposition(dec_cols, B.entries.T)
+    _require_tag(rows, tag, "rows", DirectionViolation)
+    _require_tag(cols, tag, "cols", DirectionViolation)
     kind = "min" if tag is MonotoneTag.NON_DECREASING else "max"
 
     c = np.zeros((n, n), dtype=np.int64)
     finite = np.zeros((n, n), dtype=bool)
-    for o in range(m_a):
-        for r in range(m_b):
+    for o, P in enumerate(rows.chars):
+        for r, Q in enumerate(cols.chars):
             W = mat_extreme_witness(
-                BoolMatrix(Ao[o]),
-                BoolMatrix(Br[r]),
+                BoolMatrix(P),
+                BoolMatrix(Q.T),
                 kind,
                 block_size=block_size,
                 counters=counters,
             )
-            fold_min(c, finite, *_witnessed_sums(A.entries, B.entries, W.values))
+            fold_min(c, finite, *_witness_candidates(A, B, W.values))
             if pair_hook is not None:
                 pair_hook(o, r, c.copy(), finite.copy())
     return MinPlusOutput(c, finite)
@@ -186,26 +145,16 @@ def minplus_mixed_uniform(
     attains the minimum).
     """
     n = _check_same_n(A, B)
-    _validate_axis_decs(A, dec_rows, "rows")
-    _validate_axis_decs(B, dec_cols, "cols")
-    _check_axis_parts(B, dec_cols, "cols", MonotoneTag.UNIFORM, UniformViolation)
-    rows, m_a = pad_decompositions(dec_rows)
-    cols, m_b = pad_decompositions(dec_cols)
-    Ao = _char_stack_rows(rows, n, m_a)
-    Br = _char_stack_cols(cols, n, m_b)
-
-    use_min = np.zeros((m_a, n), dtype=bool)
-    for i, d in enumerate(rows):
-        for o, part in enumerate(d.parts):
-            use_min[o, i] = values_satisfy(
-                A.entries[i][list(part.indices)], MonotoneTag.NON_DECREASING
-            )
+    rows = validate_decomposition(dec_rows, A.entries)
+    cols = validate_decomposition(dec_cols, B.entries.T)
+    _require_tag(cols, MonotoneTag.UNIFORM, "cols", UniformViolation)
+    use_min = rows.holds[MonotoneTag.NON_DECREASING]
 
     c = np.zeros((n, n), dtype=np.int64)
     finite = np.zeros((n, n), dtype=bool)
-    for o in range(m_a):
-        for r in range(m_b):
-            P, Q = BoolMatrix(Ao[o]), BoolMatrix(Br[r])
+    for o, Pbits in enumerate(rows.chars):
+        for r, Qbits in enumerate(cols.chars):
+            P, Q = BoolMatrix(Pbits), BoolMatrix(Qbits.T)
             Wmin, Wmax = (
                 mat_extreme_witness(
                     P, Q, kind, block_size=block_size, counters=counters
@@ -213,7 +162,7 @@ def minplus_mixed_uniform(
                 for kind in ("min", "max")
             )
             witvals = np.where(use_min[o][:, None], Wmin.values, Wmax.values)
-            fold_min(c, finite, *_witnessed_sums(A.entries, B.entries, witvals))
+            fold_min(c, finite, *_witness_candidates(A, B, witvals))
             if pair_hook is not None:
                 pair_hook(o, r, c.copy(), finite.copy())
     return MinPlusOutput(c, finite)
@@ -259,33 +208,17 @@ def minplus_few_values_product(
     candidate value is then the sum of the two constants for that row and
     column."""
     n = _check_same_n(A, B)
-    _validate_axis_decs(A, dec_rows, "rows")
-    _validate_axis_decs(B, dec_cols, "cols")
-    _check_axis_parts(A, dec_rows, "rows", MonotoneTag.UNIFORM, UniformViolation)
-    _check_axis_parts(B, dec_cols, "cols", MonotoneTag.UNIFORM, UniformViolation)
-    rows, c_a = pad_decompositions(dec_rows)
-    cols, c_b = pad_decompositions(dec_cols)
-    Ao = _char_stack_rows(rows, n, c_a)
-    Br = _char_stack_cols(cols, n, c_b)
-
-    uval = np.zeros((c_a, n), dtype=np.int64)
-    for i, d in enumerate(rows):
-        for o, part in enumerate(d.parts):
-            if part.indices:
-                uval[o, i] = A.entries[i, part.indices[0]]
-    vval = np.zeros((c_b, n), dtype=np.int64)
-    for j, d in enumerate(cols):
-        for r, part in enumerate(d.parts):
-            if part.indices:
-                vval[r, j] = B.entries[part.indices[0], j]
+    rows = validate_decomposition(dec_rows, A.entries)
+    cols = validate_decomposition(dec_cols, B.entries.T)
+    _require_tag(rows, MonotoneTag.UNIFORM, "rows", UniformViolation)
+    _require_tag(cols, MonotoneTag.UNIFORM, "cols", UniformViolation)
 
     c = np.zeros((n, n), dtype=np.int64)
     finite = np.zeros((n, n), dtype=bool)
-    for o in range(c_a):
-        for r in range(c_b):
-            D = bool_matmul(BoolMatrix(Ao[o]), BoolMatrix(Br[r]), counters)
-            ii, jj = np.nonzero(D.bits)
-            fold_min(c, finite, (ii, jj), uval[o, ii] + vval[r, jj])
+    for o, P in enumerate(rows.chars):
+        for r, Q in enumerate(cols.chars):
+            D = bool_matmul(BoolMatrix(P), BoolMatrix(Q.T), counters)
+            fold_min(c, finite, D.bits, rows.first[o][:, None] + cols.first[r])
     return MinPlusOutput(c, finite)
 
 

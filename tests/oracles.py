@@ -8,7 +8,17 @@ from __future__ import annotations
 
 import numpy as np
 
-from minplus.core import INT64_MAX, INT64_MIN, values_satisfy
+from minplus.core import (
+    INT64_MAX,
+    INT64_MIN,
+    CoverageGapError,
+    IndexOutOfRange,
+    LengthMismatch,
+    MonotoneTag,
+    OrderViolation,
+    OverlapError,
+    values_satisfy,
+)
 
 
 def minplus_matrix(A, B) -> np.ndarray:
@@ -238,3 +248,35 @@ def validate_group_partition(gp, values) -> None:
         raise ValueError(f"expected {expect} groups, found {gp.group_count}")
     if any(len(g) > gp.ell for g in gp.groups):
         raise ValueError("a group exceeds the size limit")
+
+
+def validate_decomposition_loop(d, host) -> None:
+    """Per-index reference for ``validate_decomposition`` on one
+    decomposition: raise on its first violation, in the package's order
+    (length, then range and overlap part by part, then coverage, then
+    each part's own tag)."""
+    values = np.asarray(host)
+    n = values.shape[0]
+    if d.host_length != n:
+        raise LengthMismatch(
+            f"decomposition is for length {d.host_length}, host has {n}"
+        )
+    owner = [-1] * n
+    for p, part in enumerate(d.parts):
+        for i in part.indices:
+            if i >= n:
+                raise IndexOutOfRange(f"part {p} index {i} outside [0, {n})")
+            if owner[i] >= 0:
+                raise OverlapError(i, owner[i], p)
+            owner[i] = p
+    if -1 in owner:
+        raise CoverageGapError(owner.index(-1))
+    for p, part in enumerate(d.parts):
+        vals = [int(values[i]) for i in part.indices]
+        for pos, (x, y) in enumerate(zip(vals, vals[1:])):
+            if (
+                (part.tag is MonotoneTag.NON_DECREASING and y < x)
+                or (part.tag is MonotoneTag.NON_INCREASING and y > x)
+                or (part.tag is MonotoneTag.UNIFORM and y != x)
+            ):
+                raise OrderViolation(p, pos)

@@ -9,7 +9,7 @@ leave a layer unmeasured; these checks catch that in the plain suite.
 import importlib.util
 from pathlib import Path
 
-from minplus import cli, fileio
+from minplus import cli, fileio, generators, product
 from minplus.generators import random_matrix
 
 SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
@@ -41,3 +41,13 @@ def test_mode_wrapper_sees_every_cli_decomposition(tmp_path, capsys):
         argv = ["decompose", str(src), "--mode", "nondec", "--out", str(dst)]
         assert cli.main(argv) == 0
     assert [s.name for s in recorder.spans] == ["decompose"] * (2 * n)
+
+
+def test_a_product_solve_validates_each_axis_in_one_call():
+    A, rows = generators.planted_matrix_rows(0, 8, 3, "nondec")
+    B, cols = generators.planted_matrix_cols(1, 8, 3, "nondec")
+    recorder = spans.Recorder()
+    table = [(product, "validate_decomposition", "core.validate", None)]
+    with recorder.patched(table):
+        product.minplus_decomposed(A, rows, B, cols, "nondec")
+    assert [s.name for s in recorder.spans] == ["core.validate"] * 2

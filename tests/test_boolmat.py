@@ -1,5 +1,5 @@
-"""Boolean products and blocked extreme-witness products on exact float
-GEMMs."""
+"""Boolean products on an exact float GEMM, and blocked extreme-witness
+products on packed uint64 words."""
 
 import math
 import tracemalloc
@@ -103,11 +103,11 @@ class TestMatExtremeWitness:
                         assert np.array_equal(got, want), (n, kind, bs)
 
     def test_weight_sums_at_saturation(self):
-        # All-ones inputs fill every weight of every block: a 52-wide block
-        # sums to 2**52 - 1, the largest value the engine produces.
+        # All-ones inputs set every bit of every block's words: a 64-wide
+        # block's word is 2**64 - 1, the largest value the engine forms.
         n = 120
         ones = bm(np.ones((n, n), dtype=bool))
-        for bs in (1, 52, 53, 120):
+        for bs in (1, 52, 53, 64, 65, 120):
             got = mat_extreme_witness(ones, ones, "min", block_size=bs)
             assert (got.values == 1).all(), bs
             got = mat_extreme_witness(ones, ones, "max", block_size=bs)
@@ -129,6 +129,21 @@ class TestMatExtremeWitness:
             for bs in (11, 52, 53, 120):
                 got = mat_extreme_witness(bm(P), bm(Q), kind, block_size=bs)
                 assert np.array_equal(got.values, want), (kind, bs)
+
+    def test_witness_on_either_end_of_a_full_word(self):
+        # P and Q share only index k + 1.  Index 64 is bit 2**63 of the
+        # first 64-wide block's word for "min", index 1 for "max".
+        n = 130
+        rng = np.random.default_rng(6)
+        idx = np.arange(n)
+        for k in (0, 63, 64, 127):
+            P = (rng.random((n, n)) < 0.5) & (idx % 2 == 0)
+            Q = (rng.random((n, n)) < 0.5) & (idx[:, None] % 2 == 1)
+            P[:, k], Q[k, :] = True, True
+            for kind in ("min", "max"):
+                for bs in (63, 64, 65, 130):
+                    got = mat_extreme_witness(bm(P), bm(Q), kind, block_size=bs)
+                    assert (got.values == k + 1).all(), (k, kind, bs)
 
     def test_peak_memory_is_a_few_n_squared_arrays(self):
         n = 512

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from minplus.core import INT64_MAX, INT64_MIN
@@ -14,10 +14,12 @@ from minplus import (
     BoolVector,
     CoverageGapError,
     Decomposition,
+    DimensionMismatch,
     IndexOutOfRange,
     IntMatrix,
     IntVector,
     LengthMismatch,
+    MinPlusError,
     MinPlusOutput,
     MonotoneTag,
     OpCounters,
@@ -28,7 +30,7 @@ from minplus import (
     validate_decomposition,
     values_satisfy,
 )
-from oracles import checked_add
+from oracles import checked_add, validate_decomposition_loop
 
 ND = MonotoneTag.NON_DECREASING
 NI = MonotoneTag.NON_INCREASING
@@ -225,6 +227,118 @@ class TestValidateDecomposition:
     def test_vector_host_accepted(self):
         d = dec(6, ((0, 1, 2, 3, 4, 5), ND))
         validate_decomposition(d, IntVector([1, 2, 3, 4, 5, 6]))
+
+
+@st.composite
+def axis_cases(draw):
+    """k hosts of length n <= 12, each with a valid decomposition (mixed
+    tags, empty parts, padding), then some decompositions corrupted by an
+    overlap, a gap, an index >= n, a broken order or a wrong length."""
+    n = draw(st.integers(1, 12))
+    k = draw(st.integers(1, 4))
+    scale = draw(st.sampled_from([1, 2**60]))
+    hosts = np.zeros((k, n), dtype=np.int64)
+    decs = []
+    for t in range(k):
+        m = draw(st.integers(1, 4))
+        labels = draw(st.lists(st.integers(0, m - 1), min_size=n, max_size=n))
+        parts = []
+        for o in range(m):
+            ix = [i for i in range(n) if labels[i] == o]
+            tag = draw(st.sampled_from(list(MonotoneTag)))
+            vals = sorted(
+                draw(st.lists(st.integers(-3, 3), min_size=len(ix), max_size=len(ix)))
+            )
+            if tag is NI:
+                vals = vals[::-1]
+            if tag is UN:
+                vals = vals[:1] * len(ix)
+            hosts[t, ix] = [v * scale for v in vals]
+            parts.append(Subsequence(tuple(ix), tag))
+        decs.append(Decomposition(n, tuple(parts)).padded(m + draw(st.integers(0, 2))))
+    for t in draw(st.lists(st.integers(0, k - 1), max_size=3)):
+        parts = [list(p.indices) for p in decs[t].parts]
+        tags = [p.tag for p in decs[t].parts]
+        host_length = n
+        o = draw(st.integers(0, len(parts) - 1))
+        how = draw(
+            st.sampled_from(["overlap", "gap", "range", "order", "tag", "length"])
+        )
+        if how == "overlap":
+            parts[o] = sorted(set(parts[o]) | {draw(st.integers(0, n - 1))})
+        elif how == "gap" and parts[o]:
+            parts[o].remove(draw(st.sampled_from(parts[o])))
+        elif how == "range":
+            parts[o] = sorted(set(parts[o]) | {n + draw(st.integers(0, 2))})
+        elif how == "order":
+            hosts[t, draw(st.integers(0, n - 1))] = draw(st.integers(-3, 3)) * scale
+        elif how == "tag":
+            tags[o] = draw(st.sampled_from(list(MonotoneTag)))
+        elif how == "length":
+            host_length = draw(st.integers(1, n + 2).filter(lambda x: x != n))
+        decs[t] = Decomposition(
+            host_length, tuple(Subsequence(tuple(p), g) for p, g in zip(parts, tags))
+        )
+    return decs, hosts
+
+
+def _raised(fn, *args):
+    try:
+        fn(*args)
+    except MinPlusError as e:
+        return e
+    return None
+
+
+def _same_outcome(got, want):
+    """Both accepted, or both raised the same type with the same fields."""
+    assert type(got) is type(want)
+    if want is not None:
+        assert vars(got) == vars(want) and str(got) == str(want)
+
+
+class TestBatchedValidation:
+    """The batched ``validate_decomposition`` against the per-index
+    reference loop, run decomposition by decomposition."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(axis_cases())
+    def test_accepts_and_names_what_the_reference_does(self, case):
+        decs, hosts = case
+        def row_by_row():
+            for d, h in zip(decs, hosts):
+                validate_decomposition_loop(d, h)
+
+        _same_outcome(
+            _raised(validate_decomposition, decs, hosts), _raised(row_by_row)
+        )
+        for d, h in zip(decs, hosts):
+            _same_outcome(
+                _raised(validate_decomposition, d, h),
+                _raised(validate_decomposition_loop, d, h),
+            )
+
+    @settings(max_examples=100, deadline=None)
+    @given(axis_cases())
+    def test_accepted_axis_parts(self, case):
+        decs, hosts = case
+        assume(_raised(validate_decomposition, decs, hosts) is None)
+        parts = validate_decomposition(decs, hosts)
+        k, n = hosts.shape
+        m = max(d.part_count for d in decs)
+        assert parts.chars.shape == (m, k, n)
+        for t, d in enumerate(decs):
+            for o in range(m):
+                ix = list(d.parts[o].indices) if o < d.part_count else []
+                assert parts.chars[o, t].tolist() == [i in ix for i in range(n)]
+                assert parts.first[o, t] == (hosts[t, ix[0]] if ix else 0)
+                for tag in MonotoneTag:
+                    assert parts.holds[tag][o, t] == values_satisfy(hosts[t, ix], tag)
+
+    def test_one_host_per_decomposition(self):
+        d = dec(2, ((0, 1), ND))
+        with pytest.raises(DimensionMismatch):
+            validate_decomposition([d, d], np.zeros((3, 2), dtype=np.int64))
 
 
 class TestWitnessArray:
