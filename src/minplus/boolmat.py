@@ -26,6 +26,7 @@ from .core import (
     OpCounters,
     WitnessArray,
     checked_size,
+    lowest_set_bit,
 )
 
 def bool_matmul(
@@ -73,8 +74,8 @@ def mat_extreme_witness(
         raise ValueError(f"witness kind must be 'min' or 'max', got {kind!r}")
     n = P.n
     r = min(checked_size(n, block_size, "block size"), 64)  # one uint64 word
-    # Lowest set bit 2**(top-1) of a word of block [lo, lo + r) names the
-    # 1-based index lo + top ("min") or lo + r + 1 - top ("max").
+    # Lowest set bit t of a word of block [lo, lo + r) names the 1-based
+    # index lo + 1 + t ("min") or lo + r - t ("max").
     rows, cols = (_block_words(M, r, kind == "max") for M in (P.bits, Q.bits.T))
     wit = np.full((n, n), NO_WITNESS, dtype=np.int64)
     unset = np.ones((n, n), dtype=bool)
@@ -85,12 +86,10 @@ def mat_extreme_witness(
         np.bitwise_and(rows[b][:, None], cols[b], out=both)
         np.not_equal(both, 0, out=fresh)
         fresh &= unset
-        low = both[fresh]
-        low &= -low
-        _, top = np.frexp(low.astype(np.float64))
-        wit[fresh] = b * r + top if kind == "min" else b * r + r + 1 - top
+        bit = lowest_set_bit(both[fresh])
+        wit[fresh] = b * r + 1 + bit if kind == "min" else b * r + r - bit
         unset ^= fresh
-        left -= top.size
+        left -= bit.size
         if not left:
             break
     if counters is not None:

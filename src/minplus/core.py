@@ -143,16 +143,24 @@ def fold_min(c: np.ndarray, finite: np.ndarray, hit, cand: np.ndarray) -> None:
     finite |= hit
 
 
+def lowest_set_bit(words: np.ndarray) -> np.ndarray:
+    """Position (0-63) of the lowest set bit of each nonzero uint64 word,
+    overwriting ``words``: ``w & -w`` is that bit, a power of two below
+    2**64, which float64 holds and ``np.frexp`` reads exactly."""
+    words &= np.negative(words)
+    return np.frexp(words.astype(np.float64))[1] - 1
+
+
 def values_satisfy(values: np.ndarray, tag: MonotoneTag) -> bool:
     """Whether a value sequence satisfies the (weak) order of ``tag``."""
-    if len(values) <= 1:
-        return True
-    diffs = np.diff(values)
+    # Neighbours are compared, not subtracted, so no difference can wrap.
+    values = np.asarray(values)
+    before, after = values[:-1], values[1:]
     if tag is MonotoneTag.NON_DECREASING:
-        return bool(np.all(diffs >= 0))
+        return bool(np.all(before <= after))
     if tag is MonotoneTag.NON_INCREASING:
-        return bool(np.all(diffs <= 0))
-    return bool(np.all(diffs == 0))
+        return bool(np.all(before >= after))
+    return bool(np.all(before == after))
 
 
 def _as_index(i) -> int:
@@ -339,11 +347,7 @@ class BoolVector:
     __slots__ = ("bits",)
 
     def __init__(self, bits):
-        arr = np.asarray(bits)
-        if arr.dtype != np.bool_:
-            arr = arr.astype(bool)
-        else:
-            arr = arr.copy()
+        arr = np.array(bits, dtype=bool)
         if arr.ndim != 1:
             raise ValueError("bool vector must be one-dimensional")
         arr.setflags(write=False)
@@ -387,11 +391,7 @@ class BoolMatrix:
     __slots__ = ("bits",)
 
     def __init__(self, bits):
-        arr = np.asarray(bits)
-        if arr.dtype != np.bool_:
-            arr = arr.astype(bool)
-        else:
-            arr = arr.copy()
+        arr = np.array(bits, dtype=bool)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ValueError(f"bool matrix must be square, got {arr.shape}")
         arr.setflags(write=False)

@@ -9,7 +9,7 @@ leave a layer unmeasured; these checks catch that in the plain suite.
 import importlib.util
 from pathlib import Path
 
-from minplus import cli, fileio, generators, product
+from minplus import cli, convolution, fileio, generators, product
 from minplus.generators import random_matrix
 
 SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
@@ -51,3 +51,16 @@ def test_a_product_solve_validates_each_axis_in_one_call():
     with recorder.patched(table):
         product.minplus_decomposed(A, rows, B, cols, "nondec")
     assert [s.name for s in recorder.spans] == ["core.validate"] * 2
+
+
+def test_a_convolution_solve_makes_one_witness_call_per_part_pair():
+    a, dec_a = generators.planted_monotone_vector(0, 64, 3, "nondec")
+    b, dec_b = generators.planted_monotone_vector(1, 64, 2, "noninc")
+    recorder = spans.Recorder()
+    table = [
+        (convolution, "conv_extreme_witness", "fastconv.witness", spans._witness_note)
+    ]
+    with recorder.patched(table):
+        out = convolution.conv_decomposed(a, dec_a, b, dec_b)
+    assert [s.name for s in recorder.spans] == ["fastconv.witness"] * 6
+    assert out == convolution.conv_naive(a, b)

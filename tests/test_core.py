@@ -138,6 +138,15 @@ class TestMonotoneTags:
         assert values_satisfy(np.array([7, 7]), UN)
         assert not values_satisfy(np.array([7, 8]), UN)
 
+    def test_full_int64_span_does_not_wrap(self):
+        # Neighbours 2**64 - 2 apart: their difference overflows int64.
+        lo, hi = -(2**63) + 1, 2**63 - 1
+        assert values_satisfy(np.array([lo, hi]), ND)
+        assert not values_satisfy(np.array([lo, hi]), NI)
+        assert values_satisfy(np.array([hi, lo]), NI)
+        assert not values_satisfy(np.array([hi, lo]), ND)
+        assert not values_satisfy(np.array([lo, hi]), UN)
+
     def test_singletons_and_empty_satisfy_everything(self):
         for tag in MonotoneTag:
             assert values_satisfy(np.array([5]), tag)

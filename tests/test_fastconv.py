@@ -1,7 +1,12 @@
-"""Exact counting convolutions, Boolean convolutions, and blocked extreme
-convolution witnesses."""
+"""Exact counting convolutions, Boolean convolutions, and extreme
+convolution witnesses: the capped word scan and the block search that
+takes the outputs it leaves."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from minplus import fastconv
 from minplus import (
     BoolVector,
     IntVector,
@@ -163,6 +169,90 @@ class TestConvExtremeWitness:
                 for bs in (1, 7, None):
                     got = conv_extreme_witness(bv(p), bv(q), kind, block_size=bs)
                     assert np.array_equal(got.values, want), (n, kind, bs)
+
+    def test_fallback_matches_oracle_all_block_sizes(self, monkeypatch):
+        # With no scan steps every output goes to the block search.
+        monkeypatch.setattr(fastconv, "_SCAN_CAP", 0)
+        self.test_matches_oracle_all_block_sizes()
+
+    def test_fallback_matches_oracle_across_transform_chunks(self, monkeypatch):
+        monkeypatch.setattr(fastconv, "_SCAN_CAP", 0)
+        self.test_matches_oracle_across_transform_chunks()
+
+    def test_fallback_matches_oracle_on_acceptance_block_sizes(self, monkeypatch):
+        # The convolution half of acceptance criterion 4, scan switched off.
+        monkeypatch.setattr(fastconv, "_SCAN_CAP", 0)
+        rng = np.random.default_rng(123)
+        for n in (5, 17, 64, 128):
+            for density in (0.15, 0.5, 0.9):
+                p = rng.random(n) < density
+                q = rng.random(n) < density
+                hits = oracles.bool_conv(p, q)
+                for kind in ("min", "max"):
+                    want = oracles.conv_witness_loops(p, q, kind)
+                    for bs in (1, math.isqrt(n - 1) + 1, n):
+                        got = conv_extreme_witness(bv(p), bv(q), kind, block_size=bs)
+                        assert np.array_equal(got.values, want), (n, kind, bs)
+                        assert np.array_equal(got.defined, hits), (n, kind, bs)
+
+    @pytest.mark.parametrize("pattern", ["last_only", "halves", "sparse"])
+    def test_adversarial_inputs_reach_the_cap(self, pattern, monkeypatch):
+        # n = 5000: a scan may need 79 words, the cap is ceil(sqrt n) = 71.
+        # The halves stay within it (at most 48 steps); the others do not.
+        n, cap = 5000, 71
+        p, q = np.zeros(n, dtype=bool), np.zeros(n, dtype=bool)
+        if pattern == "last_only":
+            p[n - 1], q[:] = True, True
+        elif pattern == "halves":
+            p[: n // 2], q[n // 2 :] = True, True
+        else:
+            rng = np.random.default_rng(29)
+            p, q = rng.random(n) < 0.02, rng.random(n) < 0.02
+        scans = []
+        scan = fastconv._scan
+
+        def spy(*args):
+            left, steps = scan(*args)
+            scans.append((steps, left.size))
+            return left, steps
+
+        monkeypatch.setattr(fastconv, "_scan", spy)
+        for kind in ("min", "max"):
+            scans.clear()
+            want = oracles.conv_witness_loops(p.tolist(), q.tolist(), kind)
+            got = conv_extreme_witness(bv(p), bv(q), kind)
+            assert np.array_equal(got.values, want), (pattern, kind)
+            # The first scan never runs past the cap.  Where it stops there,
+            # the block search's restarted scan resolves every output left.
+            if pattern == "halves":
+                assert len(scans) == 1 and scans[0][0] <= cap, scans
+            else:
+                assert len(scans) == 2 and scans[0][0] == cap, scans
+                assert scans[1][1] == 0, scans
+
+    def test_word_shift_by_64_is_zero(self):
+        # The scan reads a window at bit offset r as (w >> r) | (v << 64 - r)
+        # and relies on numpy giving 0 for r = 0, where C leaves it undefined.
+        words = np.array([1, 2**63 + 5], dtype=np.uint64)
+        assert not (words << np.uint64(64)).any()
+        assert not (words >> np.uint64(64)).any()
+
+    def test_planted_solve_does_not_load_the_transform(self):
+        # Planted fig3 parts resolve in the scan, so numpy.fft stays unloaded.
+        code = (
+            "import sys\n"
+            "from minplus import convolution, generators as g\n"
+            "a, da = g.planted_monotone_vector(0, 2048, 3, 'nondec')\n"
+            "b, db = g.planted_monotone_vector(1, 2048, 3, 'noninc')\n"
+            "convolution.conv_decomposed(a, da, b, db)\n"
+            "print('numpy.fft' in sys.modules)\n"
+        )
+        src = str(Path(fastconv.__file__).resolve().parents[1])
+        done = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": src}, timeout=60, check=True,
+        )
+        assert done.stdout.strip() == "False"
 
     def test_all_zero_side_has_no_witnesses(self):
         w = conv_extreme_witness(bv([0, 0, 0]), bv([1, 1, 1]), "min")
