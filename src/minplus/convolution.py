@@ -123,14 +123,10 @@ class GroupPartition:
     @classmethod
     def build(cls, values: np.ndarray, ell: int | None) -> "GroupPartition":
         """Partition ``values``; ``ell`` None picks ceil(sqrt(n))."""
-        values = np.asarray(values)
-        ell = checked_size(values.size, ell, "group size")
-        order = np.argsort(values, kind="stable")
-        groups = tuple(
-            tuple(int(x) for x in order[t : t + ell])
-            for t in range(0, values.size, ell)
-        )
-        return cls(tuple(int(x) for x in order), groups, ell)
+        order = tuple(np.argsort(values, kind="stable").tolist())
+        ell = checked_size(len(order), ell, "group size")
+        groups = tuple(order[t : t + ell] for t in range(0, len(order), ell))
+        return cls(order, groups, ell)
 
 
 def conv_few_values(
@@ -151,41 +147,40 @@ def conv_few_values(
     of smallest value (ties: smallest index) whose mate k-q lies in the
     part, and a_q + b_{k-q} enters the minimum fold.  Within a part the b
     value is constant, so the smallest reachable a value is optimal.
+
+    A group has at most ell set bits, so ``bool_convolution`` ORs ell
+    shifted copies of the part's packed words while ell <= ~10 log2 n.
     """
     n = _check_same_length(a, b)
     parts_b = validate_decomposition(dec_b, b.coords)
     bad = np.flatnonzero(~parts_b.holds[MonotoneTag.UNIFORM])
     if bad.size:
         raise UniformViolation(f"part {bad[0] + 1} of b is not constant-valued")
-    gp = GroupPartition.build(a.coords, ell)
-    group_chars = [BoolVector.from_indices(g, n) for g in gp.groups]
+    ell = checked_size(n, ell, "group size")
+    order = np.argsort(a.coords, kind="stable")
+    # Members by value; a real member hits before argmax reaches the padding.
+    members = np.pad(order, (0, -n % ell)).reshape(-1, ell)
+    groups = np.zeros((len(members), n), dtype=bool)
+    groups[np.arange(n) // ell, order] = True
+    chunk = max(1, 2**14 // ell)  # 2**17 elements (1 MB of int64) cost page faults
 
-    ks = np.arange(2 * n - 1)
     c = np.zeros(2 * n - 1, dtype=np.int64)
     finite = np.zeros(2 * n - 1, dtype=bool)
-    for qbits in parts_b.chars[:, 0]:
-        qv = BoolVector(qbits)
-        dstack = np.stack(
-            [
-                bool_convolution(gchar, qv, counters=counters).bits
-                for gchar in group_chars
-            ]
-        )
-        anyhit = dstack.any(axis=0)
-        first = np.argmax(dstack, axis=0)
+    qpad = np.zeros(3 * n - 2, dtype=bool)  # q at n-1.., zeros either side
+    for qv in map(BoolVector, parts_b.chars[:, 0]):
+        first = np.full(2 * n - 1, -1, dtype=np.int64)
+        for t, row in enumerate(groups):
+            hit = bool_convolution(BoolVector(row), qv, counters=counters).bits
+            first[hit & (first < 0)] = t
+        qpad[n - 1 : 2 * n - 1] = qv.bits
+        kk = np.flatnonzero(first >= 0)
         qsel = np.zeros(2 * n - 1, dtype=np.int64)
-        for t in range(gp.group_count):
-            kk = np.flatnonzero(anyhit & (first == t))
-            if kk.size == 0:
-                continue
-            members = np.array(gp.groups[t])
-            diff = kk[:, None] - members[None, :]
-            ok = (diff >= 0) & (diff < n)
-            hits = np.zeros(ok.shape, dtype=bool)
-            hits[ok] = qv.bits[diff[ok]]
-            qsel[kk] = members[np.argmax(hits, axis=1)]
-        cand = a.coords[qsel] + b.coords[np.minimum(ks - qsel, n - 1)]
-        fold_min(c, finite, anyhit, cand)
+        for lo in range(0, kk.size, chunk):
+            k = kk[lo : lo + chunk]
+            m = members[first[k]]
+            col = np.argmax(qpad[(k + (n - 1))[:, None] - m], axis=1)
+            qsel[k] = m[np.arange(k.size), col]
+        fold_min(c, finite, first >= 0, a.coords[qsel] + b.coords[qv.bits.argmax()])
     return MinPlusOutput(c, finite)
 
 

@@ -39,7 +39,7 @@ def _host_values(s) -> np.ndarray:
     return arr.astype(np.int64, copy=False)
 
 
-def _patience_piles(values: np.ndarray) -> list[list[int]]:
+def _patience_piles(values: list[int]) -> list[list[int]]:
     """Greedy minimum partition of ``values`` into non-decreasing runs.
 
     Each element goes on the pile whose tail is the largest value <= it;
@@ -52,7 +52,7 @@ def _patience_piles(values: np.ndarray) -> list[list[int]]:
     """
     piles: list[list[int]] = []
     neg_tails: list[int] = []  # strictly increasing
-    for i, x in enumerate(values.tolist()):
+    for i, x in enumerate(values):
         pos = bisect.bisect_left(neg_tails, -x)
         if pos == len(piles):
             piles.append([i])
@@ -73,7 +73,7 @@ def decompose_nondecreasing(s) -> Decomposition:
     values = _host_values(s)
     parts = tuple(
         Subsequence(tuple(p), MonotoneTag.NON_DECREASING)
-        for p in _patience_piles(values)
+        for p in _patience_piles(values.tolist())
     )
     return Decomposition(values.shape[0], parts)
 
@@ -87,7 +87,7 @@ def decompose_nonincreasing(s) -> Decomposition:
     values = _host_values(s)
     parts = tuple(
         Subsequence(tuple(p), MonotoneTag.NON_INCREASING)
-        for p in _patience_piles(-values)
+        for p in _patience_piles([-x for x in values.tolist()])
     )
     return Decomposition(values.shape[0], parts)
 
@@ -214,7 +214,7 @@ def longest_strictly_increasing_length(s) -> int:
 
 def longest_strictly_decreasing_length(s) -> int:
     """Length of the longest strictly decreasing subsequence, O(n log n)."""
-    return longest_strictly_increasing_length(-_host_values(s))
+    return longest_strictly_increasing_length(_host_values(s)[::-1])
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,10 @@
 """Exact integer convolution, Boolean convolution, and extreme-witness
 computation for Boolean convolutions.
 
+``bool_convolution`` ORs the denser operand's uint64 words shifted by each
+of the k set positions of the other while k * 2n/64 <= _WORD_CUTOFF * n
+log2 n (exact, no window); denser pairs run the transform below.
+
 Extreme witnesses come from a capped word scan.  "max" is "min" on both
 vectors reversed (l -> n-1-l, k -> 2n-2-k).  p is packed into uint64
 words, and the reversed q behind n - 1 zero bits, so that for output k the
@@ -14,15 +18,16 @@ slices of p, transformed in row chunks of about 1 MB, are convolved with q
 to find per output the first block holding a witness, and the scan
 restarts there, ending within s // 64 + 2 steps for blocks of size s.
 
-The block search, ``int_convolution`` and ``bool_convolution`` run on a
-float64 FFT rounded with ``np.rint`` (small exact convolutions on a direct
-kernel), exact inside the window that ``_check_window`` enforces: inputs
-are non-negative and ``max(p) * max(q) * min(len(p), len(q)) < CONV_WINDOW
-< 2**30``.  Equal-length inputs then have ``||p||_2 * ||q||_2 <= max(p) *
-max(q) * n < 2**30`` (0/1 block slices ``<= n <= 2**20``), and the error
-of a float64 FFT convolution of length N is at most a small constant times
-``2**-53 * log2(N) * ||p||_2 * ||q||_2``, about ``2**30 * 2**-53 * 22 <
-3e-6``, far below the 0.5 that rounding tolerates.
+The block search, ``int_convolution`` and dense ``bool_convolution`` run on
+a float64 FFT of the least 5-smooth length holding the output, rounded with
+``np.rint`` (small exact convolutions on a direct kernel), exact inside the
+window that ``_check_window`` enforces: inputs are non-negative and
+``max(p) * max(q) * min(len(p), len(q)) < CONV_WINDOW < 2**30``.
+Equal-length inputs then have ``||p||_2 * ||q||_2 <= max(p) * max(q) * n
+< 2**30`` (0/1 block slices ``<= n <= 2**20``), and the error of a float64
+FFT convolution of length N is at most a small constant times ``2**-53 *
+log2(N) * ||p||_2 * ||q||_2``, about ``2**30 * 2**-53 * 22 < 3e-6``, far
+below the 0.5 that rounding tolerates.
 """
 
 from __future__ import annotations
@@ -50,6 +55,9 @@ CONV_WINDOW = 998244353
 #: Below this length the direct summation kernel beats the transform.
 _DIRECT_CUTOFF = 512
 
+#: Word kernel cutoff of ``bool_convolution``, fitted on measured times.
+_WORD_CUTOFF = 0.3
+
 #: float64 elements per chunk of block transforms in the block search.
 _CHUNK_ELEMENTS = 1 << 17
 
@@ -59,16 +67,15 @@ _SCAN_CAP = 1
 
 
 def _fft_size(out_len: int) -> int:
-    return 1 << max(1, (out_len - 1).bit_length())
-
-
-def _conv_fft(pa: np.ndarray, qa: np.ndarray) -> np.ndarray:
-    from numpy import fft
-
-    out_len = pa.shape[0] + qa.shape[0] - 1
-    size = _fft_size(out_len)
-    spectrum = fft.rfft(pa, size) * fft.rfft(qa, size)
-    return np.rint(fft.irfft(spectrum, size)[:out_len]).astype(np.int64)
+    """The least 5-smooth length >= out_len; pocketfft is fast on these."""
+    best, five = 1 << (out_len - 1).bit_length(), 1
+    while five < best:
+        odd = five
+        while odd < best:
+            best = min(best, odd << ((out_len - 1) // odd).bit_length())
+            odd *= 3
+        five *= 5
+    return best
 
 
 def _check_window(pa: np.ndarray, qa: np.ndarray) -> None:
@@ -90,9 +97,14 @@ def _conv_exact(pa: np.ndarray, qa: np.ndarray, method: str = "auto") -> np.ndar
         method = "direct" if max(pa.shape[0], qa.shape[0]) <= _DIRECT_CUTOFF else "fft"
     if method == "direct":
         return np.convolve(pa, qa)
-    if method == "fft":
-        return _conv_fft(pa, qa)
-    raise ValueError(f"unknown convolution method {method!r}")
+    if method != "fft":
+        raise ValueError(f"unknown convolution method {method!r}")
+    from numpy import fft
+
+    out_len = pa.shape[0] + qa.shape[0] - 1
+    size = _fft_size(out_len)
+    spectrum = fft.rfft(pa, size) * fft.rfft(qa, size)
+    return np.rint(fft.irfft(spectrum, size)[:out_len]).astype(np.int64)
 
 
 def int_convolution(p: IntVector, q: IntVector, *, method: str = "auto") -> IntVector:
@@ -114,15 +126,28 @@ def bool_convolution(
     """Boolean convolution: bit k set iff some l has p_l and q_{k-l} set."""
     if p.n != q.n:
         raise LengthMismatch(f"vector lengths differ: {p.n} vs {q.n}")
-    counts = _conv_exact(p.bits.astype(np.int64), q.bits.astype(np.int64))
+    n, count = p.n, (2 * p.n + 62) // 64
+    sparse, dense = sorted((p.bits, q.bits), key=np.count_nonzero)
+    off = n - 1 - np.flatnonzero(sparse)  # copy l: windows as ``_scan`` reads q
+    if off.size * count <= _WORD_CUTOFF * n * math.log2(n + 1):
+        r = (off & 63).astype(np.uint64)[:, None]
+        words = _words(dense, n - 1, (n - 1) // 64 + count + 1)
+        g = np.lib.stride_tricks.sliding_window_view(words, count + 1)[off >> 6]
+        lo = g[:, :-1] >> r
+        lo |= np.left_shift(g[:, 1:], 64 - r, out=g[:, 1:])
+        out = np.bitwise_or.reduce(lo, axis=0).view(np.uint8)
+        hits = np.unpackbits(out, count=2 * n - 1, bitorder="little").view(bool)
+    else:
+        hits = _conv_exact(p.bits.astype(np.int64), q.bits.astype(np.int64)) > 0
     if counters is not None:
         counters.bool_convolutions += 1
-    return BoolVector(counts > 0)
+    return BoolVector(hits)
 
 
 def _words(bits: np.ndarray, lead: int, count: int) -> np.ndarray:
     """``count`` uint64 words holding ``bits`` from bit ``lead`` on."""
-    buf = np.pad(bits, (lead, 64 * count - lead - bits.size))
+    buf = np.zeros(64 * count, dtype=bool)
+    buf[lead : lead + bits.size] = bits
     return np.packbits(buf, bitorder="little").view("<u8")
 
 

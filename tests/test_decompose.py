@@ -92,6 +92,14 @@ class TestNonIncreasing:
         assert all(p.tag is NI for p in d.parts)
         assert d.part_count == oracles.longest_strict_inc(xs)
 
+    def test_int64_extremes_do_not_wrap(self):
+        # -(-2**63) wraps to -2**63 in int64, which made this pair one part.
+        for xs in ([-(2**63), 0], [-(2**63), 2**63 - 1, -(2**63)]):
+            v = np.array(xs, dtype=np.int64)
+            d = decompose_nonincreasing(v)
+            validate_decomposition(d, v)
+            assert d.part_count == oracles.longest_strict_inc(xs)
+
 
 class TestGreedyEitherDirection:
     @given(int_lists)
@@ -160,6 +168,11 @@ class TestExtremalLengths:
         v = np.array([1, 7, 3, 9, 8, 4])
         assert longest_strictly_decreasing_length(v) == 3  # e.g. 9, 8, 4
         assert longest_strictly_increasing_length(v) == 3  # e.g. 1, 3, 4
+
+    def test_int64_extremes_do_not_wrap(self):
+        v = np.array([-(2**63), 0])
+        assert longest_strictly_decreasing_length(v) == 1
+        assert longest_strictly_increasing_length(v) == 2
 
 
 class TestStats:

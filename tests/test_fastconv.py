@@ -121,6 +121,57 @@ class TestBoolConvolution:
         bool_convolution(bv([1]), bv([0]), counters=c)
         assert c.bool_convolutions == 2
 
+    @staticmethod
+    def _word_limit(n):
+        # The largest sparse popcount the word kernel takes at length n.
+        words = (2 * n + 62) // 64
+        return int(fastconv._WORD_CUTOFF * n * math.log2(n + 1) // words)
+
+    @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 127, 128, 129, 1000])
+    def test_both_kernels_match_numpy_around_the_cutoff(self, n, monkeypatch):
+        transforms = []
+        exact = fastconv._conv_exact
+
+        def spy(*args):
+            transforms.append(1)
+            return exact(*args)
+
+        monkeypatch.setattr(fastconv, "_conv_exact", spy)
+        rng = np.random.default_rng(n)
+        limit = self._word_limit(n)
+        cases = [(np.zeros(n, bool), np.zeros(n, bool), False)]
+        cases.append((np.ones(n, bool), np.ones(n, bool), n > limit))
+        for k in sorted({max(limit - 1, 0), limit, min(limit + 1, n)}):
+            sparse = np.zeros(n, bool)
+            sparse[rng.choice(n, k, replace=False)] = True
+            dense = np.ones(n, bool)
+            dense[rng.choice(n, (n - k) // 2, replace=False)] = False
+            cases += [(sparse, dense, k > limit), (dense, sparse, k > limit)]
+        for p, q, transformed in cases:
+            c = OpCounters()
+            transforms.clear()
+            got = bool_convolution(bv(p), bv(q), counters=c)
+            want = np.convolve(p.astype(int), q.astype(int)) > 0
+            assert np.array_equal(got.bits, want), (n, p.sum(), q.sum())
+            assert len(transforms) == transformed, (n, p.sum(), q.sum())
+            assert c.bool_convolutions == 1
+
+
+class TestFftSize:
+    def test_least_five_smooth_length(self):
+        def smooth(x):
+            for f in (2, 3, 5):
+                while x % f == 0:
+                    x //= f
+            return x == 1
+
+        for m in range(1, 5001):
+            size = fastconv._fft_size(m)
+            assert m <= size <= 1 << (m - 1).bit_length(), m
+            assert smooth(size), m
+            assert not any(smooth(x) for x in range(m, size)), m
+        assert fastconv._fft_size(32949) == 33750
+
 
 class TestConvExtremeWitness:
     def test_min_witness_goldens(self):
@@ -245,6 +296,24 @@ class TestConvExtremeWitness:
             "a, da = g.planted_monotone_vector(0, 2048, 3, 'nondec')\n"
             "b, db = g.planted_monotone_vector(1, 2048, 3, 'noninc')\n"
             "convolution.conv_decomposed(a, da, b, db)\n"
+            "print('numpy.fft' in sys.modules)\n"
+        )
+        src = str(Path(fastconv.__file__).resolve().parents[1])
+        done = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": src}, timeout=60, check=True,
+        )
+        assert done.stdout.strip() == "False"
+
+    def test_planted_few_values_solve_does_not_load_the_transform(self):
+        # 64-member groups at n = 4096 take the word kernel of
+        # bool_convolution, so numpy.fft stays unloaded.
+        code = (
+            "import sys\n"
+            "from minplus import convolution, generators as g\n"
+            "a = g.random_vector(0, 4096)\n"
+            "b, db = g.planted_uniform_vector(1, 4096, 3)\n"
+            "convolution.conv_few_values(a, b, db, ell=64)\n"
             "print('numpy.fft' in sys.modules)\n"
         )
         src = str(Path(fastconv.__file__).resolve().parents[1])
