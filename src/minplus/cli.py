@@ -94,9 +94,6 @@ def _infer_matrix_direction(inst: fileio.MatrixInstance) -> str:
 
 def _run_algorithm(inst, algo: str, args, counters: OpCounters):
     """Dispatch, returning (MinPlusOutput, params dict for provenance)."""
-    block_size = getattr(args, "block_size", None)
-    # Only fig1, fig2 and fig3 run a witness engine, so only they record it.
-    blocked = {} if block_size is None else {"block-size": str(block_size)}
     if isinstance(inst, fileio.MatrixInstance):
         _require(
             algo == "naive" or algo in MATRIX_ALGOS,
@@ -117,10 +114,9 @@ def _run_algorithm(inst, algo: str, args, counters: OpCounters):
                 inst.B,
                 inst.dec_cols,
                 direction,
-                block_size=block_size,
                 counters=counters,
             )
-            return out, {"direction": direction, **blocked}
+            return out, {"direction": direction}
         if algo == "fig2":
             _require(
                 inst.dec_rows is not None and inst.dec_cols is not None,
@@ -128,14 +124,9 @@ def _run_algorithm(inst, algo: str, args, counters: OpCounters):
                 "cols; run 'minplus decompose' first",
             )
             out = minplus_mixed_uniform(
-                inst.A,
-                inst.dec_rows,
-                inst.B,
-                inst.dec_cols,
-                block_size=block_size,
-                counters=counters,
+                inst.A, inst.dec_rows, inst.B, inst.dec_cols, counters=counters
             )
-            return out, blocked
+            return out, {}
         dec_rows = inst.dec_rows
         if dec_rows is None:
             dec_rows = decompose_rows(inst.A, "uniform")
@@ -159,14 +150,9 @@ def _run_algorithm(inst, algo: str, args, counters: OpCounters):
             "'minplus decompose' first",
         )
         out = conv_decomposed(
-            inst.a,
-            inst.dec_a,
-            inst.b,
-            inst.dec_b,
-            block_size=block_size,
-            counters=counters,
+            inst.a, inst.dec_a, inst.b, inst.dec_b, counters=counters
         )
-        return out, blocked
+        return out, {}
     dec_b = inst.dec_b
     if dec_b is None:
         dec_b = decompose_uniform(inst.b.coords)
@@ -399,14 +385,7 @@ def _cmd_bench(args) -> int:
         row = {"algorithm": algo, "seconds": round(seconds, 6)}
         row.update(counters.as_dict())
         rows.append(row)
-    columns = [
-        "algorithm",
-        "seconds",
-        "witness_matrix_calls",
-        "witness_conv_calls",
-        "bool_products",
-        "bool_convolutions",
-    ]
+    columns = ["algorithm", "seconds", *OpCounters().as_dict()]
     headers = [c.replace("_", "-") for c in columns]
     table = [[str(row[c]) for c in columns] for row in rows]
     widths = [
@@ -427,7 +406,6 @@ def _cmd_bench(args) -> int:
                 "h": args.h,
                 "ell": args.ell,
                 "direction": args.direction,
-                "block-size": args.block_size,
             },
             "rows": rows,
         }
@@ -437,7 +415,6 @@ def _cmd_bench(args) -> int:
 
 def _add_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--direction", choices=["nondec", "noninc"], default=None)
-    p.add_argument("--block-size", dest="block_size", type=int, default=None)
     p.add_argument("--ell", type=int, default=None)
 
 

@@ -8,9 +8,6 @@ c_k = min over valid l of a_l + b_{k-l}, all 0-based.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Sequence
-
 import numpy as np
 
 from .core import (
@@ -31,8 +28,6 @@ from .core import (
     validate_decomposition,
 )
 from .fastconv import bool_convolution, conv_extreme_witness
-
-PairHook = Callable[[int, int, np.ndarray, np.ndarray], None]
 
 
 def _check_same_length(a: IntVector, b: IntVector) -> int:
@@ -56,9 +51,7 @@ def conv_decomposed(
     b: IntVector,
     dec_b: Decomposition,
     *,
-    block_size: int | None = None,
     counters: OpCounters | None = None,
-    pair_hook: PairHook | None = None,
 ) -> MinPlusOutput:
     """Exact (min,+) convolution when all parts of one vector are
     non-decreasing and all parts of the other are non-increasing
@@ -71,9 +64,6 @@ def conv_decomposed(
     attains the pair minimum.  With the directions swapped the sum is
     non-increasing and the maximum witness wins.  Folding all part pairs
     covers every l.
-
-    ``pair_hook(i, j, values, finite)`` observes the running output after
-    each pair.
     """
     n = _check_same_length(a, b)
     parts_a = validate_decomposition(dec_a, a.coords)
@@ -92,41 +82,15 @@ def conv_decomposed(
     ks = np.arange(2 * n - 1)
     c = np.zeros(2 * n - 1, dtype=np.int64)
     finite = np.zeros(2 * n - 1, dtype=bool)
-    for i, pa in enumerate(parts_a.chars[:, 0]):
-        for j, pb in enumerate(parts_b.chars[:, 0]):
+    for pa in parts_a.chars[:, 0]:
+        for pb in parts_b.chars[:, 0]:
             W = conv_extreme_witness(
-                BoolVector(pa), BoolVector(pb), kind,
-                block_size=block_size, counters=counters,
+                BoolVector(pa), BoolVector(pb), kind, counters=counters
             )
             ll = np.maximum(W.values, 0)
             cand = a.coords[ll] + b.coords[np.minimum(ks - ll, n - 1)]
             fold_min(c, finite, W.values != NO_WITNESS, cand)
-            if pair_hook is not None:
-                pair_hook(i, j, c.copy(), finite.copy())
     return MinPlusOutput(c, finite)
-
-
-@dataclass(frozen=True)
-class GroupPartition:
-    """Stable value-sorted order of a vector, cut into consecutive groups
-    of at most ``ell`` members each.  Groups are ascending by value; ties
-    keep original index order."""
-
-    order: tuple[int, ...]
-    groups: tuple[tuple[int, ...], ...]
-    ell: int
-
-    @property
-    def group_count(self) -> int:
-        return len(self.groups)
-
-    @classmethod
-    def build(cls, values: np.ndarray, ell: int | None) -> "GroupPartition":
-        """Partition ``values``; ``ell`` None picks ceil(sqrt(n))."""
-        order = tuple(np.argsort(values, kind="stable").tolist())
-        ell = checked_size(len(order), ell, "group size")
-        groups = tuple(order[t : t + ell] for t in range(0, len(order), ell))
-        return cls(order, groups, ell)
 
 
 def conv_few_values(

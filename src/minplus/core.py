@@ -21,7 +21,7 @@ import enum
 import itertools
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Iterable, Sequence, Union
 
 import numpy as np
@@ -538,12 +538,7 @@ class OpCounters:
     bool_convolutions: int = 0
 
     def as_dict(self) -> dict[str, int]:
-        return {
-            "witness_matrix_calls": self.witness_matrix_calls,
-            "witness_conv_calls": self.witness_conv_calls,
-            "bool_products": self.bool_products,
-            "bool_convolutions": self.bool_convolutions,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)

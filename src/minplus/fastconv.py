@@ -90,15 +90,11 @@ def _check_window(pa: np.ndarray, qa: np.ndarray) -> None:
         )
 
 
-def _conv_exact(pa: np.ndarray, qa: np.ndarray, method: str = "auto") -> np.ndarray:
+def _conv_exact(pa: np.ndarray, qa: np.ndarray) -> np.ndarray:
     """Exact convolution of non-negative int64 arrays inside the window."""
     _check_window(pa, qa)
-    if method == "auto":
-        method = "direct" if max(pa.shape[0], qa.shape[0]) <= _DIRECT_CUTOFF else "fft"
-    if method == "direct":
+    if max(pa.shape[0], qa.shape[0]) <= _DIRECT_CUTOFF:
         return np.convolve(pa, qa)
-    if method != "fft":
-        raise ValueError(f"unknown convolution method {method!r}")
     from numpy import fft
 
     out_len = pa.shape[0] + qa.shape[0] - 1
@@ -107,17 +103,16 @@ def _conv_exact(pa: np.ndarray, qa: np.ndarray, method: str = "auto") -> np.ndar
     return np.rint(fft.irfft(spectrum, size)[:out_len]).astype(np.int64)
 
 
-def int_convolution(p: IntVector, q: IntVector, *, method: str = "auto") -> IntVector:
+def int_convolution(p: IntVector, q: IntVector) -> IntVector:
     """Exact arithmetic convolution c_i = sum_l p_l * q_{i-l}, length 2n-1.
 
     Inputs must be non-negative and small enough that every coefficient
     stays inside the exactness window (raises PrecisionWindowExceeded
-    otherwise).  ``method`` forces the "fft" or "direct" kernel; "auto"
-    picks by size.
+    otherwise).
     """
     if p.n != q.n:
         raise LengthMismatch(f"vector lengths differ: {p.n} vs {q.n}")
-    return IntVector(_conv_exact(p.coords, q.coords, method))
+    return IntVector(_conv_exact(p.coords, q.coords))
 
 
 def bool_convolution(

@@ -70,10 +70,6 @@ class MatrixInstance:
     dec_cols: tuple[Decomposition, ...] | None = None
     meta: dict[str, str] = field(default_factory=dict)
 
-    @property
-    def kind(self) -> str:
-        return "matrix"
-
 
 @dataclass
 class VectorInstance:
@@ -82,10 +78,6 @@ class VectorInstance:
     dec_a: Decomposition | None = None
     dec_b: Decomposition | None = None
     meta: dict[str, str] = field(default_factory=dict)
-
-    @property
-    def kind(self) -> str:
-        return "vector"
 
 
 @dataclass
@@ -111,7 +103,8 @@ def _check_section_line(lineno: int, s: str) -> None:
     accepts exactly ``-?[0-9]+``, so every number read back round-trips."""
     if s.isascii() and "+" not in s and "_" not in s:
         return
-    bad = next(t for t in s.split() if not t.isascii() or "+" in t or "_" in t)
+    # Only non-ASCII whitespace is bad when no token is: show the line.
+    bad = next((t for t in s.split() if not t.isascii() or "+" in t or "_" in t), s)
     raise ParseError(f"bad token {bad!r}", lineno)
 
 

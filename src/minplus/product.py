@@ -10,7 +10,7 @@ into the output with a per-entry minimum.
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -32,8 +32,6 @@ from .core import (
     parse_direction,
     validate_decomposition,
 )
-
-PairHook = Callable[[int, int, np.ndarray, np.ndarray], None]
 
 
 def _check_same_n(A: IntMatrix, B: IntMatrix) -> int:
@@ -82,9 +80,7 @@ def minplus_decomposed(
     dec_cols: Sequence[Decomposition],
     direction,
     *,
-    block_size: int | None = None,
     counters: OpCounters | None = None,
-    pair_hook: PairHook | None = None,
 ) -> MinPlusOutput:
     """Exact (min,+) product when all row parts of A and column parts of B
     share one direction (constant parts count as either).
@@ -96,9 +92,6 @@ def minplus_decomposed(
     non-decreasing too, so the minimum witness wins; non-increasing parts
     need the maximum witness.  Folding all pairs covers every k exactly
     once.
-
-    ``pair_hook(o, r, values, finite)`` observes the running output after
-    each pair.
     """
     tag = parse_direction(direction)
     n = _check_same_n(A, B)
@@ -110,18 +103,12 @@ def minplus_decomposed(
 
     c = np.zeros((n, n), dtype=np.int64)
     finite = np.zeros((n, n), dtype=bool)
-    for o, P in enumerate(rows.chars):
-        for r, Q in enumerate(cols.chars):
+    for P in rows.chars:
+        for Q in cols.chars:
             W = mat_extreme_witness(
-                BoolMatrix(P),
-                BoolMatrix(Q.T),
-                kind,
-                block_size=block_size,
-                counters=counters,
+                BoolMatrix(P), BoolMatrix(Q.T), kind, counters=counters
             )
             fold_min(c, finite, *_witness_candidates(A, B, W.values))
-            if pair_hook is not None:
-                pair_hook(o, r, c.copy(), finite.copy())
     return MinPlusOutput(c, finite)
 
 
@@ -131,9 +118,7 @@ def minplus_mixed_uniform(
     B: IntMatrix,
     dec_cols: Sequence[Decomposition],
     *,
-    block_size: int | None = None,
     counters: OpCounters | None = None,
-    pair_hook: PairHook | None = None,
 ) -> MinPlusOutput:
     """Exact (min,+) product when A's row parts are monotone in mixed
     directions and B's column parts are constant-valued.
@@ -153,18 +138,14 @@ def minplus_mixed_uniform(
     c = np.zeros((n, n), dtype=np.int64)
     finite = np.zeros((n, n), dtype=bool)
     for o, Pbits in enumerate(rows.chars):
-        for r, Qbits in enumerate(cols.chars):
+        for Qbits in cols.chars:
             P, Q = BoolMatrix(Pbits), BoolMatrix(Qbits.T)
             Wmin, Wmax = (
-                mat_extreme_witness(
-                    P, Q, kind, block_size=block_size, counters=counters
-                )
+                mat_extreme_witness(P, Q, kind, counters=counters)
                 for kind in ("min", "max")
             )
             witvals = np.where(use_min[o][:, None], Wmin.values, Wmax.values)
             fold_min(c, finite, *_witness_candidates(A, B, witvals))
-            if pair_hook is not None:
-                pair_hook(o, r, c.copy(), finite.copy())
     return MinPlusOutput(c, finite)
 
 
@@ -174,7 +155,6 @@ def minplus_uniform_mixed(
     B: IntMatrix,
     dec_cols: Sequence[Decomposition],
     *,
-    block_size: int | None = None,
     counters: OpCounters | None = None,
 ) -> MinPlusOutput:
     """Symmetric case: A's row parts constant-valued, B's column parts
@@ -182,12 +162,7 @@ def minplus_uniform_mixed(
     transposed product equals the product of the transposes in reverse
     order, whose factors satisfy the mixed/uniform contract."""
     out = minplus_mixed_uniform(
-        B.transpose(),
-        dec_cols,
-        A.transpose(),
-        dec_rows,
-        block_size=block_size,
-        counters=counters,
+        B.transpose(), dec_cols, A.transpose(), dec_rows, counters=counters
     )
     return MinPlusOutput(out.values.T, out.finite.T)
 

@@ -226,30 +226,6 @@ def vector_monotone(v, tag) -> bool:
     return values_satisfy(v.coords, tag)
 
 
-def validate_group_partition(gp, values) -> None:
-    """Raise ValueError unless the GroupPartition gp is a stable sorted
-    order of values cut into ceil(n/ell) consecutive groups of at most ell."""
-    values = np.asarray(values)
-    n = values.size
-    if sorted(gp.order) != list(range(n)):
-        raise ValueError("order is not a permutation of the index range")
-    ordered = values[list(gp.order)]
-    if np.any(np.diff(ordered) < 0):
-        raise ValueError("order does not sort the values")
-    ties = np.flatnonzero(np.diff(ordered) == 0)
-    for t in ties:
-        if gp.order[t] > gp.order[t + 1]:
-            raise ValueError("equal values out of original index order")
-    flat = [i for g in gp.groups for i in g]
-    if flat != list(gp.order):
-        raise ValueError("groups do not cut the order into consecutive runs")
-    expect = -(-n // gp.ell)
-    if gp.group_count != expect:
-        raise ValueError(f"expected {expect} groups, found {gp.group_count}")
-    if any(len(g) > gp.ell for g in gp.groups):
-        raise ValueError("a group exceeds the size limit")
-
-
 def validate_decomposition_loop(d, host) -> None:
     """Per-index reference for ``validate_decomposition`` on one
     decomposition: raise on its first violation, in the package's order

@@ -1,7 +1,12 @@
-"""The public names of the package, pinned so that additions and removals
-are deliberate."""
+"""The public names of the package and the options of its solvers and
+engines, pinned so that additions and removals are deliberate."""
+
+import inspect
+
+import pytest
 
 import minplus
+from minplus import cli
 
 PUBLIC = {
     # constants
@@ -15,7 +20,6 @@ PUBLIC = {
     "BoolVector",
     "Decomposition",
     "DecompositionStats",
-    "GroupPartition",
     "IntMatrix",
     "IntVector",
     "MinPlusOutput",
@@ -77,3 +81,39 @@ def test_all_is_pinned():
 def test_every_public_name_resolves():
     for name in minplus.__all__:
         assert hasattr(minplus, name), name
+
+
+#: The parameters of each solver and engine that take a default or are
+#: keyword-only.  None of them changes an output.
+OPTIONS = {
+    "minplus_naive": (),
+    "minplus_decomposed": ("counters",),
+    "minplus_mixed_uniform": ("counters",),
+    "minplus_uniform_mixed": ("counters",),
+    "minplus_few_values_product": ("counters",),
+    "conv_naive": (),
+    "conv_decomposed": ("counters",),
+    "conv_few_values": ("ell", "counters"),
+    "bool_matmul": ("counters",),
+    "mat_extreme_witness": ("block_size", "counters"),
+    "bool_convolution": ("counters",),
+    "conv_extreme_witness": ("block_size", "counters"),
+    "int_convolution": (),
+}
+
+
+def test_solver_and_engine_options_are_pinned():
+    for name, options in OPTIONS.items():
+        params = inspect.signature(getattr(minplus, name)).parameters.values()
+        got = tuple(
+            p.name
+            for p in params
+            if p.default is not p.empty or p.kind is p.KEYWORD_ONLY
+        )
+        assert got == options, name
+
+
+def test_cli_rejects_block_size(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["compute", "x.txt", "--algo", "fig1", "--block-size", "3"])
+    assert exc.value.code == 2

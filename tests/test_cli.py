@@ -102,23 +102,6 @@ class TestCompute:
         assert "meta witness-matrix-calls: 4" in text
         assert "meta seed: 3" in text
 
-    def test_block_size_recorded_only_where_a_witness_engine_runs(
-        self, capsys, tmp_path
-    ):
-        vec = tmp_path / "v.txt"
-        vec.write_text(VECTOR_DOC)
-        res = tmp_path / "r4.txt"
-        assert run(capsys, "compute", str(vec), "--algo", "fig4",
-                   "--block-size", "3", "--out", str(res))[0] == 0
-        assert "block-size" not in res.read_text()
-        inst = tmp_path / "inst.txt"
-        run(capsys, "gen", "--algo", "fig1", "--n", "8", "--seed", "3",
-            "--out", str(inst))
-        res = tmp_path / "r1.txt"
-        assert run(capsys, "compute", str(inst), "--algo", "fig1",
-                   "--block-size", "3", "--out", str(res))[0] == 0
-        assert "meta block-size: 3" in res.read_text()
-
     def test_vector_pipeline_opposed_monotone(self, capsys, tmp_path):
         inst = tmp_path / "v.txt"
         inst.write_text(VECTOR_DOC)

@@ -1,5 +1,6 @@
 """(min,+) convolution algorithms against the naive oracle."""
 
+import functools
 import math
 import tracemalloc
 
@@ -10,22 +11,24 @@ import oracles
 from minplus import (
     Decomposition,
     DirectionViolation,
-    GroupPartition,
     IntVector,
     MonotoneTag,
     OpCounters,
     Subsequence,
     UniformViolation,
     conv_decomposed,
+    conv_extreme_witness,
     conv_few_values,
     conv_naive,
     conv_shift_offsets,
+    convolution,
     decompose_nondecreasing,
     decompose_nonincreasing,
     decompose_uniform,
     shift_transform_vectors,
 )
-from oracles import validate_group_partition, vector_monotone
+from minplus.core import fold_min
+from oracles import vector_monotone
 from minplus.generators import (
     planted_monotone_vector,
     planted_uniform_vector,
@@ -110,64 +113,31 @@ class TestDecomposed:
             conv_decomposed(a, da, b, db, counters=c)
             assert c.witness_conv_calls == m_a * m_b
 
-    def test_running_values_never_below_final(self):
+    def test_running_values_never_below_final(self, monkeypatch):
         a, da = planted_monotone_vector(9, 15, 3, "nondec")
         b, db = planted_monotone_vector(10, 15, 2, "noninc")
         final = conv_naive(a, b)
-        calls = []
+        folds = []
 
-        def hook(o, r, values, finite):
-            assert np.all(values[finite] >= final.values[finite])
-            calls.append((o, r))
+        def spy(c, finite, *candidates):
+            fold_min(c, finite, *candidates)
+            assert np.all(c[finite] >= final.values[finite])
+            folds.append(1)
 
-        out = conv_decomposed(a, da, b, db, pair_hook=hook)
+        monkeypatch.setattr(convolution, "fold_min", spy)
+        out = conv_decomposed(a, da, b, db)
         assert out == final
-        assert len(calls) == da.part_count * db.part_count
+        assert len(folds) == da.part_count * db.part_count == 3 * 2
 
-    def test_block_size_invariant(self):
+    def test_block_size_invariant(self, monkeypatch):
         a, da = planted_monotone_vector(13, 30, 3, "noninc")
         b, db = planted_monotone_vector(14, 30, 3, "nondec")
         base = conv_decomposed(a, da, b, db)
         assert base == conv_naive(a, b)
         for bs in (1, 6, 30):
-            assert conv_decomposed(a, da, b, db, block_size=bs) == base
-
-
-class TestGroupPartition:
-    def test_build_sorts_stably(self):
-        gp = GroupPartition.build(np.array([5, 1, 5, 0, 1]), 2)
-        assert gp.order == (3, 1, 4, 0, 2)
-        assert gp.group_count == 3
-        assert gp.groups == ((3, 1), (4, 0), (2,))
-
-    def test_group_count_ceiling(self):
-        gp = GroupPartition.build(np.arange(10), 3)
-        assert gp.group_count == 4
-        assert [len(g) for g in gp.groups] == [3, 3, 3, 1]
-
-    def test_validate_accepts_built(self):
-        rng = np.random.default_rng(6)
-        vals = rng.integers(0, 5, 17)
-        gp = GroupPartition.build(vals, 4)
-        validate_group_partition(gp, vals)
-
-    def test_validate_rejects_unsorted(self):
-        vals = np.array([3, 1, 2])
-        gp = GroupPartition((0, 1, 2), ((0, 1, 2),), 3)
-        with pytest.raises(ValueError):
-            validate_group_partition(gp, vals)
-
-    def test_validate_rejects_unstable_ties(self):
-        vals = np.array([2, 2])
-        gp = GroupPartition((1, 0), ((1, 0),), 2)
-        with pytest.raises(ValueError):
-            validate_group_partition(gp, vals)
-
-    def test_validate_rejects_oversized_group(self):
-        vals = np.array([1, 2, 3])
-        gp = GroupPartition((0, 1, 2), ((0, 1, 2),), 2)
-        with pytest.raises(ValueError):
-            validate_group_partition(gp, vals)
+            engine = functools.partial(conv_extreme_witness, block_size=bs)
+            monkeypatch.setattr(convolution, "conv_extreme_witness", engine)
+            assert conv_decomposed(a, da, b, db) == base
 
 
 class TestFewValues:

@@ -31,6 +31,13 @@ def bv(bits):
     return BoolVector(np.array(bits, dtype=bool))
 
 
+def int_convolution_on(kernel, p, q, monkeypatch):
+    """``int_convolution`` on the "direct" or the "fft" kernel at any size."""
+    with monkeypatch.context() as m:
+        m.setattr(fastconv, "_DIRECT_CUTOFF", math.inf if kernel == "direct" else 0)
+        return int_convolution(p, q)
+
+
 class TestIntConvolution:
     def test_unit_pair(self):
         out = int_convolution(IntVector([1, 1]), IntVector([1, 1]))
@@ -43,22 +50,22 @@ class TestIntConvolution:
         assert out[4] == 2  # index pairs (0,4) and (2,2)
         assert np.array_equal(out.coords, oracles.int_conv(p.coords, q.coords))
 
-    def test_methods_agree_across_the_cutoff(self):
+    def test_methods_agree_across_the_cutoff(self, monkeypatch):
         rng = np.random.default_rng(7)
         for n in (5, 64, 511, 512, 513, 700):
             p = IntVector(rng.integers(0, 31, n))
             q = IntVector(rng.integers(0, 31, n))
-            direct = int_convolution(p, q, method="direct")
-            fft = int_convolution(p, q, method="fft")
+            direct = int_convolution_on("direct", p, q, monkeypatch)
+            fft = int_convolution_on("fft", p, q, monkeypatch)
             auto = int_convolution(p, q)
             assert direct == fft == auto
 
-    def test_small_sizes_match_oracle(self):
+    def test_small_sizes_match_oracle(self, monkeypatch):
         rng = np.random.default_rng(3)
         for n in (1, 2, 3, 9):
             p = rng.integers(0, 50, n)
             q = rng.integers(0, 50, n)
-            out = int_convolution(IntVector(p), IntVector(q), method="fft")
+            out = int_convolution_on("fft", IntVector(p), IntVector(q), monkeypatch)
             assert np.array_equal(out.coords, oracles.int_conv(p, q))
 
     @given(
@@ -86,19 +93,19 @@ class TestIntConvolution:
         with pytest.raises(PrecisionWindowExceeded):
             int_convolution(big, big)
 
-    def test_exact_at_the_window_edge(self):
+    def test_exact_at_the_window_edge(self, monkeypatch):
         # 1289**2 * 600 = 996,912,600 is just inside the window; 1290 is not.
         n, top = 600, 1289
         rng = np.random.default_rng(13)
         full = np.full(n, top)
         pairs = [(full, full), (rng.integers(0, top + 1, n), full)]
         for p, q in pairs:
-            out = int_convolution(IntVector(p), IntVector(q), method="fft")
+            out = int_convolution_on("fft", IntVector(p), IntVector(q), monkeypatch)
             assert np.array_equal(out.coords, oracles.int_conv(p, q))
         assert int_convolution(IntVector(full), IntVector(full))[n - 1] == 996_912_600
         over = IntVector(np.full(n, top + 1))
         with pytest.raises(PrecisionWindowExceeded):
-            int_convolution(over, over, method="fft")
+            int_convolution_on("fft", over, over, monkeypatch)
 
 
 class TestBoolConvolution:

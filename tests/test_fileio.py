@@ -15,6 +15,7 @@ from minplus import (
     OverlapError,
     Subsequence,
 )
+from minplus import cli
 from minplus.fileio import (
     FORMAT_TOKEN,
     MatrixInstance,
@@ -159,6 +160,15 @@ class TestParseErrors:
     @pytest.mark.parametrize("token", ["1_0", "+5", "\u0661"])
     def test_integer_must_be_ascii_digits(self, token):
         self.check(VECTOR_TEXT.replace("1 7 3", f"{token} 7 3"), line=7)
+
+    @pytest.mark.parametrize("space", ["\u00a0", "\u2003", "\u3000"])
+    def test_non_ascii_whitespace_between_tokens(self, space, tmp_path, capsys):
+        text = VECTOR_TEXT.replace("1 7 3", f"1{space}7 3")
+        self.check(text, line=7)
+        path = tmp_path / "f.txt"
+        path.write_text(text, encoding="utf-8")
+        assert cli.main(["compute", str(path), "--algo", "naive"]) == cli.EXIT_PARSE
+        assert "error: line 7: " in capsys.readouterr().err
 
     @pytest.mark.parametrize("token", ["0_3", "+3", "\u0663"])
     def test_dimension_must_be_ascii_digits(self, token):

@@ -1,5 +1,6 @@
 """(min,+) matrix product algorithms against the naive oracle."""
 
+import functools
 import tracemalloc
 
 import numpy as np
@@ -17,14 +18,17 @@ from minplus import (
     UniformViolation,
     decompose_cols,
     decompose_rows,
+    mat_extreme_witness,
     minplus_decomposed,
     minplus_few_values_product,
     minplus_mixed_uniform,
     minplus_naive,
     minplus_uniform_mixed,
     pad_decompositions,
+    product,
     shift_transform_matrices,
 )
+from minplus.core import fold_min
 from oracles import cols_monotone, rows_monotone
 from minplus.generators import (
     planted_matrix_cols,
@@ -127,19 +131,21 @@ class TestDecomposed:
             minplus_decomposed(A, rows, B, cols, "nondec", counters=c)
             assert c.witness_matrix_calls == m_a * m_b
 
-    def test_running_values_never_below_final(self):
+    def test_running_values_never_below_final(self, monkeypatch):
         A, rows = planted_matrix_rows(5, 10, 3, "nondec")
         B, cols = planted_matrix_cols(6, 10, 2, "nondec")
         final = minplus_naive(A, B)
-        seen = []
+        folds = []
 
-        def hook(o, r, values, finite):
-            assert np.all(values[finite] >= final.values[finite])
-            seen.append((o, r))
+        def spy(c, finite, *candidates):
+            fold_min(c, finite, *candidates)
+            assert np.all(c[finite] >= final.values[finite])
+            folds.append(1)
 
-        out = minplus_decomposed(A, rows, B, cols, "nondec", pair_hook=hook)
+        monkeypatch.setattr(product, "fold_min", spy)
+        out = minplus_decomposed(A, rows, B, cols, "nondec")
         assert out == final
-        assert seen == [(o, r) for o in range(3) for r in range(2)]
+        assert len(folds) == 3 * 2
 
     def test_pair_order_independence(self):
         A, rows = planted_matrix_rows(9, 11, 3, "nondec")
@@ -150,13 +156,14 @@ class TestDecomposed:
         rev = minplus_decomposed(A, rows_r, B, cols_r, "nondec")
         assert fwd == rev
 
-    def test_block_size_invariant(self):
+    def test_block_size_invariant(self, monkeypatch):
         A, rows = planted_matrix_rows(12, 17, 2, "noninc")
         B, cols = planted_matrix_cols(13, 17, 3, "noninc")
-        outs = [
-            minplus_decomposed(A, rows, B, cols, "noninc", block_size=bs)
-            for bs in (1, 5, 17)
-        ]
+        outs = []
+        for bs in (1, 5, 17):
+            engine = functools.partial(mat_extreme_witness, block_size=bs)
+            monkeypatch.setattr(product, "mat_extreme_witness", engine)
+            outs.append(minplus_decomposed(A, rows, B, cols, "noninc"))
         assert outs[0] == outs[1] == outs[2] == minplus_naive(A, B)
 
     def test_peak_memory_is_a_few_n_squared_arrays(self):
