@@ -4,15 +4,17 @@ The Boolean product is one float32 GEMM of the 0/1 matrices: a sum of
 non-negative terms is 0 only when every term is 0, so ``> 0`` is the OR
 whatever the rounding (and counts below 2**24 are exact in float32).
 
-Extreme witnesses use square-root blocking (Alon, Galil, Margalit and
-Naor, FOCS 1992) in one pass over the index blocks, ascending for "min"
-and descending for "max".  Each row of P and column of Q packs its bits
-of a block (at most 64 wide) into one uint64 word, the preferred end at
-bit 0: the lowest set bit of ``p_i & q_j`` (``w & -w``, read exactly by
-``np.frexp``) names the extreme witness of (i, j) in the block.  This runs
+Extreme witnesses use blocking (Alon, Galil, Margalit and Naor, FOCS
+1992) in one pass over the index blocks, ascending for "min" and
+descending for "max", with full 64-bit blocks by default.  Each row of P
+and column of Q packs its bits of a block (at most 64 wide) into one
+uint64 word, the preferred end at bit 0: the lowest set bit of
+``p_i & q_j`` names the extreme witness of (i, j) in the block.  This runs
 on one core, not on BLAS threads, which slowed several-fold while another
-process held a core.  The first block hitting an entry sets it, the pass
-stops once none is left, and peak memory is a few n x n arrays.
+process held a core.  The first block visited is read densely over all
+n x n entries, in place; on planted inputs it settles almost all of them.
+Later blocks gather only the entries still unset, the pass stops once none
+is left, and peak memory is a few n x n arrays.
 """
 
 from __future__ import annotations
@@ -66,32 +68,47 @@ def mat_extreme_witness(
     Returns, for each entry (i, j) with product bit 1, the least ("min") or
     greatest ("max") 1-based index k with P[i,k] and Q[k,j] both set;
     NO_WITNESS where the bit is 0.  ``block_size`` tunes the blocking
-    (default ceil(sqrt(n)), capped at 64); the output is independent of it.
+    (full 64-bit blocks by default, capped at 64); the output is independent
+    of it.  The first block visited is read densely; later blocks gather
+    only the entries still unset.
     """
     if P.n != Q.n:
         raise DimensionMismatch(f"dimensions differ: {P.n} vs {Q.n}")
     if kind not in ("min", "max"):
         raise ValueError(f"witness kind must be 'min' or 'max', got {kind!r}")
     n = P.n
-    r = min(checked_size(n, block_size, "block size"), 64)  # one uint64 word
-    # Lowest set bit t of a word of block [lo, lo + r) names the 1-based
-    # index lo + 1 + t ("min") or lo + r - t ("max").
+    r = 64 if block_size is None else checked_size(n, block_size, "block size")
+    r = min(r, 64)  # one uint64 word
     rows, cols = (_block_words(M, r, kind == "max") for M in (P.bits, Q.bits.T))
-    wit = np.full((n, n), NO_WITNESS, dtype=np.int64)
-    unset = np.ones((n, n), dtype=bool)
-    both, fresh = np.empty((n, n), dtype=np.uint64), np.empty((n, n), dtype=bool)
-    left = n * n
+
+    def named(b: int, bit: np.ndarray) -> np.ndarray:
+        """Lowest set bits t of block-b words as the 1-based indices
+        lo + 1 + t ("min") or lo + r - t ("max"), lo = b*r, in place."""
+        if kind == "min":
+            bit += b * r + 1
+        else:
+            np.subtract(b * r + r, bit, out=bit)
+        return bit
+
     blocks = range(rows.shape[0])
-    for b in blocks if kind == "min" else reversed(blocks):
+    first, *rest = blocks if kind == "min" else reversed(blocks)
+    both = np.empty((n, n), dtype=np.uint64)
+    np.bitwise_and(rows[first][:, None], cols[first], out=both)
+    wit = named(first, lowest_set_bit(both))
+    unset = both == 0
+    wit[unset] = NO_WITNESS
+    left = np.count_nonzero(unset)
+    fresh = np.empty((n, n), dtype=bool)
+    for b in rest:
+        if not left:
+            break
         np.bitwise_and(rows[b][:, None], cols[b], out=both)
         np.not_equal(both, 0, out=fresh)
         fresh &= unset
         bit = lowest_set_bit(both[fresh])
-        wit[fresh] = b * r + 1 + bit if kind == "min" else b * r + r - bit
+        wit[fresh] = named(b, bit)
         unset ^= fresh
         left -= bit.size
-        if not left:
-            break
     if counters is not None:
         counters.witness_matrix_calls += 1
     return WitnessArray(wit)

@@ -135,6 +135,12 @@ def checked_size(n: int, size: int | None, what: str) -> int:
     return int(s)
 
 
+def check_dimension(n: int) -> None:
+    """Reject a matrix dimension outside [1, MAX_DIMENSION]."""
+    if not 1 <= n <= MAX_DIMENSION:
+        raise ValueError(f"dimension {n} outside [1, {MAX_DIMENSION}]")
+
+
 def fold_min(c: np.ndarray, finite: np.ndarray, hit, cand: np.ndarray) -> None:
     """Fold full-shape candidates into a running per-entry minimum: each
     entry where ``hit`` is set becomes the smaller of its value and its
@@ -144,11 +150,17 @@ def fold_min(c: np.ndarray, finite: np.ndarray, hit, cand: np.ndarray) -> None:
 
 
 def lowest_set_bit(words: np.ndarray) -> np.ndarray:
-    """Position (0-63) of the lowest set bit of each nonzero uint64 word,
-    overwriting ``words``: ``w & -w`` is that bit, a power of two below
-    2**64, which float64 holds and ``np.frexp`` reads exactly."""
-    words &= np.negative(words)
-    return np.frexp(words.astype(np.float64))[1] - 1
+    """Position (0-63) of the lowest set bit of each nonzero uint64 word
+    (-1023 for a zero word), overwriting ``words`` with that bit ``w & -w``.
+    It is a power of two below 2**64, which float64 holds exactly, so the
+    position is its exponent field less the bias; one int64 array is made."""
+    pos = np.negative(words)
+    words &= pos
+    np.copyto(pos.view(np.float64), words, casting="unsafe")
+    pos = pos.view(np.int64)
+    pos >>= 52
+    pos -= 1023
+    return pos
 
 
 def values_satisfy(values: np.ndarray, tag: MonotoneTag) -> bool:
@@ -294,9 +306,7 @@ class IntMatrix:
         arr = _as_int64(entries, "matrix").copy()
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ValueError(f"matrix must be square, got shape {arr.shape}")
-        n = arr.shape[0]
-        if n < 1 or n > MAX_DIMENSION:
-            raise ValueError(f"dimension {n} outside [1, {MAX_DIMENSION}]")
+        check_dimension(arr.shape[0])
         if arr.min() < -entry_bound or arr.max() > entry_bound:
             raise ValueError(
                 f"entry magnitude exceeds the bound {entry_bound}"

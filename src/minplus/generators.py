@@ -15,6 +15,7 @@ from .core import (
     IntVector,
     MonotoneTag,
     Subsequence,
+    check_dimension,
     parse_direction,
 )
 
@@ -117,6 +118,14 @@ def planted_uniform_vector(
     return IntVector(values), dec
 
 
+def _stack_rows(n: int, plant) -> tuple[IntMatrix, list[Decomposition]]:
+    """A matrix of ``n`` rows, each drawn by ``plant()`` as (values,
+    decomposition), and its row decompositions; ``n`` is checked first."""
+    check_dimension(n)
+    rows, decs = zip(*(plant() for _ in range(n)))
+    return IntMatrix(np.stack(rows)), list(decs)
+
+
 def planted_matrix_rows(
     seed,
     n: int,
@@ -129,12 +138,9 @@ def planted_matrix_rows(
     decomposition in ``direction``."""
     rng = as_generator(seed)
     tag = parse_direction(direction)
-    rows, decs = [], []
-    for _ in range(n):
-        values, dec = _plant_monotone_values(rng, n, parts, tag, value_bound)
-        rows.append(values)
-        decs.append(dec)
-    return IntMatrix(np.stack(rows)), decs
+    return _stack_rows(
+        n, lambda: _plant_monotone_values(rng, n, parts, tag, value_bound)
+    )
 
 
 def planted_matrix_cols(
@@ -162,8 +168,8 @@ def planted_mixed_matrix_rows(
 ) -> tuple[IntMatrix, list[Decomposition]]:
     """Matrix rows with planted parts of independently random directions."""
     rng = as_generator(seed)
-    rows, decs = [], []
-    for _ in range(n):
+
+    def plant():
         idx_parts = random_index_partition(rng, n, parts)
         values = np.zeros(n, dtype=np.int64)
         subs = []
@@ -178,9 +184,9 @@ def planted_mixed_matrix_rows(
                 v = v[::-1]
             values[indices] = v
             subs.append(Subsequence(tuple(indices), tag))
-        rows.append(values)
-        decs.append(Decomposition(n, tuple(subs)))
-    return IntMatrix(np.stack(rows)), decs
+        return values, Decomposition(n, tuple(subs))
+
+    return _stack_rows(n, plant)
 
 
 def planted_uniform_matrix_rows(
@@ -189,12 +195,7 @@ def planted_uniform_matrix_rows(
     """Matrix whose every row takes at most ``classes`` distinct values,
     with planted constant-valued row decompositions."""
     rng = as_generator(seed)
-    rows, decs = [], []
-    for _ in range(n):
-        values, dec = _plant_uniform_values(rng, n, classes, value_bound)
-        rows.append(values)
-        decs.append(dec)
-    return IntMatrix(np.stack(rows)), decs
+    return _stack_rows(n, lambda: _plant_uniform_values(rng, n, classes, value_bound))
 
 
 def planted_uniform_matrix_cols(

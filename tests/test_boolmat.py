@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from minplus import (
+    NO_WITNESS,
     BoolMatrix,
     DimensionMismatch,
     OpCounters,
@@ -144,6 +145,52 @@ class TestMatExtremeWitness:
                 for bs in (63, 64, 65, 130):
                     got = mat_extreme_witness(bm(P), bm(Q), kind, block_size=bs)
                     assert (got.values == k + 1).all(), (k, kind, bs)
+
+    @pytest.mark.parametrize("n", [1, 5, 63, 64, 65, 130, 200])
+    def test_default_block_matches_loops(self, n):
+        # The default block is a full 64-bit word.  Density 0.5 ends in the
+        # first block; sparser inputs leave entries for the later blocks.
+        rng = np.random.default_rng(n)
+        for density in (0.03, 0.15, 0.5):
+            P = rng.random((n, n)) < density
+            Q = rng.random((n, n)) < density
+            for kind in ("min", "max"):
+                want = oracles.mat_witness_loops(P.tolist(), Q.tolist(), kind)
+                got = mat_extreme_witness(bm(P), bm(Q), kind).values
+                assert np.array_equal(got, want), (n, density, kind)
+
+    @pytest.mark.parametrize("n", [1, 5, 63, 64, 65, 130, 200])
+    def test_default_block_visits_every_block(self, n):
+        # An all-zero P leaves every entry unset in every block.
+        P = np.zeros((n, n), dtype=bool)
+        Q = np.ones((n, n), dtype=bool)
+        for kind in ("min", "max"):
+            want = oracles.mat_witness_loops(P.tolist(), Q.tolist(), kind)
+            assert (want == NO_WITNESS).all()
+            got = mat_extreme_witness(bm(P), bm(Q), kind).values
+            assert np.array_equal(got, want), (n, kind)
+
+    @pytest.mark.parametrize("n", [1, 5, 63, 64, 65, 130, 200])
+    def test_default_block_witnesses_only_in_one_block(self, n):
+        # P and Q share indices only inside [lo, hi): the block each kind
+        # visits last, and, for "max", the partial final block it visits
+        # first.  Elsewhere an index is set in P or in Q, never both.
+        last = (n - 1) // 64 * 64
+        idx = np.arange(n)
+        rng = np.random.default_rng(100 + n)
+        spans = {"min": [(last, n)], "max": [(0, min(64, n)), (last, n)]}
+        for kind, pairs in spans.items():
+            for lo, hi in pairs:
+                inside = (idx >= lo) & (idx < hi)
+                P = (rng.random((n, n)) < 0.5) & ((idx % 2 == 0) | inside)
+                Q = (rng.random((n, n)) < 0.5) & ((idx % 2 == 1) | inside)[:, None]
+                P[0, lo:hi], Q[lo:hi, 0] = True, True
+                want = oracles.mat_witness_loops(P.tolist(), Q.tolist(), kind)
+                defined = want != NO_WITNESS
+                assert defined.any() and (want[defined] > lo).all()
+                assert (want[defined] <= hi).all()
+                got = mat_extreme_witness(bm(P), bm(Q), kind).values
+                assert np.array_equal(got, want), (n, kind, lo)
 
     def test_peak_memory_is_a_few_n_squared_arrays(self):
         n = 512

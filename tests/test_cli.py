@@ -2,9 +2,10 @@
 
 import json
 
+import numpy as np
 import pytest
 
-from minplus import cli
+from minplus import cli, generators
 
 VECTOR_DOC = """format: minplus/1
 kind: vector
@@ -71,6 +72,32 @@ class TestGen:
         code, _, err = run(capsys, "gen", "--algo", "fig1")
         assert code == cli.EXIT_VALIDATION
         assert "--n" in err
+
+    @pytest.mark.parametrize("algo", ["naive", "fig1", "fig2", "fewvalues"])
+    def test_zero_dimension_matrix_is_validation_error(self, capsys, algo):
+        # The planted generators once failed inside np.stack instead.
+        code, out, err = run(
+            capsys, "gen", "--algo", algo, "--kind", "matrix", "--n", "0"
+        )
+        assert code == cli.EXIT_VALIDATION == 3
+        assert out == ""
+        assert err == "error: dimension 0 outside [1, 1048576]\n"
+
+    @pytest.mark.parametrize(
+        "plant",
+        [
+            lambda rng: generators.planted_matrix_rows(rng, 0, 3),
+            lambda rng: generators.planted_matrix_cols(rng, 0, 3),
+            lambda rng: generators.planted_mixed_matrix_rows(rng, 0, 3),
+            lambda rng: generators.planted_uniform_matrix_cols(rng, 0, 3),
+        ],
+    )
+    def test_zero_dimension_rejected_before_any_draw(self, plant):
+        rng = np.random.default_rng(7)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match=r"^dimension 0 outside \[1, 1048576\]$"):
+            plant(rng)
+        assert rng.bit_generator.state == state
 
     def test_stdout_when_no_out(self, capsys):
         code, out, _ = run(capsys, "gen", "--algo", "fig4", "--n", "6")

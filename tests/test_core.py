@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from minplus.core import INT64_MAX, INT64_MIN
+from minplus.core import INT64_MAX, INT64_MIN, lowest_set_bit
 
 from minplus import (
     ENTRY_BOUND,
@@ -360,6 +360,35 @@ class TestWitnessArray:
     def test_conv_get_is_zero_based(self):
         W = WitnessArray(np.array([0, -1, 3]))
         assert W.get(0) == 0 and W.get(1) is None and W.get(2) == 3
+
+
+def lowest_bit_reference(w: int) -> int:
+    return (w & -w).bit_length() - 1
+
+
+class TestLowestSetBit:
+    def test_every_single_bit_word(self):
+        words = np.array([1 << t for t in range(64)], dtype=np.uint64)
+        got = lowest_set_bit(words.copy())
+        assert got.dtype == np.int64
+        assert got.tolist() == list(range(64))
+
+    def test_random_words_with_several_bits(self):
+        rng = np.random.default_rng(3)
+        # AND-ing more draws leaves fewer bits set.  Zero words have no
+        # lowest bit; they become 2**63.
+        for draws in (1, 2, 4):
+            words = rng.integers(0, 2**64, size=(50, 40), dtype=np.uint64)
+            for _ in range(draws - 1):
+                words &= rng.integers(0, 2**64, size=words.shape, dtype=np.uint64)
+            words[words == 0] = 1 << 63
+            want = [[lowest_bit_reference(int(w)) for w in row] for row in words]
+            assert np.array_equal(lowest_set_bit(words.copy()), want), draws
+
+    def test_words_are_left_holding_their_lowest_bit(self):
+        words = np.array([0b1011000, 2**63 + 2**40, 2**64 - 1], dtype=np.uint64)
+        assert lowest_set_bit(words).tolist() == [3, 40, 0]
+        assert words.tolist() == [8, 2**40, 1]
 
 
 class TestBoolVector:
