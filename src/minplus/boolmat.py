@@ -6,15 +6,17 @@ whatever the rounding (and counts below 2**24 are exact in float32).
 
 Extreme witnesses use blocking (Alon, Galil, Margalit and Naor, FOCS
 1992) in one pass over the index blocks, ascending for "min" and
-descending for "max", with full 64-bit blocks by default.  Each row of P
-and column of Q packs its bits of a block (at most 64 wide) into one
-uint64 word, the preferred end at bit 0: the lowest set bit of
-``p_i & q_j`` names the extreme witness of (i, j) in the block.  This runs
-on one core, not on BLAS threads, which slowed several-fold while another
-process held a core.  The first block visited is read densely over all
-n x n entries, in place; on planted inputs it settles almost all of them.
-Later blocks gather only the entries still unset, the pass stops once none
-is left, and peak memory is a few n x n arrays.
+descending for "max", with full 64-bit blocks by default; "min" blocks
+start at index 1 and "max" blocks end at n, so either kind starts on a
+full block.  Each row of P and column of Q packs its bits of a block (at
+most 64 wide) into one uint64 word, the preferred end at bit 0: the
+lowest set bit of ``p_i & q_j`` names the extreme witness of (i, j) in
+the block.  This runs on one core, not on BLAS threads, which slowed
+several-fold while another process held a core.  The first block visited
+is read densely over all n x n entries, in place; on planted inputs it
+settles almost all of them.  Later blocks gather only the entries still
+unset, the pass stops once none is left, and peak memory is a few n x n
+arrays.
 """
 
 from __future__ import annotations
@@ -44,13 +46,13 @@ def bool_matmul(
     return BoolMatrix(bits)
 
 
-def _block_words(bits: np.ndarray, width: int, reverse: bool) -> np.ndarray:
-    """(blocks, n) uint64: bit t of word [b, i] is bits[i, b*width + t]
-    (bit width-1-t if ``reverse``), 0 past the end."""
+def _block_words(bits: np.ndarray, width: int) -> np.ndarray:
+    """(blocks, n) uint64: bit t of word [b, i] is bits[i, b*width + t],
+    0 past the end."""
     n = bits.shape[0]
     blocks = np.pad(bits, ((0, 0), (0, -n % width))).reshape(n, -1, width)
     words = np.zeros((*blocks.shape[:2], 64), dtype=bool)
-    words[:, :, :width] = blocks[:, :, ::-1] if reverse else blocks
+    words[:, :, :width] = blocks
     packed = np.packbits(words, axis=-1, bitorder="little").view("<u8")
     return np.ascontiguousarray(packed[:, :, 0].T)
 
@@ -79,19 +81,21 @@ def mat_extreme_witness(
     n = P.n
     r = 64 if block_size is None else checked_size(n, block_size, "block size")
     r = min(r, 64)  # one uint64 word
-    rows, cols = (_block_words(M, r, kind == "max") for M in (P.bits, Q.bits.T))
+    # "max" reads the indices from n down, so its blocks end at n and its
+    # first block is full, the mirror of "min".
+    flip = slice(None, None, -1 if kind == "max" else 1)
+    rows, cols = (_block_words(M[:, flip], r) for M in (P.bits, Q.bits.T))
 
     def named(b: int, bit: np.ndarray) -> np.ndarray:
         """Lowest set bits t of block-b words as the 1-based indices
-        lo + 1 + t ("min") or lo + r - t ("max"), lo = b*r, in place."""
+        lo + 1 + t ("min") or n - lo - t ("max"), lo = b*r, in place."""
         if kind == "min":
             bit += b * r + 1
         else:
-            np.subtract(b * r + r, bit, out=bit)
+            np.subtract(n - b * r, bit, out=bit)
         return bit
 
-    blocks = range(rows.shape[0])
-    first, *rest = blocks if kind == "min" else reversed(blocks)
+    first, *rest = range(rows.shape[0])
     both = np.empty((n, n), dtype=np.uint64)
     np.bitwise_and(rows[first][:, None], cols[first], out=both)
     wit = named(first, lowest_set_bit(both))

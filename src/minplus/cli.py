@@ -82,8 +82,9 @@ def _require(condition: bool, message: str) -> None:
 
 
 def _infer_matrix_direction(inst: fileio.MatrixInstance) -> str:
-    rows = validate_decomposition(inst.dec_rows, inst.A.entries)
-    cols = validate_decomposition(inst.dec_cols, inst.B.entries.T)
+    # A parsed instance carries what validating its decompositions returned.
+    rows = inst.rows_parts or validate_decomposition(inst.dec_rows, inst.A.entries)
+    cols = inst.cols_parts or validate_decomposition(inst.dec_cols, inst.B.entries.T)
     for tag in (MonotoneTag.NON_DECREASING, MonotoneTag.NON_INCREASING):
         if rows.holds[tag].all() and cols.holds[tag].all():
             return tag.value
@@ -274,10 +275,12 @@ def _cmd_decompose(args) -> int:
         )
         if args.target in ("rows", "both"):
             inst.dec_rows = tuple(decompose_rows(inst.A, args.mode))
+            inst.rows_parts = None
             m = inst.dec_rows[0].part_count
             report.append(f"rows: count={inst.A.n} max-parts={m} mode={args.mode}")
         if args.target in ("cols", "both"):
             inst.dec_cols = tuple(decompose_cols(inst.B, args.mode))
+            inst.cols_parts = None
             m = inst.dec_cols[0].part_count
             report.append(f"cols: count={inst.B.n} max-parts={m} mode={args.mode}")
     for line in report:

@@ -194,11 +194,16 @@ class Subsequence:
     tag: MonotoneTag
 
     def __post_init__(self):
-        object.__setattr__(self, "indices", tuple(map(_as_index, self.indices)))
-        for a, b in zip(self.indices, self.indices[1:]):
-            if b <= a:
-                raise ValueError(f"indices not strictly increasing: {a} !< {b}")
-        if self.indices and self.indices[0] < 0:
+        ix = tuple(self.indices)
+        # Exact ints pass whole; anything else (bools, floats, numpy
+        # scalars) is converted or refused one index at a time.
+        if not set(map(type, ix)) <= {int}:
+            ix = tuple(map(_as_index, ix))
+        object.__setattr__(self, "indices", ix)
+        if not all(map(operator.lt, ix, ix[1:])):
+            a, b = next((a, b) for a, b in zip(ix, ix[1:]) if b <= a)
+            raise ValueError(f"indices not strictly increasing: {a} !< {b}")
+        if ix and ix[0] < 0:
             raise ValueError("negative subsequence index")
 
     def __len__(self) -> int:

@@ -25,11 +25,17 @@ Integers, ``n`` included, are ASCII ``-?[0-9]+``; Python's ``int()`` would
 also take ``+5``, ``1_0`` and non-ASCII digits, which do not round-trip.
 ``n`` is always the input dimension.  Blank lines and ``#`` comment lines
 are ignored.  parse(serialize(x)) == x.
+
+Sections are read and written whole: one split and one int64 conversion
+per section, one bound check, rows written from ``tolist()``.  Only a
+section that fails is read again token by token, so a fault is still
+reported at its line, with the message a token-at-a-time reader gives.
 """
 
 from __future__ import annotations
 
 import contextlib
+import itertools
 import os
 import tempfile
 from dataclasses import dataclass, field
@@ -40,6 +46,7 @@ from .core import (
     ENTRY_BOUND,
     MAX_DIMENSION,
     SHIFTED_ENTRY_BOUND,
+    AxisParts,
     Decomposition,
     IntMatrix,
     IntVector,
@@ -69,6 +76,11 @@ class MatrixInstance:
     dec_rows: tuple[Decomposition, ...] | None = None
     dec_cols: tuple[Decomposition, ...] | None = None
     meta: dict[str, str] = field(default_factory=dict)
+    #: What validating ``dec_rows`` and ``dec_cols`` returned, kept by the
+    #: parser so a caller need not validate them again; None when not
+    #: validated, and to be reset when the decompositions are replaced.
+    rows_parts: AxisParts | None = field(default=None, compare=False, repr=False)
+    cols_parts: AxisParts | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass
@@ -156,22 +168,49 @@ def _parse_int(tok: str, lineno: int, bound: int) -> int:
     return v
 
 
-def _section_tokens(body, expect: int, lineno: int, bound: int):
-    values, mask, lines_used = [], [], []
-    for ln, s in body:
-        for tok in s.split():
-            if tok == "inf":
-                values.append(0)
-                mask.append(False)
-            else:
-                values.append(_parse_int(tok, ln, bound))
-                mask.append(True)
-            lines_used.append(ln)
-    if len(values) != expect:
+def _ints(tokens: list[str], bound: int) -> np.ndarray | None:
+    """int() of every token as one int64 array (numpy calls int() on each
+    str), or None if a token is no integer or a value lies past ``bound``."""
+    try:
+        values = np.array(tokens, dtype=np.int64)
+    except (ValueError, OverflowError):
+        return None
+    if values.size and (values.min() < -bound or values.max() > bound):
+        return None
+    return values
+
+
+def _section_values(sections, name: str, expect: int, bound: int):
+    """Section ``name`` as ``expect`` int64 values and their finite mask,
+    read whole: one split, one conversion, one bound check.  Only a result's
+    ``values`` section may hold ``inf``.  Faults are reported as a
+    token-by-token read meets them: a bad integer or a value past ``bound``
+    at its line, then a wrong count at the begin line, then an ``inf``."""
+    lineno, body = _require_section(sections, name)
+    text = " ".join([s for _, s in body])
+    tokens = text.split()
+    finite = np.ones(len(tokens), dtype=bool)
+    if "inf" in text:
+        finite = np.fromiter(map("inf".__ne__, tokens), dtype=bool, count=len(tokens))
+        tokens = list(itertools.compress(tokens, finite))
+    ints = _ints(tokens, bound)
+    if ints is None:  # read token by token, which raises at the first fault
+        ints = [
+            _parse_int(t, ln, bound)
+            for ln, s in body
+            for t in s.split()
+            if t != "inf"
+        ]
+    values = np.zeros(finite.size, dtype=np.int64)
+    values[finite] = ints
+    if finite.size != expect:
         raise ParseError(
-            f"expected {expect} values, found {len(values)}", lineno
+            f"expected {expect} values, found {finite.size}", lineno
         )
-    return values, mask, lines_used
+    if name != "values" and not finite.all():
+        bad = next(ln for ln, s in body if "inf" in s.split())
+        raise ParseError(f"section {name!r} does not allow 'inf'", bad)
+    return values, finite
 
 
 def _require_section(sections, name: str):
@@ -180,24 +219,55 @@ def _require_section(sections, name: str):
     return sections[name]
 
 
+_TAGS = {tag.value: tag for tag in MonotoneTag}
+
+
 def _parse_parts(text: str, lineno: int, base: int, n: int) -> Decomposition:
+    """One line of parts, token by token; raises at its first fault."""
     subs = []
     for chunk in text.split("|"):
         toks = chunk.split()
         if not toks:
             raise ParseError("empty part needs its tag", lineno)
-        try:
-            tag = MonotoneTag(toks[0])
-        except ValueError:
-            raise ParseError(f"unknown part tag {toks[0]!r}", lineno) from None
+        if toks[0] not in _TAGS:
+            raise ParseError(f"unknown part tag {toks[0]!r}", lineno)
         idx = tuple(
             _parse_int(t, lineno, MAX_DIMENSION) - base for t in toks[1:]
         )
         try:
-            subs.append(Subsequence(idx, tag))
+            subs.append(Subsequence(idx, _TAGS[toks[0]]))
         except (ValueError, TypeError) as exc:
             raise ParseError(str(exc), lineno) from None
     return Decomposition(n, tuple(subs))
+
+
+def _read_decompositions(lines, base: int, n: int) -> list[Decomposition]:
+    """One decomposition per (line number, parts text) pair, the index
+    tokens of all lines converted in one call and bound-checked at once.
+    If a part is malformed, the lines are read again one at a time by
+    :func:`_parse_parts`, which names the first fault."""
+    tags, sizes, tokens, counts = [], [], [], []
+    for _, text in lines:
+        chunks = text.split("|")
+        counts.append(len(chunks))
+        for chunk in chunks:
+            tag, *idx = chunk.split() or [""]
+            tags.append(_TAGS.get(tag))
+            sizes.append(len(idx))
+            tokens += idx
+    ints = _ints(tokens, MAX_DIMENSION)
+    del tokens
+    if ints is not None and None not in tags:
+        flat = (ints - base).tolist()
+        starts = itertools.accumulate(sizes, initial=0)
+        with contextlib.suppress(ValueError):  # indices out of order
+            subs = [
+                Subsequence(tuple(flat[a : a + k]), tag)
+                for a, k, tag in zip(starts, sizes, tags)
+            ]
+            cuts = itertools.pairwise(itertools.accumulate(counts, initial=0))
+            return [Decomposition(n, tuple(subs[a:b])) for a, b in cuts]
+    return [_parse_parts(text, ln, base, n) for ln, text in lines]
 
 
 def _parse_axis_decompositions(body, lineno, axis_word: str, n: int):
@@ -205,13 +275,15 @@ def _parse_axis_decompositions(body, lineno, axis_word: str, n: int):
         raise ParseError(
             f"expected {n} '{axis_word} <i>:' lines, found {len(body)}", lineno
         )
-    decs = []
+    lines = []
     for want, (ln, s) in enumerate(body, start=1):
         prefix = f"{axis_word} {want}:"
         if not s.startswith(prefix):
+            # The lines above may hold an earlier fault; name it first.
+            _read_decompositions(lines, base=1, n=n)
             raise ParseError(f"expected line starting {prefix!r}", ln)
-        decs.append(_parse_parts(s[len(prefix) :], ln, base=1, n=n))
-    return tuple(decs)
+        lines.append((ln, s[len(prefix) :]))
+    return tuple(_read_decompositions(lines, base=1, n=n))
 
 
 def _header_dict(headers):
@@ -272,44 +344,36 @@ def parse_document(text: str):
     if kind == "vector":
         return _parse_vector_instance(sections, n, meta)
     count = n * n if kind == "result-matrix" else 2 * n - 1
-    lineno, body = _require_section(sections, "values")
-    values, mask, _ = _section_tokens(body, count, lineno, SHIFTED_ENTRY_BOUND)
-    arr = np.array(values, dtype=np.int64)
+    values, finite = _section_values(
+        sections, "values", count, SHIFTED_ENTRY_BOUND
+    )
     if kind == "result-matrix":
-        arr = arr.reshape(n, n)
-        finite = np.array(mask).reshape(n, n)
-    else:
-        finite = np.array(mask)
-    return ResultDocument(kind, n, MinPlusOutput(arr, finite), meta)
-
-
-def _dense_values(sections, name: str, n: int, count: int):
-    lineno, body = _require_section(sections, name)
-    values, mask, lines_used = _section_tokens(body, count, lineno, ENTRY_BOUND)
-    if not all(mask):
-        bad = lines_used[mask.index(False)]
-        raise ParseError(f"section {name!r} does not allow 'inf'", bad)
-    return np.array(values, dtype=np.int64)
+        values, finite = values.reshape(n, n), finite.reshape(n, n)
+    return ResultDocument(kind, n, MinPlusOutput(values, finite), meta)
 
 
 def _parse_matrix_instance(sections, n, meta):
-    A = IntMatrix(_dense_values(sections, "matrix A", n, n * n).reshape(n, n))
-    B = IntMatrix(_dense_values(sections, "matrix B", n, n * n).reshape(n, n))
-    dec_rows = dec_cols = None
+    A, B = (
+        IntMatrix(_section_values(sections, name, n * n, ENTRY_BOUND)[0].reshape(n, n))
+        for name in ("matrix A", "matrix B")
+    )
+    inst = MatrixInstance(A, B, meta=meta)
     if "decompositions A rows" in sections:
         lineno, body = sections["decompositions A rows"]
-        dec_rows = _parse_axis_decompositions(body, lineno, "row", n)
-        validate_decomposition(dec_rows, A.entries)
+        inst.dec_rows = _parse_axis_decompositions(body, lineno, "row", n)
+        inst.rows_parts = validate_decomposition(inst.dec_rows, A.entries)
     if "decompositions B cols" in sections:
         lineno, body = sections["decompositions B cols"]
-        dec_cols = _parse_axis_decompositions(body, lineno, "col", n)
-        validate_decomposition(dec_cols, B.entries.T)
-    return MatrixInstance(A, B, dec_rows, dec_cols, meta)
+        inst.dec_cols = _parse_axis_decompositions(body, lineno, "col", n)
+        inst.cols_parts = validate_decomposition(inst.dec_cols, B.entries.T)
+    return inst
 
 
 def _parse_vector_instance(sections, n, meta):
-    a = IntVector(_dense_values(sections, "vector a", n, n))
-    b = IntVector(_dense_values(sections, "vector b", n, n))
+    a, b = (
+        IntVector(_section_values(sections, name, n, ENTRY_BOUND)[0])
+        for name in ("vector a", "vector b")
+    )
     dec_a = dec_b = None
     for name, host in (("decomposition a", a), ("decomposition b", b)):
         if name in sections:
@@ -318,7 +382,7 @@ def _parse_vector_instance(sections, n, meta):
                 raise ParseError(
                     f"section {name!r} must be a single line", lineno
                 )
-            dec = _parse_parts(body[0][1], body[0][0], base=0, n=n)
+            (dec,) = _read_decompositions(body, base=0, n=n)
             validate_decomposition(dec, host.coords)
             if name.endswith(" a"):
                 dec_a = dec
@@ -332,11 +396,35 @@ def parse_path(path):
         return parse_document(f.read())
 
 
-def _fmt_parts(dec: Decomposition, base: int) -> str:
+class _IndexText(dict):
+    """Index i -> its text ``str(i + base)``, made once per index met."""
+
+    def __init__(self, base: int):
+        super().__init__()
+        self.base = base
+
+    def __missing__(self, i: int) -> str:
+        self[i] = text = str(i + self.base)
+        return text
+
+
+def _fmt_parts(dec: Decomposition, names: _IndexText) -> str:
     return " | ".join(
-        " ".join([p.tag.value] + [str(i + base) for i in p.indices])
+        " ".join([p.tag.value, *map(names.__getitem__, p.indices)])
         for p in dec.parts
     )
+
+
+def _fmt_rows(values: np.ndarray, finite: np.ndarray | None = None) -> list[str]:
+    """One line per row of 2-D ``values``, ``inf`` where ``finite`` is
+    False; only rows holding an ``inf`` are written token by token."""
+    lines = []
+    for i, row in enumerate(values):
+        toks = map(str, row.tolist())
+        if finite is not None and not finite[i].all():
+            toks = [t if f else "inf" for t, f in zip(toks, finite[i].tolist())]
+        lines.append(" ".join(toks))
+    return lines
 
 
 def _emit_headers(out: list[str], kind: str, n: int, meta: dict[str, str]):
@@ -355,11 +443,11 @@ def serialize(doc) -> str:
     out: list[str] = []
     if isinstance(doc, MatrixInstance):
         n = doc.A.n
+        names = _IndexText(base=1)
         _emit_headers(out, "matrix", n, doc.meta)
         for name, M in (("A", doc.A), ("B", doc.B)):
             out.append(f"begin matrix {name}")
-            for i in range(n):
-                out.append(" ".join(str(int(x)) for x in M.entries[i]))
+            out += _fmt_rows(M.entries)
             out.append(f"end matrix {name}")
             out.append("")
         for decs, section, word in (
@@ -370,7 +458,7 @@ def serialize(doc) -> str:
                 continue
             out.append(f"begin {section}")
             for i, d in enumerate(decs, start=1):
-                out.append(f"{word} {i}: {_fmt_parts(d, base=1)}")
+                out.append(f"{word} {i}: {_fmt_parts(d, names)}")
             out.append(f"end {section}")
             out.append("")
     elif isinstance(doc, VectorInstance):
@@ -378,35 +466,21 @@ def serialize(doc) -> str:
         _emit_headers(out, "vector", n, doc.meta)
         for name, v in (("a", doc.a), ("b", doc.b)):
             out.append(f"begin vector {name}")
-            out.append(" ".join(str(int(x)) for x in v.coords))
+            out += _fmt_rows(v.coords[None])
             out.append(f"end vector {name}")
             out.append("")
         for name, dec in (("a", doc.dec_a), ("b", doc.dec_b)):
             if dec is None:
                 continue
             out.append(f"begin decomposition {name}")
-            out.append(_fmt_parts(dec, base=0))
+            out.append(_fmt_parts(dec, _IndexText(base=0)))
             out.append(f"end decomposition {name}")
             out.append("")
     elif isinstance(doc, ResultDocument):
         _emit_headers(out, doc.kind, doc.n, doc.meta)
         out.append("begin values")
-        vals = doc.output.values
-        finite = doc.output.finite
-        if doc.kind == "result-matrix":
-            for i in range(doc.n):
-                out.append(
-                    " ".join(
-                        str(int(v)) if f else "inf"
-                        for v, f in zip(vals[i], finite[i])
-                    )
-                )
-        else:
-            out.append(
-                " ".join(
-                    str(int(v)) if f else "inf" for v, f in zip(vals, finite)
-                )
-            )
+        output = doc.output
+        out += _fmt_rows(np.atleast_2d(output.values), np.atleast_2d(output.finite))
         out.append("end values")
         out.append("")
     else:

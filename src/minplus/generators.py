@@ -37,7 +37,7 @@ def random_index_partition(
     if parts < 1:
         raise ValueError("need at least one part")
     assign = rng.integers(0, parts, size=n)
-    return [[int(i) for i in np.flatnonzero(assign == p)] for p in range(parts)]
+    return [np.flatnonzero(assign == p).tolist() for p in range(parts)]
 
 
 def random_vector(
@@ -100,7 +100,7 @@ def _plant_uniform_values(
     values = pool[assign]
     subs = tuple(
         Subsequence(
-            tuple(int(i) for i in np.flatnonzero(assign == cls)),
+            tuple(np.flatnonzero(assign == cls).tolist()),
             MonotoneTag.UNIFORM,
         )
         for cls in range(classes)

@@ -66,10 +66,10 @@ def mat_witness_loops(P, Q, kind: str) -> np.ndarray:
 
 def mat_witness_tensor(P, Q, kind: str) -> np.ndarray:
     """Same as mat_witness_loops via a dense (i, k, j) tensor; usable at
-    n = 64 where the triple loop is slow."""
+    n = 64 where the triple loop is slow.  ``P`` may be a block of rows."""
     P = np.asarray(P, dtype=bool)
     Q = np.asarray(Q, dtype=bool)
-    n = P.shape[0]
+    n = Q.shape[0]
     hits = P[:, :, None] & Q[None, :, :]  # (i, k, j)
     if kind == "max":
         hits = hits[:, ::-1, :]

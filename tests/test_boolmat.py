@@ -15,11 +15,22 @@ from minplus import (
     mat_extreme_witness,
 )
 
+from minplus import boolmat
+
 import oracles
 
 
 def bm(bits):
     return BoolMatrix(np.array(bits, dtype=bool))
+
+
+def witness_reference(P, Q, kind):
+    """The loop oracle; at n = 520, where it is slow, the tensor oracle
+    64 rows at a time."""
+    if len(P) <= 200:
+        return oracles.mat_witness_loops(P.tolist(), Q.tolist(), kind)
+    blocks = [P[i : i + 64] for i in range(0, len(P), 64)]
+    return np.concatenate([oracles.mat_witness_tensor(b, Q, kind) for b in blocks])
 
 
 def tile_row_col(row, col, n=6):
@@ -146,7 +157,7 @@ class TestMatExtremeWitness:
                     got = mat_extreme_witness(bm(P), bm(Q), kind, block_size=bs)
                     assert (got.values == k + 1).all(), (k, kind, bs)
 
-    @pytest.mark.parametrize("n", [1, 5, 63, 64, 65, 130, 200])
+    @pytest.mark.parametrize("n", [1, 5, 63, 64, 65, 130, 200, 520])
     def test_default_block_matches_loops(self, n):
         # The default block is a full 64-bit word.  Density 0.5 ends in the
         # first block; sparser inputs leave entries for the later blocks.
@@ -155,42 +166,64 @@ class TestMatExtremeWitness:
             P = rng.random((n, n)) < density
             Q = rng.random((n, n)) < density
             for kind in ("min", "max"):
-                want = oracles.mat_witness_loops(P.tolist(), Q.tolist(), kind)
+                want = witness_reference(P, Q, kind)
                 got = mat_extreme_witness(bm(P), bm(Q), kind).values
                 assert np.array_equal(got, want), (n, density, kind)
 
-    @pytest.mark.parametrize("n", [1, 5, 63, 64, 65, 130, 200])
+    @pytest.mark.parametrize("n", [1, 5, 63, 64, 65, 130, 200, 520])
     def test_default_block_visits_every_block(self, n):
         # An all-zero P leaves every entry unset in every block.
         P = np.zeros((n, n), dtype=bool)
         Q = np.ones((n, n), dtype=bool)
         for kind in ("min", "max"):
-            want = oracles.mat_witness_loops(P.tolist(), Q.tolist(), kind)
+            want = witness_reference(P, Q, kind)
             assert (want == NO_WITNESS).all()
             got = mat_extreme_witness(bm(P), bm(Q), kind).values
             assert np.array_equal(got, want), (n, kind)
 
-    @pytest.mark.parametrize("n", [1, 5, 63, 64, 65, 130, 200])
+    @pytest.mark.parametrize("n", [1, 5, 63, 64, 65, 130, 200, 520])
     def test_default_block_witnesses_only_in_one_block(self, n):
         # P and Q share indices only inside [lo, hi): the block each kind
-        # visits last, and, for "max", the partial final block it visits
-        # first.  Elsewhere an index is set in P or in Q, never both.
+        # visits last ("min" blocks start at index 1, "max" blocks end at
+        # n), and, for "max", the top indices, which it visits first.
+        # Elsewhere an index is set in P or in Q, never both.
         last = (n - 1) // 64 * 64
         idx = np.arange(n)
         rng = np.random.default_rng(100 + n)
-        spans = {"min": [(last, n)], "max": [(0, min(64, n)), (last, n)]}
+        spans = {"min": [(last, n)], "max": [(0, n - last), (last, n)]}
         for kind, pairs in spans.items():
             for lo, hi in pairs:
                 inside = (idx >= lo) & (idx < hi)
                 P = (rng.random((n, n)) < 0.5) & ((idx % 2 == 0) | inside)
                 Q = (rng.random((n, n)) < 0.5) & ((idx % 2 == 1) | inside)[:, None]
                 P[0, lo:hi], Q[lo:hi, 0] = True, True
-                want = oracles.mat_witness_loops(P.tolist(), Q.tolist(), kind)
+                want = witness_reference(P, Q, kind)
                 defined = want != NO_WITNESS
                 assert defined.any() and (want[defined] > lo).all()
                 assert (want[defined] <= hi).all()
                 got = mat_extreme_witness(bm(P), bm(Q), kind).values
                 assert np.array_equal(got, want), (n, kind, lo)
+
+    def test_max_starts_on_a_full_top_block(self, monkeypatch):
+        # Every entry has a witness among the top 64 indices, and some
+        # only below the top n mod 64 = 2: the first "max" block holds all
+        # 64, so its dense pass settles every entry and the mask pass never
+        # runs.
+        n = 130
+        rng = np.random.default_rng(5)
+        top = np.arange(n) >= n - 64
+        P = (rng.random((n, n)) < 0.5) & top
+        Q = (rng.random((n, n)) < 0.5) & top[:, None]
+        P[:, 100], Q[100, :] = True, True
+        P[0, n - 2 :] = False
+        calls = []
+        real = boolmat.lowest_set_bit
+        monkeypatch.setattr(
+            boolmat, "lowest_set_bit", lambda w: calls.append(w.size) or real(w)
+        )
+        got = mat_extreme_witness(bm(P), bm(Q), "max").values
+        assert np.array_equal(got, witness_reference(P, Q, "max"))
+        assert calls == [n * n]
 
     def test_peak_memory_is_a_few_n_squared_arrays(self):
         n = 512

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from minplus import cli, generators
+from minplus import cli, fileio, generators, product
 
 VECTOR_DOC = """format: minplus/1
 kind: vector
@@ -159,6 +159,61 @@ class TestCompute:
         naive = tmp_path / "vn.txt"
         run(capsys, "compute", str(dec), "--algo", "naive", "--out", str(naive))
         assert values_section(res) == values_section(naive)
+
+    def test_fig1_validates_each_axis_twice(self, capsys, tmp_path, monkeypatch):
+        # Once on parse and once in the product; the direction is inferred
+        # from the parts the parser kept.
+        inst = tmp_path / "inst.txt"
+        run(capsys, "gen", "--algo", "fig1", "--n", "8", "--direction", "noninc",
+            "--seed", "3", "--out", str(inst))
+        calls = []
+        for module in (fileio, cli, product):
+            real = module.validate_decomposition
+            monkeypatch.setattr(
+                module, "validate_decomposition",
+                lambda *a, real=real, name=module.__name__:
+                    calls.append(name) or real(*a),
+            )
+        res = tmp_path / "res.txt"
+        assert run(capsys, "compute", str(inst), "--algo", "fig1",
+                   "--out", str(res))[0] == 0
+        assert sorted(calls) == ["minplus.fileio"] * 2 + ["minplus.product"] * 2
+        assert "meta direction: noninc" in res.read_text()
+
+    @pytest.mark.parametrize("rows, cols, direction", [
+        ("nondec", "nondec", "nondec"),
+        ("noninc", "noninc", "noninc"),
+        ("nondec", "noninc", None),
+    ])
+    def test_fig1_direction_from_decomposed_file(self, capsys, tmp_path, rows,
+                                                 cols, direction):
+        inst, step, dec = (tmp_path / f for f in ("i.txt", "s.txt", "d.txt"))
+        run(capsys, "gen", "--algo", "naive", "--kind", "matrix", "--n", "6",
+            "--seed", "2", "--out", str(inst))
+        run(capsys, "decompose", str(inst), "--mode", rows, "--target", "rows",
+            "--out", str(step))
+        run(capsys, "decompose", str(step), "--mode", cols, "--target", "cols",
+            "--out", str(dec))
+        code, out, err = run(capsys, "compute", str(dec), "--algo", "fig1")
+        if direction is None:
+            assert code == cli.EXIT_VALIDATION
+            assert "do not share one direction; pass --direction" in err
+        else:
+            assert code == 0
+            assert f"meta direction: {direction}" in out
+
+    def test_fig1_in_memory_instances_validate_on_inference(self, capsys,
+                                                            monkeypatch):
+        # Generated instances carry no parts: inference validates each axis.
+        calls = []
+        real = cli.validate_decomposition
+        monkeypatch.setattr(
+            cli, "validate_decomposition", lambda *a: calls.append(1) or real(*a)
+        )
+        code, out, _ = run(capsys, "verify", "--algo", "fig1", "--trials", "2",
+                           "--n", "8")
+        assert (code, out.strip()) == (0, "all equal (2 trials)")
+        assert len(calls) == 2 * 2
 
     def test_missing_decompositions_named(self, capsys, tmp_path):
         inst = tmp_path / "inst.txt"

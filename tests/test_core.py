@@ -175,6 +175,24 @@ class TestSubsequence:
             with pytest.raises(TypeError):
                 Subsequence(bad, ND)
 
+    def test_numpy_scalars_are_stored_as_ints(self):
+        s = Subsequence((np.int64(0), np.int32(3), np.uint16(7)), ND)
+        assert s.indices == (0, 3, 7)
+        assert all(type(i) is int for i in s.indices)
+        s = Subsequence(tuple(np.arange(5)), ND)
+        assert all(type(i) is int for i in s.indices)
+
+    @pytest.mark.parametrize("bad", [(0, True), (1, 2.0), (np.int64(0), 1.0)])
+    def test_mixed_tuples_are_refused(self, bad):
+        with pytest.raises(TypeError):
+            Subsequence(bad, ND)
+
+    def test_list_input(self):
+        s = Subsequence([1, 4, 6], ND)
+        assert s.indices == (1, 4, 6) and type(s.indices) is tuple
+        with pytest.raises(ValueError):
+            Subsequence([1, 1], ND)
+
     def test_values_reads_host(self):
         host = np.array([10, 11, 12, 13])
         assert list(Subsequence((1, 3), ND).values(host)) == [11, 13]
