@@ -9,6 +9,7 @@ algorithm, bound violations), 4 verification mismatch, 5 overflow.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -430,7 +431,9 @@ def _add_gen_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=0)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="minplus",
         description="(min,+) products and convolutions via monotone "
@@ -443,7 +446,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_gen_flags(p)
     p.add_argument("--direction", choices=["nondec", "noninc"], default="nondec")
     p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_gen)
 
     p = sub.add_parser("decompose", help="attach decompositions to an instance")
     p.add_argument("input")
@@ -454,14 +456,12 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["a", "b", "rows", "cols", "both"],
     )
     p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_decompose)
 
     p = sub.add_parser("compute", help="run an algorithm, write a result file")
     p.add_argument("input")
     p.add_argument("--algo", required=True, choices=ALGOS)
     _add_run_flags(p)
     p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_compute)
 
     p = sub.add_parser("verify", help="compare against the naive oracle")
     p.add_argument("input", nargs="?", default=None)
@@ -470,21 +470,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=None)
     _add_gen_flags(p)
     _add_run_flags(p)
-    p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("bench", help="time and count one instance")
     p.add_argument("--algo", required=True, help="comma-separated list")
     _add_gen_flags(p)
     _add_run_flags(p)
     p.add_argument("--out", default=None, help="also write JSON here")
-    p.set_defaults(func=_cmd_bench)
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # Looked up at call time, so a replaced ``_cmd_*`` is the one called.
+    command = globals()[f"_cmd_{args.command}"]
     try:
-        return args.func(args)
+        return command(args)
     except fileio.ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

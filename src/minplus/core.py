@@ -21,7 +21,7 @@ import enum
 import itertools
 import math
 import operator
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Iterable, Sequence, Union
 
 import numpy as np
@@ -102,8 +102,8 @@ class PrecisionWindowExceeded(MinPlusError):
     """Convolution inputs too large for the exact transform window."""
 
 
-class IndexOutOfRange(MinPlusError):
-    """A subsequence index falls outside its host sequence."""
+class IndexOutOfRange(MinPlusError, IndexError):
+    """An index falls outside its sequence, vector or matrix."""
 
 
 class MonotoneTag(enum.Enum):
@@ -163,22 +163,27 @@ def lowest_set_bit(words: np.ndarray) -> np.ndarray:
     return pos
 
 
-def values_satisfy(values: np.ndarray, tag: MonotoneTag) -> bool:
-    """Whether a value sequence satisfies the (weak) order of ``tag``."""
+def _wrong_steps(values: np.ndarray, tag: MonotoneTag) -> np.ndarray:
+    """Whether each step between neighbouring values breaks ``tag``."""
     # Neighbours are compared, not subtracted, so no difference can wrap.
     values = np.asarray(values)
     before, after = values[:-1], values[1:]
     if tag is MonotoneTag.NON_DECREASING:
-        return bool(np.all(before <= after))
+        return after < before
     if tag is MonotoneTag.NON_INCREASING:
-        return bool(np.all(before >= after))
-    return bool(np.all(before == after))
+        return after > before
+    return after != before
+
+
+def values_satisfy(values: np.ndarray, tag: MonotoneTag) -> bool:
+    """Whether a value sequence satisfies the (weak) order of ``tag``."""
+    return not _wrong_steps(values, tag).any()
 
 
 def _as_index(i) -> int:
     """``i`` as a Python int; floats and bools are rejected, not truncated."""
     if isinstance(i, bool):
-        raise TypeError(f"subsequence index must be an integer, got {i!r}")
+        raise TypeError(f"index must be an integer, got {i!r}")
     return operator.index(i)
 
 
@@ -261,7 +266,63 @@ def _as_int64(values: IntSeq, what: str) -> np.ndarray:
     return arr.astype(np.int64)
 
 
-class IntVector:
+class _FrozenArrays:
+    """Base of the value types below.  Each holds the read-only numpy
+    arrays named by its ``__slots__`` and nothing else, so two of them are
+    equal when they have the same type and equal arrays.  The first slot
+    is the main array: ``n`` is its length, and the accessors check their
+    positions against it."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        # The first slot's descriptor under one shared name, read as fast
+        # as the subclass's own attribute (``BoolVector.n`` is per-call).
+        cls._main = cls.__dict__[cls.__slots__[0]]
+
+    @property
+    def n(self) -> int:
+        return self._main.shape[0]
+
+    def __len__(self) -> int:
+        return self.n
+
+    def _arrays(self) -> tuple[np.ndarray, ...]:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and all(
+            map(np.array_equal, self._arrays(), other._arrays())
+        )
+
+    def __hash__(self):
+        return hash(tuple((a.shape, a.tobytes()) for a in self._arrays()))
+
+    def __repr__(self) -> str:
+        if len(self.__slots__) == 1:
+            body = repr(self._main.astype(int).tolist())  # bits print as 0/1
+        else:
+            body = ", ".join(
+                f"{name}={a.tolist()!r}"
+                for name, a in zip(self.__slots__, self._arrays())
+            )
+        return f"{type(self).__name__}({body})"
+
+    @staticmethod
+    def _cell(n: int, first: int, *pos, what: str = "index") -> tuple[int, ...]:
+        """0-based offsets of the ``first``-based indices ``pos``, one per
+        axis of length n.  A bool or float index is a TypeError, and one
+        outside the axis an IndexOutOfRange, never a wrap from the end."""
+        pos = tuple(map(_as_index, pos))
+        if all(first <= i < n + first for i in pos):
+            return tuple(i - first for i in pos)
+        span = f"[1, {n}]" if first else f"[0, {n})"
+        if len(pos) == 2:
+            raise IndexOutOfRange(f"{pos} outside {span}^2")
+        raise IndexOutOfRange(f"{what} {pos[0]} outside {span}")
+
+
+class IntVector(_FrozenArrays):
     """Dense vector of bounded signed integers, 0-based."""
 
     __slots__ = ("coords",)
@@ -280,29 +341,11 @@ class IntVector:
         arr.setflags(write=False)
         self.coords = arr
 
-    @property
-    def n(self) -> int:
-        return self.coords.shape[0]
-
-    def __len__(self) -> int:
-        return self.n
-
     def __getitem__(self, i: int) -> int:
-        return int(self.coords[i])
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, IntVector) and np.array_equal(
-            self.coords, other.coords
-        )
-
-    def __hash__(self):
-        return hash((self.n, self.coords.tobytes()))
-
-    def __repr__(self) -> str:
-        return f"IntVector({self.coords.tolist()!r})"
+        return int(self.coords[self._cell(self.n, 0, i, what="coordinate")])
 
 
-class IntMatrix:
+class IntMatrix(_FrozenArrays):
     """Dense square matrix of bounded signed integers, externally 1-based."""
 
     __slots__ = ("entries",)
@@ -319,44 +362,23 @@ class IntMatrix:
         arr.setflags(write=False)
         self.entries = arr
 
-    @property
-    def n(self) -> int:
-        return self.entries.shape[0]
-
     def entry(self, i: int, j: int) -> int:
         """Entry at 1-based row i, column j."""
-        if not (1 <= i <= self.n and 1 <= j <= self.n):
-            raise IndexOutOfRange(f"({i}, {j}) outside [1, {self.n}]^2")
-        return int(self.entries[i - 1, j - 1])
+        return int(self.entries[self._cell(self.n, 1, i, j)])
 
     def row(self, i: int) -> np.ndarray:
         """Row i (1-based) as a read-only array."""
-        if not 1 <= i <= self.n:
-            raise IndexOutOfRange(f"row {i} outside [1, {self.n}]")
-        return self.entries[i - 1]
+        return self.entries[self._cell(self.n, 1, i, what="row")]
 
     def col(self, j: int) -> np.ndarray:
         """Column j (1-based) as a read-only array."""
-        if not 1 <= j <= self.n:
-            raise IndexOutOfRange(f"column {j} outside [1, {self.n}]")
-        return self.entries[:, j - 1]
+        return self.entries.T[self._cell(self.n, 1, j, what="column")]
 
     def transpose(self) -> "IntMatrix":
         return IntMatrix(self.entries.T, entry_bound=SHIFTED_ENTRY_BOUND)
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, IntMatrix) and np.array_equal(
-            self.entries, other.entries
-        )
 
-    def __hash__(self):
-        return hash((self.n, self.entries.tobytes()))
-
-    def __repr__(self) -> str:
-        return f"IntMatrix({self.entries.tolist()!r})"
-
-
-class BoolVector:
+class BoolVector(_FrozenArrays):
     """Characteristic Boolean vector (one bit per host position)."""
 
     __slots__ = ("bits",)
@@ -372,35 +394,15 @@ class BoolVector:
     def from_indices(cls, indices: Iterable[int], n: int) -> "BoolVector":
         bits = np.zeros(n, dtype=bool)
         for i in indices:
-            if not 0 <= i < n:
-                raise IndexOutOfRange(f"index {i} outside [0, {n})")
-            bits[i] = True
+            bits[cls._cell(n, 0, i)] = True
         return cls(bits)
-
-    @property
-    def n(self) -> int:
-        return self.bits.shape[0]
 
     def indices(self) -> tuple[int, ...]:
         """Positions of the set bits, ascending."""
         return tuple(int(i) for i in np.flatnonzero(self.bits))
 
-    def __len__(self) -> int:
-        return self.n
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, BoolVector) and np.array_equal(
-            self.bits, other.bits
-        )
-
-    def __hash__(self):
-        return hash((self.n, self.bits.tobytes()))
-
-    def __repr__(self) -> str:
-        return f"BoolVector({self.bits.astype(int).tolist()!r})"
-
-
-class BoolMatrix:
+class BoolMatrix(_FrozenArrays):
     """Square Boolean matrix."""
 
     __slots__ = ("bits",)
@@ -412,23 +414,8 @@ class BoolMatrix:
         arr.setflags(write=False)
         self.bits = arr
 
-    @property
-    def n(self) -> int:
-        return self.bits.shape[0]
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, BoolMatrix) and np.array_equal(
-            self.bits, other.bits
-        )
-
-    def __hash__(self):
-        return hash((self.n, self.bits.tobytes()))
-
-    def __repr__(self) -> str:
-        return f"BoolMatrix({self.bits.astype(int).tolist()!r})"
-
-
-class WitnessArray:
+class WitnessArray(_FrozenArrays):
     """Extreme witnesses for a Boolean product (2-D, 1-based witness values)
     or a Boolean convolution (1-D, 0-based witness values).
 
@@ -452,32 +439,18 @@ class WitnessArray:
     def get(self, *pos: int):
         """Witness at (i, j) (1-based cell, matrix) or (k,) (convolution);
         None where the product/convolution bit is 0."""
-        if self.values.ndim == 2:
-            i, j = pos
-            v = self.values[i - 1, j - 1]
-        else:
-            (k,) = pos
-            v = self.values[k]
+        first = self.values.ndim - 1  # matrix cells are 1-based
+        v = self.values[self._cell(self.n, first, *pos, what="coordinate")]
         return None if v == NO_WITNESS else int(v)
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, WitnessArray) and np.array_equal(
-            self.values, other.values
-        )
 
-    def __hash__(self):
-        return hash((self.values.shape, self.values.tobytes()))
-
-    def __repr__(self) -> str:
-        return f"WitnessArray({self.values.tolist()!r})"
-
-
-class MinPlusOutput:
+class MinPlusOutput(_FrozenArrays):
     """Result of a (min,+) product (2-D) or convolution (1-D).
 
     Entries are either finite 64-bit integers or +infinity; infinity is a
     mask bit, never an encoded large number, so no arithmetic is ever
-    performed on it.
+    performed on it.  The values under the mask are 0, so equal outputs
+    have equal arrays.
     """
 
     __slots__ = ("values", "finite")
@@ -508,35 +481,15 @@ class MinPlusOutput:
         """Matrix entry at 1-based (i, j); None encodes +infinity."""
         if not self.is_matrix:
             raise ValueError("entry() applies to matrix outputs")
-        return int(self.values[i - 1, j - 1]) if self.finite[i - 1, j - 1] else None
+        cell = self._cell(self.n, 1, i, j)
+        return int(self.values[cell]) if self.finite[cell] else None
 
     def coord(self, k: int):
         """Convolution coordinate c_k (0-based); None encodes +infinity."""
         if self.is_matrix:
             raise ValueError("coord() applies to vector outputs")
-        return int(self.values[k]) if self.finite[k] else None
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, MinPlusOutput):
-            return False
-        return bool(
-            self.values.shape == other.values.shape
-            and np.array_equal(self.finite, other.finite)
-            and np.array_equal(
-                self.values[self.finite], other.values[other.finite]
-            )
-        )
-
-    def __hash__(self):
-        return hash(
-            (self.values.shape, self.values.tobytes(), self.finite.tobytes())
-        )
-
-    def __repr__(self) -> str:
-        return (
-            f"MinPlusOutput(values={self.values.tolist()!r}, "
-            f"finite={self.finite.tolist()!r})"
-        )
+        cell = self._cell(self.n, 0, k, what="coordinate")
+        return int(self.values[cell]) if self.finite[cell] else None
 
 
 @dataclass
@@ -660,16 +613,13 @@ def _raise_first_violation(d: Decomposition, values: np.ndarray) -> None:
     owner = [-1] * n
     for p, part in enumerate(d.parts):
         for i in part.indices:
-            if i >= n:
-                raise IndexOutOfRange(f"part {p} index {i} outside [0, {n})")
+            _FrozenArrays._cell(n, 0, i, what=f"part {p} index")
             if owner[i] >= 0:
                 raise OverlapError(i, owner[i], p)
             owner[i] = p
     if -1 in owner:
         raise CoverageGapError(owner.index(-1))
     for p, part in enumerate(d.parts):
-        vals = part.values(values)
-        falls, rises = vals[1:] < vals[:-1], vals[1:] > vals[:-1]
-        wrong = (falls, rises, falls | rises)[_TAG_ROW[part.tag]]
+        wrong = _wrong_steps(part.values(values), part.tag)
         if wrong.any():
             raise OrderViolation(p, int(np.argmax(wrong)))

@@ -1,8 +1,8 @@
 """Seeded random instances with planted decompositions.
 
 Planted parts may be empty, so the part count handed back is exactly the
-count requested; operation-count tests rely on that.  Values default to
-the range [-10^6, 10^6], far inside the construction entry bound.
+count requested; operation-count tests rely on that.  Values are drawn
+from [-10^6, 10^6], far inside the construction entry bound.
 """
 
 from __future__ import annotations
@@ -40,62 +40,59 @@ def random_index_partition(
     return [np.flatnonzero(assign == p).tolist() for p in range(parts)]
 
 
-def random_vector(
-    seed, n: int, *, value_bound: int = DEFAULT_VALUE_BOUND
-) -> IntVector:
-    rng = as_generator(seed)
-    return IntVector(rng.integers(-value_bound, value_bound + 1, size=n))
+def _draw_values(rng: np.random.Generator, size) -> np.ndarray:
+    return rng.integers(-DEFAULT_VALUE_BOUND, DEFAULT_VALUE_BOUND + 1, size=size)
 
 
-def random_matrix(
-    seed, n: int, *, value_bound: int = DEFAULT_VALUE_BOUND
-) -> IntMatrix:
-    rng = as_generator(seed)
-    return IntMatrix(rng.integers(-value_bound, value_bound + 1, size=(n, n)))
+def random_vector(seed, n: int) -> IntVector:
+    return IntVector(_draw_values(as_generator(seed), n))
+
+
+def random_matrix(seed, n: int) -> IntMatrix:
+    return IntMatrix(_draw_values(as_generator(seed), (n, n)))
+
+
+#: The directions a part of a mixed-direction row is drawn from.
+_DIRECTIONS = (MonotoneTag.NON_DECREASING, MonotoneTag.NON_INCREASING)
 
 
 def _plant_monotone_values(
-    rng: np.random.Generator,
-    n: int,
-    parts: int,
-    tag: MonotoneTag,
-    value_bound: int,
+    rng: np.random.Generator, n: int, parts: int, tag: MonotoneTag | None
 ) -> tuple[np.ndarray, Decomposition]:
+    """Values with a planted ``parts``-part decomposition whose parts all
+    take ``tag``; with ``tag`` None each part draws its own direction just
+    before its values."""
     idx_parts = random_index_partition(rng, n, parts)
     values = np.zeros(n, dtype=np.int64)
     subs = []
     for indices in idx_parts:
-        v = np.sort(rng.integers(-value_bound, value_bound + 1, size=len(indices)))
-        if tag is MonotoneTag.NON_INCREASING:
+        part_tag = _DIRECTIONS[rng.integers(0, 2)] if tag is None else tag
+        v = np.sort(_draw_values(rng, len(indices)))
+        if part_tag is MonotoneTag.NON_INCREASING:
             v = v[::-1]
         values[indices] = v
-        subs.append(Subsequence(tuple(indices), tag))
+        subs.append(Subsequence(tuple(indices), part_tag))
     return values, Decomposition(n, tuple(subs))
 
 
 def planted_monotone_vector(
-    seed,
-    n: int,
-    parts: int,
-    direction="nondec",
-    *,
-    value_bound: int = DEFAULT_VALUE_BOUND,
+    seed, n: int, parts: int, direction="nondec"
 ) -> tuple[IntVector, Decomposition]:
     """Vector whose planted decomposition has exactly ``parts`` parts, all
     monotone in ``direction``."""
     rng = as_generator(seed)
     tag = parse_direction(direction)
-    values, dec = _plant_monotone_values(rng, n, parts, tag, value_bound)
+    values, dec = _plant_monotone_values(rng, n, parts, tag)
     return IntVector(values), dec
 
 
 def _plant_uniform_values(
-    rng: np.random.Generator, n: int, classes: int, value_bound: int
+    rng: np.random.Generator, n: int, classes: int
 ) -> tuple[np.ndarray, Decomposition]:
-    if classes > 2 * value_bound + 1:
+    if classes > 2 * DEFAULT_VALUE_BOUND + 1:
         raise ValueError("not enough distinct values in range")
-    pool = rng.choice(2 * value_bound + 1, size=classes, replace=False)
-    pool = pool.astype(np.int64) - value_bound
+    pool = rng.choice(2 * DEFAULT_VALUE_BOUND + 1, size=classes, replace=False)
+    pool = pool.astype(np.int64) - DEFAULT_VALUE_BOUND
     assign = rng.integers(0, classes, size=n)
     values = pool[assign]
     subs = tuple(
@@ -109,12 +106,12 @@ def _plant_uniform_values(
 
 
 def planted_uniform_vector(
-    seed, n: int, classes: int, *, value_bound: int = DEFAULT_VALUE_BOUND
+    seed, n: int, classes: int
 ) -> tuple[IntVector, Decomposition]:
     """Vector taking at most ``classes`` distinct values, with the planted
     constant-valued decomposition (one part per class, possibly empty)."""
     rng = as_generator(seed)
-    values, dec = _plant_uniform_values(rng, n, classes, value_bound)
+    values, dec = _plant_uniform_values(rng, n, classes)
     return IntVector(values), dec
 
 
@@ -127,81 +124,45 @@ def _stack_rows(n: int, plant) -> tuple[IntMatrix, list[Decomposition]]:
 
 
 def planted_matrix_rows(
-    seed,
-    n: int,
-    parts: int,
-    direction="nondec",
-    *,
-    value_bound: int = DEFAULT_VALUE_BOUND,
+    seed, n: int, parts: int, direction="nondec"
 ) -> tuple[IntMatrix, list[Decomposition]]:
     """Matrix whose every row carries a planted ``parts``-part monotone
     decomposition in ``direction``."""
     rng = as_generator(seed)
     tag = parse_direction(direction)
-    return _stack_rows(
-        n, lambda: _plant_monotone_values(rng, n, parts, tag, value_bound)
-    )
+    return _stack_rows(n, lambda: _plant_monotone_values(rng, n, parts, tag))
 
 
 def planted_matrix_cols(
-    seed,
-    n: int,
-    parts: int,
-    direction="nondec",
-    *,
-    value_bound: int = DEFAULT_VALUE_BOUND,
+    seed, n: int, parts: int, direction="nondec"
 ) -> tuple[IntMatrix, list[Decomposition]]:
     """Matrix whose every column carries a planted monotone decomposition;
     the list is indexed by column."""
-    M, decs = planted_matrix_rows(
-        seed, n, parts, direction, value_bound=value_bound
-    )
+    M, decs = planted_matrix_rows(seed, n, parts, direction)
     return M.transpose(), decs
 
 
 def planted_mixed_matrix_rows(
-    seed,
-    n: int,
-    parts: int,
-    *,
-    value_bound: int = DEFAULT_VALUE_BOUND,
+    seed, n: int, parts: int
 ) -> tuple[IntMatrix, list[Decomposition]]:
     """Matrix rows with planted parts of independently random directions."""
     rng = as_generator(seed)
-
-    def plant():
-        idx_parts = random_index_partition(rng, n, parts)
-        values = np.zeros(n, dtype=np.int64)
-        subs = []
-        for indices in idx_parts:
-            tag = (
-                MonotoneTag.NON_DECREASING
-                if rng.integers(0, 2) == 0
-                else MonotoneTag.NON_INCREASING
-            )
-            v = np.sort(rng.integers(-value_bound, value_bound + 1, size=len(indices)))
-            if tag is MonotoneTag.NON_INCREASING:
-                v = v[::-1]
-            values[indices] = v
-            subs.append(Subsequence(tuple(indices), tag))
-        return values, Decomposition(n, tuple(subs))
-
-    return _stack_rows(n, plant)
+    return _stack_rows(n, lambda: _plant_monotone_values(rng, n, parts, None))
 
 
 def planted_uniform_matrix_rows(
-    seed, n: int, classes: int, *, value_bound: int = DEFAULT_VALUE_BOUND
+    seed, n: int, classes: int
 ) -> tuple[IntMatrix, list[Decomposition]]:
     """Matrix whose every row takes at most ``classes`` distinct values,
     with planted constant-valued row decompositions."""
     rng = as_generator(seed)
-    return _stack_rows(n, lambda: _plant_uniform_values(rng, n, classes, value_bound))
+    return _stack_rows(n, lambda: _plant_uniform_values(rng, n, classes))
 
 
 def planted_uniform_matrix_cols(
-    seed, n: int, classes: int, *, value_bound: int = DEFAULT_VALUE_BOUND
+    seed, n: int, classes: int
 ) -> tuple[IntMatrix, list[Decomposition]]:
     """Column flavor of planted_uniform_matrix_rows; list indexed by
     column."""
-    M, decs = planted_uniform_matrix_rows(seed, n, classes, value_bound=value_bound)
+    M, decs = planted_uniform_matrix_rows(seed, n, classes)
     return M.transpose(), decs

@@ -6,7 +6,7 @@ import inspect
 import pytest
 
 import minplus
-from minplus import cli
+from minplus import cli, generators
 
 PUBLIC = {
     # constants
@@ -102,15 +102,36 @@ OPTIONS = {
 }
 
 
+#: The same for the seeded instance generators; the value range is the
+#: constant ``generators.DEFAULT_VALUE_BOUND``, not an option.
+GENERATOR_OPTIONS = {
+    "random_vector": (),
+    "random_matrix": (),
+    "planted_monotone_vector": ("direction",),
+    "planted_uniform_vector": (),
+    "planted_matrix_rows": ("direction",),
+    "planted_matrix_cols": ("direction",),
+    "planted_mixed_matrix_rows": (),
+    "planted_uniform_matrix_rows": (),
+    "planted_uniform_matrix_cols": (),
+}
+
+
+def _options(fn) -> tuple[str, ...]:
+    params = inspect.signature(fn).parameters.values()
+    return tuple(
+        p.name for p in params if p.default is not p.empty or p.kind is p.KEYWORD_ONLY
+    )
+
+
 def test_solver_and_engine_options_are_pinned():
     for name, options in OPTIONS.items():
-        params = inspect.signature(getattr(minplus, name)).parameters.values()
-        got = tuple(
-            p.name
-            for p in params
-            if p.default is not p.empty or p.kind is p.KEYWORD_ONLY
-        )
-        assert got == options, name
+        assert _options(getattr(minplus, name)) == options, name
+
+
+def test_generator_options_are_pinned():
+    for name, options in GENERATOR_OPTIONS.items():
+        assert _options(getattr(generators, name)) == options, name
 
 
 def test_cli_rejects_block_size(capsys):

@@ -1,5 +1,6 @@
 """Command-line interface end to end, in process via main()."""
 
+import argparse
 import json
 
 import numpy as np
@@ -375,3 +376,22 @@ class TestParser:
         with pytest.raises(SystemExit) as exc:
             cli.main(["compute", "x.txt", "--algo", "fig9"])
         assert exc.value.code == 2
+
+    def test_two_calls_build_one_parser(self, capsys, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        cli.build_parser.cache_clear()
+        try:
+            for _ in range(2):
+                code, _, _ = run(capsys, "gen", "--algo", "naive", "--kind",
+                                 "vector", "--n", "4")
+                assert code == 0
+        finally:
+            cli.build_parser.cache_clear()
+        assert built.count("minplus") == 1

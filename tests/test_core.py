@@ -11,6 +11,7 @@ from minplus import (
     ENTRY_BOUND,
     MAX_DIMENSION,
     SHIFTED_ENTRY_BOUND,
+    BoolMatrix,
     BoolVector,
     CoverageGapError,
     Decomposition,
@@ -66,6 +67,10 @@ class TestVectorsAndMatrices:
     def test_vector_basic(self):
         v = IntVector([3, -1, 0])
         assert v.n == 3 and len(v) == 3 and v[1] == -1
+        assert list(v) == [3, -1, 0]
+        for bad in (-1, 3):
+            with pytest.raises(IndexOutOfRange, match="coordinate"):
+                v[bad]
         with pytest.raises(ValueError):
             v.coords[0] = 9  # read-only buffer
 
@@ -105,6 +110,14 @@ class TestVectorsAndMatrices:
         for bad in ((0, 1), (1, 3), (3, 3)):
             with pytest.raises(IndexOutOfRange):
                 M.entry(*bad)
+        for call, message in (
+            (lambda: M.entry(0, 1), "(0, 1) outside [1, 2]^2"),
+            (lambda: M.row(3), "row 3 outside [1, 2]"),
+            (lambda: M.col(0), "column 0 outside [1, 2]"),
+        ):
+            with pytest.raises(IndexOutOfRange) as ei:
+                call()
+            assert str(ei.value) == message
 
     def test_matrix_shape_and_bounds(self):
         with pytest.raises(ValueError):
@@ -128,6 +141,95 @@ class TestVectorsAndMatrices:
         assert IntVector([1, 2]) == IntVector([1, 2])
         assert IntVector([1, 2]) != IntVector([2, 1])
         assert hash(IntMatrix([[1]])) == hash(IntMatrix([[1]]))
+
+
+#: One instance per value type, built twice from equal contents, and its
+#: repr.  The MinPlusOutput pair differs only under the +infinity mask.
+SIX_TYPES = [
+    (lambda: IntVector([1, 2]), "IntVector([1, 2])"),
+    (lambda: IntMatrix([[1, 2], [3, 4]]), "IntMatrix([[1, 2], [3, 4]])"),
+    (lambda: BoolVector([1, 0]), "BoolVector([1, 0])"),
+    (lambda: BoolMatrix([[1, 0], [1, 1]]), "BoolMatrix([[1, 0], [1, 1]])"),
+    (lambda: WitnessArray(np.array([1, 2])), "WitnessArray([1, 2])"),
+    (
+        lambda: MinPlusOutput(np.array([7, 4]), np.array([False, True])),
+        "MinPlusOutput(values=[0, 4], finite=[False, True])",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "make, text", SIX_TYPES, ids=[text.split("(")[0] for _, text in SIX_TYPES]
+)
+def test_value_type_equality_hash_and_repr(make, text):
+    a, b = make(), make()
+    assert a == b and not a != b and hash(a) == hash(b)
+    assert repr(a) == text
+    others = [other() for other, _ in SIX_TYPES if other is not make]
+    assert all(a != o and not a == o for o in others)
+
+
+def test_other_shapes_are_unequal():
+    assert BoolVector([1, 0]) != BoolVector([1, 0, 0])
+    assert MinPlusOutput(np.array([1, 2])) != MinPlusOutput(np.array([[1, 2]]))
+
+
+@pytest.mark.parametrize(
+    "make, error, message",
+    [
+        (lambda: IntVector([[1]]), ValueError, "vector input must be one-dimensional"),
+        (
+            lambda: IntVector(np.array([], dtype=np.int64)),
+            ValueError,
+            "vector length 0 outside [1, 1048576]",
+        ),
+        (
+            lambda: IntVector([ENTRY_BOUND + 1]),
+            ValueError,
+            "coordinate magnitude exceeds the bound 2147483647",
+        ),
+        (
+            lambda: IntVector([0.5]),
+            TypeError,
+            "vector must hold integers, got dtype float64",
+        ),
+        (
+            lambda: IntMatrix([[1, 2, 3], [4, 5, 6]]),
+            ValueError,
+            "matrix must be square, got shape (2, 3)",
+        ),
+        (
+            lambda: IntMatrix(np.zeros((0, 0), dtype=np.int64)),
+            ValueError,
+            "dimension 0 outside [1, 1048576]",
+        ),
+        (
+            lambda: IntMatrix([[ENTRY_BOUND + 1]]),
+            ValueError,
+            "entry magnitude exceeds the bound 2147483647",
+        ),
+        (lambda: BoolVector([[1]]), ValueError, "bool vector must be one-dimensional"),
+        (
+            lambda: BoolMatrix([1, 0]),
+            ValueError,
+            "bool matrix must be square, got (2,)",
+        ),
+        (
+            lambda: WitnessArray(np.zeros((1, 1, 1))),
+            ValueError,
+            "witness array must be 1-D or 2-D",
+        ),
+        (
+            lambda: MinPlusOutput(np.array([1, 2]), np.array([[True, True]])),
+            ValueError,
+            "values and finiteness mask shapes differ",
+        ),
+    ],
+)
+def test_value_type_constructor_messages(make, error, message):
+    with pytest.raises(error) as ei:
+        make()
+    assert str(ei.value) == message
 
 
 class TestMonotoneTags:
@@ -379,6 +481,16 @@ class TestWitnessArray:
         W = WitnessArray(np.array([0, -1, 3]))
         assert W.get(0) == 0 and W.get(1) is None and W.get(2) == 3
 
+    def test_get_refuses_cells_outside(self):
+        # Row 0 once read row n's witness, and k = -1 the last coordinate.
+        W = WitnessArray(np.array([[2, -1], [1, 2]]))
+        for bad in ((0, 1), (1, 0), (3, 1), (1, -1)):
+            with pytest.raises(IndexOutOfRange):
+                W.get(*bad)
+        for bad in (-1, 3):
+            with pytest.raises(IndexOutOfRange):
+                WitnessArray(np.array([0, -1, 3])).get(bad)
+
 
 def lowest_bit_reference(w: int) -> int:
     return (w & -w).bit_length() - 1
@@ -416,6 +528,17 @@ class TestBoolVector:
         assert v.indices() == (0, 2, 4)
         with pytest.raises(IndexOutOfRange):
             BoolVector.from_indices((6,), 6)
+        with pytest.raises(IndexOutOfRange):
+            BoolVector.from_indices((-1,), 6)
+        assert BoolVector.from_indices(np.array([1]), 3) == BoolVector([0, 1, 0])
+
+    @pytest.mark.parametrize(
+        "bad", [True, np.True_, 1.0], ids=["bool", "np-bool", "float"]
+    )
+    def test_from_indices_refuses_bools_and_floats(self, bad):
+        # A bool index once acted as a mask and set every bit.
+        with pytest.raises(TypeError):
+            BoolVector.from_indices([bad], 3)
 
 
 class TestMinPlusOutput:
@@ -434,6 +557,18 @@ class TestMinPlusOutput:
         assert out.entry(2, 1) == 3
         with pytest.raises(ValueError):
             out.coord(0)
+
+    def test_accessors_refuse_positions_outside(self):
+        # entry(0, 1) once read entry (2, 1), and coord(-1) c_{2n-2}.
+        out = MinPlusOutput(np.array([[1, 2], [3, 4]]))
+        for bad in ((0, 1), (1, 0), (3, 1), (1, 3), (-1, -1)):
+            with pytest.raises(IndexOutOfRange):
+                out.entry(*bad)
+        conv = MinPlusOutput(np.array([5, 6, 7]), np.array([True, False, True]))
+        assert conv.coord(2) == 7 and conv.coord(1) is None
+        for bad in (-1, 3):
+            with pytest.raises(IndexOutOfRange):
+                conv.coord(bad)
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
