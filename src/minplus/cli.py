@@ -59,10 +59,6 @@ EXIT_VALIDATION = 3
 EXIT_MISMATCH = 4
 EXIT_OVERFLOW = 5
 
-ALGOS = ("naive", "fig1", "fig2", "fig3", "fig4", "fewvalues")
-MATRIX_ALGOS = {"fig1", "fig2", "fewvalues"}
-VECTOR_ALGOS = {"fig3", "fig4"}
-
 #: The decomposition mode table itself, not a copy: ``decompose_rows`` and
 #: ``decompose_cols`` look modes up in it too.
 _MODE_FNS = DECOMPOSE_MODES
@@ -94,85 +90,104 @@ def _infer_matrix_direction(inst: fileio.MatrixInstance) -> str:
     )
 
 
-def _run_algorithm(inst, algo: str, args, counters: OpCounters):
-    """Dispatch, returning (MinPlusOutput, params dict for provenance)."""
+def _attached(inst, algo: str):
+    """The instance's two attached decompositions, or an error if one is missing."""
     if isinstance(inst, fileio.MatrixInstance):
-        _require(
-            algo == "naive" or algo in MATRIX_ALGOS,
-            f"algorithm {algo} needs a vector instance",
-        )
-        if algo == "naive":
-            return minplus_naive(inst.A, inst.B), {}
-        if algo == "fig1":
-            _require(
-                inst.dec_rows is not None and inst.dec_cols is not None,
-                "fig1 requires attached decompositions for A rows and B "
-                "cols; run 'minplus decompose' first",
-            )
-            direction = args.direction or _infer_matrix_direction(inst)
-            out = minplus_decomposed(
-                inst.A,
-                inst.dec_rows,
-                inst.B,
-                inst.dec_cols,
-                direction,
-                counters=counters,
-            )
-            return out, {"direction": direction}
-        if algo == "fig2":
-            _require(
-                inst.dec_rows is not None and inst.dec_cols is not None,
-                "fig2 requires attached decompositions for A rows and B "
-                "cols; run 'minplus decompose' first",
-            )
-            out = minplus_mixed_uniform(
-                inst.A, inst.dec_rows, inst.B, inst.dec_cols, counters=counters
-            )
-            return out, {}
-        dec_rows = inst.dec_rows
-        if dec_rows is None:
-            dec_rows = decompose_rows(inst.A, "uniform")
-        dec_cols = inst.dec_cols
-        if dec_cols is None:
-            dec_cols = decompose_cols(inst.B, "uniform")
-        out = minplus_few_values_product(
-            inst.A, dec_rows, inst.B, dec_cols, counters=counters
-        )
-        return out, {}
+        decs, what = (inst.dec_rows, inst.dec_cols), "A rows and B cols"
+    else:
+        decs, what = (inst.dec_a, inst.dec_b), "a and b"
     _require(
-        algo == "naive" or algo in VECTOR_ALGOS,
-        f"algorithm {algo} needs a matrix instance",
+        decs[0] is not None and decs[1] is not None,
+        f"{algo} requires attached decompositions for {what}; run "
+        "'minplus decompose' first",
     )
-    if algo == "naive":
-        return conv_naive(inst.a, inst.b), {}
-    if algo == "fig3":
-        _require(
-            inst.dec_a is not None and inst.dec_b is not None,
-            "fig3 requires attached decompositions for a and b; run "
-            "'minplus decompose' first",
-        )
-        out = conv_decomposed(
-            inst.a, inst.dec_a, inst.b, inst.dec_b, counters=counters
-        )
-        return out, {}
+    return decs
+
+
+def _run_naive(inst, args, counters):
+    if isinstance(inst, fileio.MatrixInstance):
+        return minplus_naive(inst.A, inst.B), {}
+    return conv_naive(inst.a, inst.b), {}
+
+
+def _run_fig1(inst, args, counters):
+    dec_rows, dec_cols = _attached(inst, "fig1")
+    direction = args.direction or _infer_matrix_direction(inst)
+    out = minplus_decomposed(
+        inst.A, dec_rows, inst.B, dec_cols, direction, counters=counters
+    )
+    return out, {"direction": direction}
+
+
+def _run_fig2(inst, args, counters):
+    dec_rows, dec_cols = _attached(inst, "fig2")
+    out = minplus_mixed_uniform(inst.A, dec_rows, inst.B, dec_cols, counters=counters)
+    return out, {}
+
+
+def _run_fewvalues(inst, args, counters):
+    dec_rows, dec_cols = inst.dec_rows, inst.dec_cols
+    if dec_rows is None:
+        dec_rows = decompose_rows(inst.A, "uniform")
+    if dec_cols is None:
+        dec_cols = decompose_cols(inst.B, "uniform")
+    out = minplus_few_values_product(
+        inst.A, dec_rows, inst.B, dec_cols, counters=counters
+    )
+    return out, {}
+
+
+def _run_fig3(inst, args, counters):
+    dec_a, dec_b = _attached(inst, "fig3")
+    return conv_decomposed(inst.a, dec_a, inst.b, dec_b, counters=counters), {}
+
+
+def _run_fig4(inst, args, counters):
     dec_b = inst.dec_b
     if dec_b is None:
         dec_b = decompose_uniform(inst.b.coords)
-    ell = checked_size(inst.a.n, getattr(args, "ell", None), "group size")
+    ell = checked_size(inst.a.n, args.ell, "group size")
     out = conv_few_values(inst.a, inst.b, dec_b, ell=ell, counters=counters)
-    return out, {"ell": str(ell)}
+    return out, {"ell": ell}
 
 
-def _generate_instance(algo, kind, n, m_a, m_b, h, direction, seed):
-    direction = direction or "nondec"
+#: One row per algorithm: the instance kind it runs on (None: either) and a
+#: runner returning the output and the parameters it used.  A runner looks
+#: its solver up as a module global when called, so a solver replaced on
+#: this module is the one run.  Key order is the ``--algo`` choice order.
+ALGOS = {
+    "naive": (None, _run_naive),
+    "fig1": ("matrix", _run_fig1),
+    "fig2": ("matrix", _run_fig2),
+    "fig3": ("vector", _run_fig3),
+    "fig4": ("vector", _run_fig4),
+    "fewvalues": ("matrix", _run_fewvalues),
+}
+
+
+def _run_algorithm(inst, algo: str, args, counters: OpCounters):
+    """Run ``algo`` on ``inst``, returning (MinPlusOutput, params used)."""
+    kind, run = ALGOS[algo]
+    is_matrix = isinstance(inst, fileio.MatrixInstance)
+    _require(
+        kind in (None, "matrix" if is_matrix else "vector"),
+        f"algorithm {algo} needs a {kind} instance",
+    )
+    return run(inst, args, counters)
+
+
+def _generate_instance(args, algo: str, seed: int):
+    """A seeded instance planted for ``algo`` from the generator flags."""
+    n, m_a, m_b, h = args.n, args.m_a, args.m_b, args.h
+    direction = args.direction or "nondec"
     rng = np.random.default_rng(seed)
     meta = {"algo": algo, "seed": str(seed)}
     if algo == "naive":
         _require(
-            kind in ("matrix", "vector"),
+            args.kind in ("matrix", "vector"),
             "the naive generator needs --kind matrix or --kind vector",
         )
-        if kind == "matrix":
+        if args.kind == "matrix":
             return fileio.MatrixInstance(
                 random_matrix(rng, n), random_matrix(rng, n), meta=meta
             )
@@ -229,16 +244,7 @@ def _first_mismatch(got: MinPlusOutput, want: MinPlusOutput):
 
 def _cmd_gen(args) -> int:
     _require(args.n is not None, "gen needs --n")
-    inst = _generate_instance(
-        args.algo,
-        args.kind,
-        args.n,
-        args.m_a,
-        args.m_b,
-        args.h,
-        args.direction,
-        args.seed,
-    )
+    inst = _generate_instance(args, args.algo, args.seed)
     _emit(fileio.serialize(inst), args.out)
     return EXIT_OK
 
@@ -301,7 +307,7 @@ def _cmd_compute(args) -> int:
     counters = OpCounters()
     output, params = _run_algorithm(inst, args.algo, args, counters)
     meta = {"algorithm": args.algo}
-    meta.update(params)
+    meta.update((key, str(value)) for key, value in params.items())
     if "seed" in inst.meta:
         meta["seed"] = inst.meta["seed"]
     for key, value in counters.as_dict().items():
@@ -318,16 +324,7 @@ def _cmd_verify(args) -> int:
         _require(args.input is None, "--trials mode takes no input file")
         _require(args.n is not None, "--trials mode needs --n")
         for t in range(args.trials):
-            inst = _generate_instance(
-                args.algo,
-                args.kind,
-                args.n,
-                args.m_a,
-                args.m_b,
-                args.h,
-                args.direction,
-                args.seed + t,
-            )
+            inst = _generate_instance(args, args.algo, args.seed + t)
             got, _ = _run_algorithm(inst, args.algo, args, OpCounters())
             want, _ = _run_algorithm(inst, "naive", args, OpCounters())
             problem = _first_mismatch(got, want)
@@ -370,25 +367,15 @@ def _cmd_bench(args) -> int:
     )
     _require(args.n is not None, "bench needs --n")
     gen_algo = structured[0] if structured else "naive"
-    inst = _generate_instance(
-        gen_algo,
-        args.kind,
-        args.n,
-        args.m_a,
-        args.m_b,
-        args.h,
-        args.direction,
-        args.seed,
-    )
+    inst = _generate_instance(args, gen_algo, args.seed)
     rows = []
     for algo in algos:
         counters = OpCounters()
         t0 = time.perf_counter()
-        _run_algorithm(inst, algo, args, counters)
+        _, params = _run_algorithm(inst, algo, args, counters)
         seconds = time.perf_counter() - t0
-        row = {"algorithm": algo, "seconds": round(seconds, 6)}
-        row.update(counters.as_dict())
-        rows.append(row)
+        row = {"algorithm": algo, "seconds": round(seconds, 6), **params}
+        rows.append(row | counters.as_dict())
     columns = ["algorithm", "seconds", *OpCounters().as_dict()]
     headers = [c.replace("_", "-") for c in columns]
     table = [[str(row[c]) for c in columns] for row in rows]
@@ -408,7 +395,6 @@ def _cmd_bench(args) -> int:
                 "m-a": args.m_a,
                 "m-b": args.m_b,
                 "h": args.h,
-                "ell": args.ell,
                 "direction": args.direction,
             },
             "rows": rows,
@@ -485,18 +471,11 @@ def main(argv=None) -> int:
     command = globals()[f"_cmd_{args.command}"]
     try:
         return command(args)
-    except fileio.ParseError as exc:
+    except (OSError, OverflowError, MinPlusError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except OverflowError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_OVERFLOW
-    except (MinPlusError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+        if isinstance(exc, (fileio.ParseError, OSError)):
+            return EXIT_PARSE
+        return EXIT_OVERFLOW if isinstance(exc, OverflowError) else EXIT_VALIDATION
 
 
 if __name__ == "__main__":

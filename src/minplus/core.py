@@ -128,11 +128,12 @@ def parse_direction(direction) -> MonotoneTag:
 
 
 def checked_size(n: int, size: int | None, what: str) -> int:
-    """A block or group size in [1, n]; None picks ceil(sqrt(n))."""
-    s = math.isqrt(n - 1) + 1 if size is None else size
+    """A block or group size in [1, n]; None picks ceil(sqrt(n)).  Floats
+    and bools are rejected, not truncated."""
+    s = math.isqrt(n - 1) + 1 if size is None else _as_index(size)
     if not 1 <= s <= n:
         raise ValueError(f"{what} {s} outside [1, {n}]")
-    return int(s)
+    return s
 
 
 def check_dimension(n: int) -> None:

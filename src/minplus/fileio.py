@@ -37,7 +37,7 @@ from __future__ import annotations
 import contextlib
 import itertools
 import os
-import tempfile
+import stat
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -489,12 +489,16 @@ def serialize(doc) -> str:
 
 
 def write_atomic(path, text: str) -> None:
-    """Write via a sibling temp file and atomic rename."""
+    """Write via a sibling temp file and atomic rename.  A new file gets the
+    mode ``open(path, "w")`` would give it; a replaced file keeps its
+    permission bits."""
     path = os.fspath(path)
-    directory = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".minplus-", text=True)
+    tmp = os.path.join(os.path.dirname(path), f".minplus-{os.urandom(8).hex()}")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as f:
+            with contextlib.suppress(FileNotFoundError):
+                os.fchmod(f.fileno(), stat.S_IMODE(os.stat(path).st_mode))
             f.write(text)
         os.replace(tmp, path)
     except BaseException:

@@ -43,6 +43,18 @@ def test_mode_wrapper_sees_every_cli_decomposition(tmp_path, capsys):
     assert [s.name for s in recorder.spans] == ["decompose"] * (2 * n)
 
 
+def test_cli_compute_fig1_records_one_product_solve(tmp_path, capsys):
+    # The CLI's runners look the solver up on the cli module when they run.
+    inst, res = tmp_path / "inst.txt", tmp_path / "res.txt"
+    assert cli.main(["gen", "--algo", "fig1", "--n", "8", "--out", str(inst)]) == 0
+    recorder = spans.Recorder()
+    table = [(cli, "minplus_decomposed", "product.solve", None)]
+    with recorder.patched(table):
+        argv = ["compute", str(inst), "--algo", "fig1", "--out", str(res)]
+        assert cli.main(argv) == 0
+    assert [s.name for s in recorder.spans] == ["product.solve"]
+
+
 def test_a_product_solve_validates_each_axis_in_one_call():
     A, rows = generators.planted_matrix_rows(0, 8, 3, "nondec")
     B, cols = generators.planted_matrix_cols(1, 8, 3, "nondec")

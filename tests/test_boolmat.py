@@ -277,6 +277,14 @@ class TestMatExtremeWitness:
             with pytest.raises(ValueError):
                 mat_extreme_witness(P, P, "min", block_size=bad)
 
+    def test_block_size_rejects_floats_and_bools(self):
+        P = bm(np.ones((3, 3)))
+        for bad in (2.5, 2.0, True, np.float64(2.0)):
+            with pytest.raises(TypeError):
+                mat_extreme_witness(P, P, "min", block_size=bad)
+        want = mat_extreme_witness(P, P, "min", block_size=2)
+        assert mat_extreme_witness(P, P, "min", block_size=np.int64(2)) == want
+
     def test_unknown_kind_rejected(self):
         P = bm(np.ones((2, 2)))
         with pytest.raises(ValueError):

@@ -1,6 +1,7 @@
 """Command-line interface end to end, in process via main()."""
 
 import argparse
+import hashlib
 import json
 
 import numpy as np
@@ -37,6 +38,26 @@ end vector b
 """
 
 
+#: SHA-256 of ``minplus gen --n 16 --seed 0`` plus these flags, recorded
+#: before the CLI's algorithm table replaced its per-algorithm branches.
+GEN_SHA256 = {
+    "fig1": "1eaa47d7cdfaa0eee37f0c5b48aabaeefd5765f2efa7b69a53aee940775b80cc",
+    "fig1 --direction noninc":
+        "bdf82190e9122f4710c261707a887a711b87b1aaa1640d9e13d8142f1acd534e",
+    "fig2": "c7643dee94dedc8f6b57e7c88bd30f733426bb9ab80aaea619ed7e2057f48634",
+    "fig3": "80aa1aa69eda89ef7055be475b725d994086b746f1923bba7a2ad55035e87cd3",
+    "fig3 --direction noninc":
+        "298db07f3af9c42a9c6d871702878181e4b01280dcf095dc7dfb429646b840e9",
+    "fig4": "9f4f84ae5aaa995967a24877dd4e752a78a4250473ff9687966e74ab72b64f6e",
+    "fewvalues":
+        "1e3e06cef01afc6bfaa5324601e7ade26ad796f374655a1d51cabde602a3aa6c",
+    "naive --kind matrix":
+        "22ecab37d9f435a06d46d05e4d74ee0ade7622d43a490b66279f7ffb0ae8b69d",
+    "naive --kind vector":
+        "e4ee994106a67dbc59a5456ab3d2383ddb54e9d95ec57d4e2dfe706db6c6f4a3",
+}
+
+
 def run(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
@@ -60,6 +81,13 @@ class TestGen:
             )
             assert code == 0
         assert f1.read_bytes() == f2.read_bytes()
+
+    @pytest.mark.parametrize("flags", sorted(GEN_SHA256))
+    def test_output_is_pinned(self, capsys, flags):
+        code, out, _ = run(capsys, "gen", "--algo", *flags.split(), "--n", "16",
+                           "--seed", "0")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == GEN_SHA256[flags]
 
     def test_seed_changes_output(self, capsys, tmp_path):
         f1, f2 = tmp_path / "a.txt", tmp_path / "b.txt"
@@ -359,6 +387,25 @@ class TestBench:
         payload = json.loads(out_json.read_text())
         row = payload["rows"][0]
         assert row["bool_convolutions"] == 48  # 3 classes x ceil(256/16)
+
+    @pytest.mark.parametrize("argv, algo, key, value", [
+        (["fig4,naive", "--n", "256", "--h", "3"], "fig4", "ell", 16),
+        (["fig1", "--n", "64"], "fig1", "direction", "nondec"),
+    ])
+    def test_rows_record_the_parameters_the_run_used(self, capsys, tmp_path,
+                                                     argv, algo, key, value):
+        # ell defaults to ceil(sqrt(n)); fig1 infers its direction.
+        out_json = tmp_path / "b.json"
+        code, out, _ = run(capsys, "bench", "--algo", *argv, "--out",
+                           str(out_json))
+        assert code == 0
+        assert out.splitlines()[0].split() == [
+            "algorithm", "seconds", "witness-matrix-calls",
+            "witness-conv-calls", "bool-products", "bool-convolutions",
+        ]
+        rows = {r["algorithm"]: r for r in json.loads(out_json.read_text())["rows"]}
+        assert rows[algo][key] == value
+        assert key not in rows.get("naive", {})
 
     def test_rejects_two_structured_algorithms(self, capsys):
         code, _, err = run(capsys, "bench", "--algo", "fig1,fig2", "--n", "8")

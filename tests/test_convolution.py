@@ -170,6 +170,15 @@ class TestFewValues:
             got = conv_few_values(a, b, db, ell=ell)
             assert got == conv_naive(a, b), seed
 
+    def test_group_size_must_be_an_integer(self):
+        db = decompose_uniform(B6.coords)
+        for bad in (2.5, 3.0, True, np.float64(3.0)):
+            with pytest.raises(TypeError):
+                conv_few_values(A6, B6, db, ell=bad)
+        with pytest.raises(ValueError, match=r"^group size 7 outside \[1, 6\]$"):
+            conv_few_values(A6, B6, db, ell=7)
+        assert conv_few_values(A6, B6, db, ell=np.int64(3)) == conv_naive(A6, B6)
+
     def test_rejects_nonconstant_parts(self):
         a = random_vector(1, 6)
         b, db = planted_monotone_vector(2, 6, 2, "nondec")

@@ -340,6 +340,14 @@ class TestConvExtremeWitness:
             with pytest.raises(ValueError):
                 conv_extreme_witness(p, p, "min", block_size=bad)
 
+    def test_block_size_rejects_floats_and_bools(self):
+        p = bv([1, 0, 1])
+        for bad in (2.5, 2.0, True, np.float64(2.0)):
+            with pytest.raises(TypeError):
+                conv_extreme_witness(p, p, "min", block_size=bad)
+        want = conv_extreme_witness(p, p, "min", block_size=2)
+        assert conv_extreme_witness(p, p, "min", block_size=np.int64(2)) == want
+
     def test_unknown_kind_rejected(self):
         p = bv([1, 0, 1])
         with pytest.raises(ValueError, match="'min' or 'max'"):

@@ -254,6 +254,22 @@ class TestAtomicWrite:
         write_atomic(p, "new\n")
         assert p.read_text() == "new\n"
 
+    def test_new_file_gets_the_mode_open_gives(self, tmp_path):
+        plain, atomic = tmp_path / "plain.txt", tmp_path / "atomic.txt"
+        with open(plain, "w"):
+            pass
+        write_atomic(atomic, "x\n")
+        assert atomic.stat().st_mode == plain.stat().st_mode
+
+    def test_replaced_file_keeps_its_mode(self, tmp_path):
+        p = tmp_path / "out.txt"
+        with open(p, "w"):
+            pass
+        os.chmod(p, 0o640)
+        write_atomic(p, "new\n")
+        assert p.read_text() == "new\n"
+        assert p.stat().st_mode & 0o7777 == 0o640
+
     def test_no_stray_temp_files(self, tmp_path):
         p = tmp_path / "out.txt"
         write_atomic(p, "x\n")
