@@ -11,7 +11,9 @@ start at index 1 and "max" blocks end at n, so either kind starts on a
 full block.  Each row of P and column of Q packs its bits of a block (at
 most 64 wide) into one uint64 word, the preferred end at bit 0: the
 lowest set bit of ``p_i & q_j`` names the extreme witness of (i, j) in
-the block.  This runs on one core, not on BLAS threads, which slowed
+the block.  A matrix keeps its packed words, so an operand is packed once
+however many products it enters, and the witness array is handed over
+without a copy.  This runs on one core, not on BLAS threads, which slowed
 several-fold while another process held a core.  The first block visited
 is read densely over all n x n entries, in place; on planted inputs it
 settles almost all of them.  Later blocks gather only the entries still
@@ -43,7 +45,7 @@ def bool_matmul(
     bits = P.bits.astype(np.float32) @ Q.bits.astype(np.float32) > 0
     if counters is not None:
         counters.bool_products += 1
-    return BoolMatrix(bits)
+    return BoolMatrix._adopt(bits)
 
 
 def _block_words(bits: np.ndarray, width: int) -> np.ndarray:
@@ -55,6 +57,18 @@ def _block_words(bits: np.ndarray, width: int) -> np.ndarray:
     words[:, :, :width] = blocks
     packed = np.packbits(words, axis=-1, bitorder="little").view("<u8")
     return np.ascontiguousarray(packed[:, :, 0].T)
+
+
+def _packed(M: BoolMatrix, side: str, kind: str, width: int) -> np.ndarray:
+    """Block words of M's ``"rows"`` or ``"cols"``, read from the preferred
+    end of ``kind``: packed on first use and kept on M, so a part's matrix
+    is packed once however many products it enters."""
+
+    def pack():
+        bits = M.bits if side == "rows" else M.bits.T
+        return _block_words(bits[:, ::-1] if kind == "max" else bits, width)
+
+    return M._cached((side, kind, width), pack)
 
 
 def mat_extreme_witness(
@@ -83,8 +97,7 @@ def mat_extreme_witness(
     r = min(r, 64)  # one uint64 word
     # "max" reads the indices from n down, so its blocks end at n and its
     # first block is full, the mirror of "min".
-    flip = slice(None, None, -1 if kind == "max" else 1)
-    rows, cols = (_block_words(M[:, flip], r) for M in (P.bits, Q.bits.T))
+    rows, cols = _packed(P, "rows", kind, r), _packed(Q, "cols", kind, r)
 
     def named(b: int, bit: np.ndarray) -> np.ndarray:
         """Lowest set bits t of block-b words as the 1-based indices
@@ -115,4 +128,4 @@ def mat_extreme_witness(
         left -= bit.size
     if counters is not None:
         counters.witness_matrix_calls += 1
-    return WitnessArray(wit)
+    return WitnessArray._adopt(wit)

@@ -391,11 +391,12 @@ def _cmd_bench(args) -> int:
             "n": args.n,
             "seed": args.seed,
             "generator": gen_algo,
+            # The generator's parameters as its instance's meta records
+            # them: only those it used, counts as ints.
             "params": {
-                "m-a": args.m_a,
-                "m-b": args.m_b,
-                "h": args.h,
-                "direction": args.direction,
+                key: value if key == "direction" else int(value)
+                for key, value in inst.meta.items()
+                if key not in ("algo", "seed")
             },
             "rows": rows,
         }

@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .core import (
+    INT64_MAX,
     NO_WITNESS,
     SHIFTED_ENTRY_BOUND,
     BoolVector,
@@ -24,6 +25,7 @@ from .core import (
     UniformViolation,
     checked_size,
     fold_min,
+    folded_output,
     parse_direction,
     validate_decomposition,
 )
@@ -39,7 +41,7 @@ def _check_same_length(a: IntVector, b: IntVector) -> int:
 def conv_naive(a: IntVector, b: IntVector) -> MinPlusOutput:
     """Quadratic (min,+) convolution via n shifted minimum passes."""
     n = _check_same_length(a, b)
-    out = np.full(2 * n - 1, np.iinfo(np.int64).max, dtype=np.int64)
+    out = np.full(2 * n - 1, INT64_MAX, dtype=np.int64)
     for l in range(n):
         np.minimum(out[l : l + n], a.coords[l] + b.coords, out=out[l : l + n])
     return MinPlusOutput(out)
@@ -80,8 +82,7 @@ def conv_decomposed(
         )
 
     ks = np.arange(2 * n - 1)
-    c = np.zeros(2 * n - 1, dtype=np.int64)
-    finite = np.zeros(2 * n - 1, dtype=bool)
+    c = np.full(2 * n - 1, INT64_MAX, dtype=np.int64)
     for pa in parts_a.chars[:, 0]:
         for pb in parts_b.chars[:, 0]:
             W = conv_extreme_witness(
@@ -89,8 +90,8 @@ def conv_decomposed(
             )
             ll = np.maximum(W.values, 0)
             cand = a.coords[ll] + b.coords[np.minimum(ks - ll, n - 1)]
-            fold_min(c, finite, W.values != NO_WITNESS, cand)
-    return MinPlusOutput(c, finite)
+            fold_min(c, W.values != NO_WITNESS, cand)
+    return folded_output(c)
 
 
 def conv_few_values(
@@ -128,8 +129,7 @@ def conv_few_values(
     groups[np.arange(n) // ell, order] = True
     chunk = max(1, 2**14 // ell)  # 2**17 elements (1 MB of int64) cost page faults
 
-    c = np.zeros(2 * n - 1, dtype=np.int64)
-    finite = np.zeros(2 * n - 1, dtype=bool)
+    c = np.full(2 * n - 1, INT64_MAX, dtype=np.int64)
     qpad = np.zeros(3 * n - 2, dtype=bool)  # q at n-1.., zeros either side
     for qv in map(BoolVector, parts_b.chars[:, 0]):
         first = np.full(2 * n - 1, -1, dtype=np.int64)
@@ -144,8 +144,8 @@ def conv_few_values(
             m = members[first[k]]
             col = np.argmax(qpad[(k + (n - 1))[:, None] - m], axis=1)
             qsel[k] = m[np.arange(k.size), col]
-        fold_min(c, finite, first >= 0, a.coords[qsel] + b.coords[qv.bits.argmax()])
-    return MinPlusOutput(c, finite)
+        fold_min(c, first >= 0, a.coords[qsel] + b.coords[qv.bits.argmax()])
+    return folded_output(c)
 
 
 def shift_transform_vectors(

@@ -18,7 +18,6 @@ read-only), so they can be shared freely across threads.
 from __future__ import annotations
 
 import enum
-import itertools
 import math
 import operator
 from dataclasses import asdict, dataclass
@@ -142,12 +141,20 @@ def check_dimension(n: int) -> None:
         raise ValueError(f"dimension {n} outside [1, {MAX_DIMENSION}]")
 
 
-def fold_min(c: np.ndarray, finite: np.ndarray, hit, cand: np.ndarray) -> None:
-    """Fold full-shape candidates into a running per-entry minimum: each
-    entry where ``hit`` is set becomes the smaller of its value and its
-    candidate, or the candidate if it was still +infinity."""
-    np.copyto(c, cand, where=hit & (~finite | (cand < c)))
-    finite |= hit
+def fold_min(c: np.ndarray, hit, cand: np.ndarray) -> None:
+    """Fold candidates into a running per-entry minimum, in place: each
+    entry of ``c`` where ``hit`` is set becomes the smaller of itself and
+    its candidate.  ``c`` starts at INT64_MAX, +infinity until a candidate
+    arrives: a sum of two values inside SHIFTED_ENTRY_BOUND is at most
+    2**63 - 2, so no candidate equals it, and :func:`folded_output` reads
+    the finite mask off ``c`` once, at the end."""
+    np.minimum(c, cand, out=c, where=hit)
+
+
+def folded_output(c: np.ndarray) -> MinPlusOutput:
+    """The output of a :func:`fold_min` run: INT64_MAX entries are
+    +infinity."""
+    return MinPlusOutput(c, c != INT64_MAX)
 
 
 def lowest_set_bit(words: np.ndarray) -> np.ndarray:
@@ -188,36 +195,80 @@ def _as_index(i) -> int:
     return operator.index(i)
 
 
-@dataclass(frozen=True)
-class Subsequence:
-    """A tagged subsequence of a host sequence, stored as 0-based positions.
+def _index_array(indices) -> np.ndarray:
+    """``indices`` as a fresh int64 array.  A 1-D numpy integer array is
+    converted whole; anything else goes through ``tuple``, and unless it
+    holds only exact ints, through :func:`_as_index` one index at a time,
+    so bools and floats are refused, not truncated."""
+    if (
+        isinstance(indices, np.ndarray)
+        and indices.ndim == 1
+        and indices.dtype.kind in "iu"
+    ):
+        if indices.dtype == np.uint64 and indices.size and indices.max() > INT64_MAX:
+            raise ValueError("subsequence index outside the int64 range")
+        return indices.astype(np.int64)
+    ix = tuple(indices)
+    if not set(map(type, ix)) <= {int}:
+        ix = tuple(map(_as_index, ix))
+    try:
+        return np.array(ix, dtype=np.int64)
+    except OverflowError:
+        raise ValueError("subsequence index outside the int64 range") from None
 
-    ``indices`` must be strictly increasing.  Empty subsequences are legal;
-    they are used to pad decompositions to a common part count.
+
+class Subsequence:
+    """A tagged subsequence of a host sequence, stored as one read-only
+    int64 array of 0-based positions, ``positions``.
+
+    The indices must be strictly increasing; they may come as a tuple, a
+    list or a numpy integer array.  ``indices`` reads them back as a tuple
+    of ints.  Empty subsequences are legal; they are used to pad
+    decompositions to a common part count.
     """
 
-    indices: tuple[int, ...]
-    tag: MonotoneTag
+    __slots__ = ("positions", "tag")
 
-    def __post_init__(self):
-        ix = tuple(self.indices)
-        # Exact ints pass whole; anything else (bools, floats, numpy
-        # scalars) is converted or refused one index at a time.
-        if not set(map(type, ix)) <= {int}:
-            ix = tuple(map(_as_index, ix))
-        object.__setattr__(self, "indices", ix)
-        if not all(map(operator.lt, ix, ix[1:])):
-            a, b = next((a, b) for a, b in zip(ix, ix[1:]) if b <= a)
-            raise ValueError(f"indices not strictly increasing: {a} !< {b}")
-        if ix and ix[0] < 0:
+    def __init__(self, indices, tag: MonotoneTag):
+        arr = _index_array(indices)
+        if arr.size > 1:
+            t = (arr[1:] <= arr[:-1]).argmax()  # 0 if every step rises
+            if arr[t + 1] <= arr[t]:
+                raise ValueError(
+                    f"indices not strictly increasing: {arr[t]} !< {arr[t + 1]}"
+                )
+        if arr.size and arr[0] < 0:
             raise ValueError("negative subsequence index")
+        arr.setflags(write=False)
+        object.__setattr__(self, "positions", arr)
+        object.__setattr__(self, "tag", tag)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    @property
+    def indices(self) -> tuple[int, ...]:
+        return tuple(self.positions.tolist())
 
     def __len__(self) -> int:
-        return len(self.indices)
+        return self.positions.shape[0]
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not Subsequence:
+            return NotImplemented
+        return self.tag == other.tag and np.array_equal(
+            self.positions, other.positions
+        )
+
+    def __hash__(self):
+        return hash((self.positions.tobytes(), self.tag))
+
+    def __repr__(self) -> str:
+        return f"Subsequence(indices={self.indices!r}, tag={self.tag!r})"
 
     def values(self, host: np.ndarray) -> np.ndarray:
         """Host values read at this subsequence's positions."""
-        return host[list(self.indices)]
+        return host[self.positions]
 
 
 @dataclass(frozen=True)
@@ -269,17 +320,30 @@ def _as_int64(values: IntSeq, what: str) -> np.ndarray:
 
 class _FrozenArrays:
     """Base of the value types below.  Each holds the read-only numpy
-    arrays named by its ``__slots__`` and nothing else, so two of them are
-    equal when they have the same type and equal arrays.  The first slot
-    is the main array: ``n`` is its length, and the accessors check their
+    arrays named by its public ``__slots__`` (a slot with a leading
+    underscore holds a cache derived from them), so two of them are equal
+    when they have the same type and equal arrays.  The first slot is the
+    main array: ``n`` is its length, and the accessors check their
     positions against it."""
 
     __slots__ = ()
 
     def __init_subclass__(cls):
+        cls._fields = tuple(s for s in cls.__slots__ if not s.startswith("_"))
         # The first slot's descriptor under one shared name, read as fast
         # as the subclass's own attribute (``BoolVector.n`` is per-call).
-        cls._main = cls.__dict__[cls.__slots__[0]]
+        cls._main = cls.__dict__[cls._fields[0]]
+
+    @classmethod
+    def _adopt(cls, *arrays: np.ndarray):
+        """An instance holding ``arrays`` themselves, made read-only: for
+        arrays the package has just built and hands over.  The public
+        constructors copy and check what callers pass."""
+        self = object.__new__(cls)
+        for name, arr in zip(cls._fields, arrays):
+            arr.setflags(write=False)
+            setattr(self, name, arr)
+        return self
 
     @property
     def n(self) -> int:
@@ -289,7 +353,7 @@ class _FrozenArrays:
         return self.n
 
     def _arrays(self) -> tuple[np.ndarray, ...]:
-        return tuple(getattr(self, name) for name in self.__slots__)
+        return tuple(getattr(self, name) for name in self._fields)
 
     def __eq__(self, other) -> bool:
         return type(other) is type(self) and all(
@@ -300,12 +364,12 @@ class _FrozenArrays:
         return hash(tuple((a.shape, a.tobytes()) for a in self._arrays()))
 
     def __repr__(self) -> str:
-        if len(self.__slots__) == 1:
+        if len(self._fields) == 1:
             body = repr(self._main.astype(int).tolist())  # bits print as 0/1
         else:
             body = ", ".join(
                 f"{name}={a.tolist()!r}"
-                for name, a in zip(self.__slots__, self._arrays())
+                for name, a in zip(self._fields, self._arrays())
             )
         return f"{type(self).__name__}({body})"
 
@@ -406,7 +470,7 @@ class BoolVector(_FrozenArrays):
 class BoolMatrix(_FrozenArrays):
     """Square Boolean matrix."""
 
-    __slots__ = ("bits",)
+    __slots__ = ("bits", "_derived")
 
     def __init__(self, bits):
         arr = np.array(bits, dtype=bool)
@@ -414,6 +478,19 @@ class BoolMatrix(_FrozenArrays):
             raise ValueError(f"bool matrix must be square, got {arr.shape}")
         arr.setflags(write=False)
         self.bits = arr
+
+    def _cached(self, key, make) -> np.ndarray:
+        """``make()``, built on the first call for ``key`` and kept, read-only:
+        an array derived from these immutable bits (such as the witness
+        engine's packed block words) is built once per matrix.  Two
+        threads racing on a key both build it, and either copy is kept."""
+        cache = getattr(self, "_derived", None)
+        if cache is None:
+            cache = self._derived = {}
+        if key not in cache:
+            cache[key] = arr = make()
+            arr.setflags(write=False)
+        return cache[key]
 
 
 class WitnessArray(_FrozenArrays):
@@ -552,30 +629,30 @@ def validate_decomposition(
         if hosts.ndim != 2 or hosts.shape[0] != len(decs):
             raise DimensionMismatch(f"{len(decs)} decompositions, hosts {hosts.shape}")
     k, n = hosts.shape
-    # Length and range are per-part checks (a part's last index is its
-    # largest); the decompositions before such a failure are checked first.
-    for t, dt in enumerate(decs):
-        if dt.host_length != n or any(
-            p.indices and p.indices[-1] >= n for p in dt.parts
-        ):
-            validate_decomposition(decs[:t], hosts[:t])
-            _raise_first_violation(dt, hosts[t])
-
-    m = max([1, *(dt.part_count for dt in decs)])
+    parts = [p for dt in decs for p in dt.parts]
+    counts = np.array([dt.part_count for dt in decs], dtype=np.intp)
+    m = max(1, int(counts.max(initial=0)))
+    # Part o of decomposition t is cell (t, o) of the (k, m) tables.
+    real = np.arange(m) < counts[:, None]
     lens, tags = np.zeros((2, k, m), dtype=np.intp)
-    for t, dt in enumerate(decs):
-        lens[t, : dt.part_count] = [len(p) for p in dt.parts]
-        tags[t, : dt.part_count] = [_TAG_ROW[p.tag] for p in dt.parts]
+    lens[real] = [len(p) for p in parts]
+    tags[real] = [_TAG_ROW[p.tag] for p in parts]
     sizes, lens = lens.sum(axis=1), lens.ravel()
     starts = np.cumsum(lens) - lens
     # Index i of part o of decomposition t is cell t*n + i of the hosts
     # and cell (o*k + t)*n + i of the (m, k, n) stack.
     cells = np.repeat(np.arange(k) * n, sizes)
-    cells += np.fromiter(
-        itertools.chain.from_iterable(p.indices for dt in decs for p in dt.parts),
-        dtype=np.int32,
-        count=cells.size,
-    )
+    index = _joined_positions(parts)
+    # Length and range come first: the decompositions before the first
+    # one failing them are checked in full, then its fault is named.
+    off = np.array([dt.host_length != n for dt in decs], dtype=bool)
+    off[cells[index >= n] // n] = True
+    if off.any():
+        t = int(off.argmax())
+        validate_decomposition(decs[:t], hosts[:t])
+        _raise_first_violation(decs[t], hosts[t])
+    cells += index
+    del index
     vals = np.take(hosts, cells)
     cells += np.repeat(np.tile(np.arange(m) * (k * n), k), lens)
     chars = np.zeros((m, k, n), dtype=bool)
@@ -604,23 +681,36 @@ def validate_decomposition(
     return AxisParts(chars, first.reshape(k, m).T, holds)
 
 
+def _joined_positions(parts: Sequence[Subsequence]) -> np.ndarray:
+    """The positions of ``parts`` end to end, as one int64 array."""
+    return np.concatenate([p.positions for p in parts] or [np.zeros(0, dtype=np.int64)])
+
+
 def _raise_first_violation(d: Decomposition, values: np.ndarray) -> None:
-    """Name the first violation of one decomposition known to have one."""
+    """Name the first violation of one decomposition known to have one:
+    walking its parts in order, the first index out of range or claimed
+    by an earlier part, else the first position no part covers, else the
+    first part breaking its tag."""
     n = values.shape[0]
     if d.host_length != n:
         raise LengthMismatch(
             f"decomposition is for length {d.host_length}, host has {n}"
         )
-    owner = [-1] * n
-    for p, part in enumerate(d.parts):
-        for i in part.indices:
-            _FrozenArrays._cell(n, 0, i, what=f"part {p} index")
-            if owner[i] >= 0:
-                raise OverlapError(i, owner[i], p)
-            owner[i] = p
-    if -1 in owner:
-        raise CoverageGapError(owner.index(-1))
-    for p, part in enumerate(d.parts):
-        wrong = _wrong_steps(part.values(values), part.tag)
+    index = _joined_positions(d.parts)
+    part = np.repeat(np.arange(d.part_count), [len(p) for p in d.parts])
+    order = np.argsort(index, kind="stable")
+    bad = index >= n
+    bad[order[1:]] |= index[order[1:]] == index[order[:-1]]
+    if bad.any():
+        at = int(bad.argmax())
+        i, p = int(index[at]), int(part[at])
+        _FrozenArrays._cell(n, 0, i, what=f"part {p} index")
+        raise OverlapError(i, int(part[(index == i).argmax()]), p)
+    covered = np.zeros(n, dtype=bool)
+    covered[index] = True
+    if not covered.all():
+        raise CoverageGapError(int(covered.argmin()))
+    for p, sub in enumerate(d.parts):
+        wrong = _wrong_steps(sub.values(values), sub.tag)
         if wrong.any():
             raise OrderViolation(p, int(np.argmax(wrong)))

@@ -39,8 +39,9 @@ def _host_values(s) -> np.ndarray:
     return arr.astype(np.int64, copy=False)
 
 
-def _patience_piles(values: list[int]) -> list[list[int]]:
-    """Greedy minimum partition of ``values`` into non-decreasing runs.
+def _patience_piles(values: list[int]) -> list[np.ndarray]:
+    """Greedy minimum partition of ``values`` into non-decreasing runs,
+    each an ascending index array.
 
     Each element goes on the pile whose tail is the largest value <= it;
     otherwise a new pile opens.  The pile tails stay strictly decreasing
@@ -52,15 +53,16 @@ def _patience_piles(values: list[int]) -> list[list[int]]:
     """
     piles: list[list[int]] = []
     neg_tails: list[int] = []  # strictly increasing
+    find = bisect.bisect_left
     for i, x in enumerate(values):
-        pos = bisect.bisect_left(neg_tails, -x)
+        pos = find(neg_tails, -x)
         if pos == len(piles):
             piles.append([i])
             neg_tails.append(-x)
         else:
             piles[pos].append(i)
             neg_tails[pos] = -x
-    return piles
+    return [np.array(p) for p in piles]
 
 
 def decompose_nondecreasing(s) -> Decomposition:
@@ -72,7 +74,7 @@ def decompose_nondecreasing(s) -> Decomposition:
     """
     values = _host_values(s)
     parts = tuple(
-        Subsequence(tuple(p), MonotoneTag.NON_DECREASING)
+        Subsequence(p, MonotoneTag.NON_DECREASING)
         for p in _patience_piles(values.tolist())
     )
     return Decomposition(values.shape[0], parts)
@@ -86,7 +88,7 @@ def decompose_nonincreasing(s) -> Decomposition:
     """
     values = _host_values(s)
     parts = tuple(
-        Subsequence(tuple(p), MonotoneTag.NON_INCREASING)
+        Subsequence(p, MonotoneTag.NON_INCREASING)
         for p in _patience_piles([-x for x in values.tolist()])
     )
     return Decomposition(values.shape[0], parts)
@@ -137,11 +139,11 @@ def decompose_monotone_greedy(s) -> Decomposition:
     values = _host_values(s)
     best = None
     for base in (decompose_nondecreasing(values), decompose_nonincreasing(values)):
-        merged = _merge_monotone_parts([list(p.indices) for p in base.parts], values)
+        merged = _merge_monotone_parts([p.indices for p in base.parts], values)
         if best is None or len(merged) < len(best):
             best = merged
     parts = tuple(
-        Subsequence(tuple(p), _value_tag(values[p])) for p in best
+        Subsequence(p, _value_tag(values[p])) for p in best
     )
     return Decomposition(values.shape[0], parts)
 
@@ -158,7 +160,7 @@ def decompose_uniform(s) -> Decomposition:
     for i, x in enumerate(values.tolist()):
         by_value.setdefault(x, []).append(i)
     parts = tuple(
-        Subsequence(tuple(ix), MonotoneTag.UNIFORM) for ix in by_value.values()
+        Subsequence(ix, MonotoneTag.UNIFORM) for ix in by_value.values()
     )
     return Decomposition(values.shape[0], parts)
 

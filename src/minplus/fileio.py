@@ -258,11 +258,11 @@ def _read_decompositions(lines, base: int, n: int) -> list[Decomposition]:
     ints = _ints(tokens, MAX_DIMENSION)
     del tokens
     if ints is not None and None not in tags:
-        flat = (ints - base).tolist()
+        flat = ints - base
         starts = itertools.accumulate(sizes, initial=0)
         with contextlib.suppress(ValueError):  # indices out of order
             subs = [
-                Subsequence(tuple(flat[a : a + k]), tag)
+                Subsequence(flat[a : a + k], tag)
                 for a, k, tag in zip(starts, sizes, tags)
             ]
             cuts = itertools.pairwise(itertools.accumulate(counts, initial=0))

@@ -31,13 +31,13 @@ def as_generator(seed) -> np.random.Generator:
 
 def random_index_partition(
     rng: np.random.Generator, n: int, parts: int
-) -> list[list[int]]:
+) -> list[np.ndarray]:
     """Assign each of 0..n-1 to one of ``parts`` classes uniformly;
-    classes may come back empty."""
+    classes may come back empty.  Each class is an ascending index array."""
     if parts < 1:
         raise ValueError("need at least one part")
     assign = rng.integers(0, parts, size=n)
-    return [np.flatnonzero(assign == p).tolist() for p in range(parts)]
+    return [np.flatnonzero(assign == p) for p in range(parts)]
 
 
 def _draw_values(rng: np.random.Generator, size) -> np.ndarray:
@@ -71,7 +71,7 @@ def _plant_monotone_values(
         if part_tag is MonotoneTag.NON_INCREASING:
             v = v[::-1]
         values[indices] = v
-        subs.append(Subsequence(tuple(indices), part_tag))
+        subs.append(Subsequence(indices, part_tag))
     return values, Decomposition(n, tuple(subs))
 
 
@@ -96,10 +96,7 @@ def _plant_uniform_values(
     assign = rng.integers(0, classes, size=n)
     values = pool[assign]
     subs = tuple(
-        Subsequence(
-            tuple(np.flatnonzero(assign == cls).tolist()),
-            MonotoneTag.UNIFORM,
-        )
+        Subsequence(np.flatnonzero(assign == cls), MonotoneTag.UNIFORM)
         for cls in range(classes)
     )
     return values, Decomposition(n, subs)

@@ -16,6 +16,7 @@ import numpy as np
 
 from .boolmat import bool_matmul, mat_extreme_witness
 from .core import (
+    INT64_MAX,
     NO_WITNESS,
     SHIFTED_ENTRY_BOUND,
     AxisParts,
@@ -29,6 +30,7 @@ from .core import (
     OpCounters,
     UniformViolation,
     fold_min,
+    folded_output,
     parse_direction,
     validate_decomposition,
 )
@@ -48,20 +50,56 @@ def _require_tag(parts: AxisParts, tag: MonotoneTag, axis: str, error) -> None:
         raise error(f"{axis[:-1]} {idx + 1} part {p + 1} is not {tag.value}")
 
 
-def _witness_candidates(A: IntMatrix, B: IntMatrix, witvals: np.ndarray):
-    """The cells with a witness, and every cell's sum a_{i,k} + b_{k,j} for
-    its 1-based witness k (k = 1 where none): arguments for fold_min."""
-    n = A.n
-    row_starts = np.arange(n)[:, None] * n
-    # One index buffer, i*n + k into A and then k*n + j into B: flat
-    # gathers, about twice as fast as take_along_axis at n=512.
-    flat = np.maximum(witvals, 1) + (row_starts - 1)
-    sums = np.take(A.entries, flat)
-    flat -= row_starts
-    flat *= n
-    flat += np.arange(n)
-    sums += np.take(B.entries, flat)
-    return witvals != NO_WITNESS, sums
+class _WitnessSums:
+    """Candidate sums a_{i,k} + b_{k,j} at each entry's 1-based witness k,
+    written through index and part buffers made once per solve."""
+
+    def __init__(self, A: IntMatrix, B: IntMatrix):
+        n = A.n
+        self.n, self.a, self.b = n, A.entries.ravel(), B.entries.ravel()
+        # Flat gathers, about twice as fast as take_along_axis at n=512:
+        # i*n + k - 1 indexes a_{i,k}, and (k - 1)*n + j indexes b_{k,j}.
+        self.row_base = np.arange(-1, n * n - 1, n)[:, None]
+        self.col_base = np.arange(-n, 0)
+        self.index, self.part = np.empty((2, n, n), dtype=np.int64)
+        self.hit = np.empty((n, n), dtype=bool)
+
+    def __call__(self, wit: np.ndarray, sums: np.ndarray) -> np.ndarray:
+        """Write the sums for witnesses ``wit`` into ``sums`` and return
+        the mask of entries that have a witness.  An entry without one
+        reads clipped indices, so its sum is of two in-range entries and
+        masked off.  ``wit`` may be ``sums`` itself: it is read in full
+        before ``sums`` is written."""
+        index = self.index
+        hit = np.not_equal(wit, NO_WITNESS, out=self.hit)
+        np.multiply(wit, self.n, out=index)
+        index += self.col_base
+        np.take(self.b, index, out=self.part, mode="clip")
+        np.add(wit, self.row_base, out=index)
+        np.take(self.a, index, out=sums, mode="clip")
+        sums += self.part
+        return hit
+
+
+def _fold_pairs(n: int, rows: AxisParts, cols: AxisParts, pair) -> MinPlusOutput:
+    """The pair loop of every matrix solver.  Each row part's and each
+    column part's characteristic matrix is built once; for row part o and
+    column part r, ``pair(o, P, r, Q, sums)`` writes the pair's candidate
+    sums into ``sums``, one buffer for the solve, and returns the mask of
+    entries that have one, which fold_min folds into the running minimum.
+    """
+    Ps = [BoolMatrix._adopt(P) for P in rows.chars]
+    Qs = [BoolMatrix._adopt(Q.T) for Q in cols.chars]
+    # c and sums are one (2, n, n) block, as are _WitnessSums' buffers.
+    # Once glibc has freed a block that large it stops handing the witness
+    # engine's per-call n x n arrays back to the system, so later pairs
+    # reuse them instead of faulting them in again: at n=512, every other
+    # solve took about 10,000 minor faults with separate n x n buffers.
+    c, sums = np.full((2, n, n), INT64_MAX, dtype=np.int64)
+    for o, P in enumerate(Ps):
+        for r, Q in enumerate(Qs):
+            fold_min(c, pair(o, P, r, Q, sums), sums)
+    return folded_output(c)
 
 
 def minplus_naive(A: IntMatrix, B: IntMatrix) -> MinPlusOutput:
@@ -100,16 +138,13 @@ def minplus_decomposed(
     _require_tag(rows, tag, "rows", DirectionViolation)
     _require_tag(cols, tag, "cols", DirectionViolation)
     kind = "min" if tag is MonotoneTag.NON_DECREASING else "max"
+    witness_sums = _WitnessSums(A, B)
 
-    c = np.zeros((n, n), dtype=np.int64)
-    finite = np.zeros((n, n), dtype=bool)
-    for P in rows.chars:
-        for Q in cols.chars:
-            W = mat_extreme_witness(
-                BoolMatrix(P), BoolMatrix(Q.T), kind, counters=counters
-            )
-            fold_min(c, finite, *_witness_candidates(A, B, W.values))
-    return MinPlusOutput(c, finite)
+    def pair(o, P, r, Q, sums):
+        W = mat_extreme_witness(P, Q, kind, counters=counters)
+        return witness_sums(W.values, sums)
+
+    return _fold_pairs(n, rows, cols, pair)
 
 
 def minplus_mixed_uniform(
@@ -134,19 +169,18 @@ def minplus_mixed_uniform(
     cols = validate_decomposition(dec_cols, B.entries.T)
     _require_tag(cols, MonotoneTag.UNIFORM, "cols", UniformViolation)
     use_min = rows.holds[MonotoneTag.NON_DECREASING]
+    witness_sums = _WitnessSums(A, B)
 
-    c = np.zeros((n, n), dtype=np.int64)
-    finite = np.zeros((n, n), dtype=bool)
-    for o, Pbits in enumerate(rows.chars):
-        for Qbits in cols.chars:
-            P, Q = BoolMatrix(Pbits), BoolMatrix(Qbits.T)
-            Wmin, Wmax = (
-                mat_extreme_witness(P, Q, kind, counters=counters)
-                for kind in ("min", "max")
-            )
-            witvals = np.where(use_min[o][:, None], Wmin.values, Wmax.values)
-            fold_min(c, finite, *_witness_candidates(A, B, witvals))
-    return MinPlusOutput(c, finite)
+    def pair(o, P, r, Q, sums):
+        # Each row's witnesses are gathered in ``sums``, which the
+        # candidate sums then overwrite.
+        for kind, picked in (("min", use_min[o]), ("max", ~use_min[o])):
+            W = mat_extreme_witness(P, Q, kind, counters=counters)
+            np.copyto(sums, W.values, where=picked[:, None])
+            del W  # before the next engine call
+        return witness_sums(sums, sums)
+
+    return _fold_pairs(n, rows, cols, pair)
 
 
 def minplus_uniform_mixed(
@@ -188,13 +222,12 @@ def minplus_few_values_product(
     _require_tag(rows, MonotoneTag.UNIFORM, "rows", UniformViolation)
     _require_tag(cols, MonotoneTag.UNIFORM, "cols", UniformViolation)
 
-    c = np.zeros((n, n), dtype=np.int64)
-    finite = np.zeros((n, n), dtype=bool)
-    for o, P in enumerate(rows.chars):
-        for r, Q in enumerate(cols.chars):
-            D = bool_matmul(BoolMatrix(P), BoolMatrix(Q.T), counters)
-            fold_min(c, finite, D.bits, rows.first[o][:, None] + cols.first[r])
-    return MinPlusOutput(c, finite)
+    def pair(o, P, r, Q, sums):
+        D = bool_matmul(P, Q, counters)
+        np.add(rows.first[o][:, None], cols.first[r], out=sums)
+        return D.bits
+
+    return _fold_pairs(n, rows, cols, pair)
 
 
 def shift_transform_matrices(

@@ -407,6 +407,21 @@ class TestBench:
         assert rows[algo][key] == value
         assert key not in rows.get("naive", {})
 
+    @pytest.mark.parametrize("argv, params", [
+        (["fig3,naive"], {"m-a": 3, "m-b": 3, "direction": "nondec"}),
+        (["fig3", "--direction", "noninc", "--m-b", "2"],
+         {"m-a": 3, "m-b": 2, "direction": "noninc"}),
+        (["fig4,naive", "--m-a", "5"], {"h": 3}),
+    ])
+    def test_params_are_those_the_generator_used(self, capsys, tmp_path, argv,
+                                                 params):
+        # Not the raw flags: fig3 infers its direction, fig4 takes only h.
+        out_json = tmp_path / "b.json"
+        code, _, _ = run(capsys, "bench", "--algo", *argv, "--n", "32",
+                         "--out", str(out_json))
+        assert code == 0
+        assert json.loads(out_json.read_text())["params"] == params
+
     def test_rejects_two_structured_algorithms(self, capsys):
         code, _, err = run(capsys, "bench", "--algo", "fig1,fig2", "--n", "8")
         assert code == cli.EXIT_VALIDATION

@@ -1,11 +1,20 @@
 """Domain type behavior: bounds, indexing conventions, validation."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from minplus.core import INT64_MAX, INT64_MIN, lowest_set_bit
+from minplus.core import (
+    INT64_MAX,
+    INT64_MIN,
+    fold_min,
+    folded_output,
+    lowest_set_bit,
+)
+from minplus.generators import planted_matrix_rows
 
 from minplus import (
     ENTRY_BOUND,
@@ -299,6 +308,62 @@ class TestSubsequence:
         host = np.array([10, 11, 12, 13])
         assert list(Subsequence((1, 3), ND).values(host)) == [11, 13]
 
+    def test_tuple_list_and_array_build_one_part(self):
+        ix = (0, 3, 7, 300)
+        parts = [
+            Subsequence(ix, ND),
+            Subsequence(list(ix), ND),
+            Subsequence(np.array(ix, dtype=np.int64), ND),
+        ]
+        for p in parts:
+            assert p == parts[0] and hash(p) == hash(parts[0])
+            assert p.indices == ix and len(p) == 4
+            assert p.positions.dtype == np.int64
+            assert not p.positions.flags.writeable
+        assert Subsequence(ix, NI) != parts[0]
+        assert Subsequence(ix[:3], ND) != parts[0]
+        assert len({*parts, Subsequence(ix, NI)}) == 2
+
+    def test_narrow_integer_arrays_are_widened(self):
+        for dtype in (np.int8, np.int32, np.uint16, np.uint64):
+            s = Subsequence(np.array([1, 4, 6], dtype=dtype), ND)
+            assert s == Subsequence((1, 4, 6), ND)
+
+    def test_array_input_is_copied(self):
+        arr = np.array([1, 2, 5])
+        s = Subsequence(arr, ND)
+        arr[0] = 4
+        assert s.indices == (1, 2, 5)
+        with pytest.raises(AttributeError):
+            s.tag = NI
+
+    # fileio's fallback reader reports these messages at the faulty line.
+    @pytest.mark.parametrize("bad, error, message", [
+        ((0.7, 1.2), TypeError, "'float' object cannot be interpreted as an integer"),
+        ([0.0, 1.0], TypeError, "'float' object cannot be interpreted as an integer"),
+        ((False, True), TypeError, "index must be an integer, got False"),
+        ([0, True], TypeError, "index must be an integer, got True"),
+        (np.array([0.5, 1.5]), TypeError,
+         "'numpy.float64' object cannot be interpreted as an integer"),
+        (np.array([False, True]), TypeError,
+         "'numpy.bool' object cannot be interpreted as an integer"),
+        ((-1, 2), ValueError, "negative subsequence index"),
+        (np.array([-3, 2]), ValueError, "negative subsequence index"),
+        ((3, 1), ValueError, "indices not strictly increasing: 3 !< 1"),
+        (np.array([2, 2]), ValueError, "indices not strictly increasing: 2 !< 2"),
+        (np.array([4, 9, 7], dtype=np.uint8), ValueError,
+         "indices not strictly increasing: 9 !< 7"),
+    ])
+    def test_rejections_keep_their_messages(self, bad, error, message):
+        with pytest.raises(error) as ei:
+            Subsequence(bad, ND)
+        assert str(ei.value) == message
+
+    @pytest.mark.parametrize("bad", [(2**70,), np.array([2**64 - 1], dtype=np.uint64)])
+    def test_indices_past_int64_are_refused(self, bad):
+        with pytest.raises(ValueError, match="outside the int64 range"):
+            Subsequence(bad, ND)
+
     def test_padding_appends_empty_uniform(self):
         d = dec(4, ((0, 1, 2, 3), ND))
         p = d.padded(3)
@@ -356,6 +421,19 @@ class TestValidateDecomposition:
     def test_vector_host_accepted(self):
         d = dec(6, ((0, 1, 2, 3, 4, 5), ND))
         validate_decomposition(d, IntVector([1, 2, 3, 4, 5, 6]))
+
+    def test_peak_memory_of_a_benchmark_sized_axis(self):
+        # One axis of the benchmark's product_monotone solve: n = 512 rows
+        # of 3 parts, whose (m, k, n) characteristic stack is 0.375 * 8n^2.
+        n = 512
+        A, rows = planted_matrix_rows(0, n, 3, "nondec")
+        tracemalloc.start()
+        try:
+            validate_decomposition(rows, A.entries)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 8 * n * n, peak / (8 * n * n)
 
 
 @st.composite
@@ -519,6 +597,29 @@ class TestLowestSetBit:
         words = np.array([0b1011000, 2**63 + 2**40, 2**64 - 1], dtype=np.uint64)
         assert lowest_set_bit(words).tolist() == [3, 40, 0]
         assert words.tolist() == [8, 2**40, 1]
+
+
+class TestFoldMin:
+    def test_entries_never_hit_stay_infinite(self):
+        c = np.full(5, INT64_MAX)
+        fold_min(c, np.array([1, 0, 1, 0, 0], bool), np.array([4, -9, 7, 0, 0]))
+        fold_min(c, np.array([1, 0, 0, 1, 0], bool), np.array([2, -9, -1, 3, 0]))
+        out = folded_output(c)
+        assert out.finite.tolist() == [True, False, True, True, False]
+        assert out.values.tolist() == [2, 0, 7, 3, 0]
+
+    def test_sums_at_the_ends_of_the_shifted_range_stay_finite(self):
+        # Two values inside SHIFTED_ENTRY_BOUND sum to at most 2**63 - 2,
+        # one below the INT64_MAX that marks +infinity.
+        top = 2 * SHIFTED_ENTRY_BOUND
+        assert top == INT64_MAX - 1
+        c = np.full(3, INT64_MAX)
+        fold_min(c, np.array([True, True, False]), np.array([top, -top, top]))
+        out = folded_output(c)
+        assert out.finite.tolist() == [True, True, False]
+        assert out.values.tolist() == [top, -top, 0]
+        fold_min(c, np.ones(3, bool), np.array([top, top, top]))
+        assert folded_output(c).values.tolist() == [top, -top, top]
 
 
 class TestBoolVector:

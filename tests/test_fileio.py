@@ -499,3 +499,26 @@ def test_serialized_bytes_are_pinned(name):
     text = serialize(guard_docs()[name])
     assert hashlib.sha256(text.encode()).hexdigest() == GUARD_SHA256[name]
     assert parse_document(text) == guard_docs()[name]
+
+
+#: SHA-256 of serialize(parse(text)) for each seed's decomposed file, as
+#: tuple-backed parts wrote it.
+DECOMPOSED_SHA256 = {
+    0: "1a2db484b062c95ab9ccee037d1c715610354534beb1d69bf3037fe830b7f0f3",
+    1: "bc5094552c220493820d81118cd28c098602d5f3083e93b2df2cca74854153cd",
+    2: "435156f4d514aefdec8c3786c4f95e0ddd83bc587865afa00a2beb0c5caf692c",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(DECOMPOSED_SHA256))
+def test_decomposed_file_round_trips_byte_for_byte(seed, tmp_path, capsys):
+    # Greedy decompositions mix nondec, noninc and uniform parts.
+    src, dec = tmp_path / "in.txt", tmp_path / "dec.txt"
+    assert cli.main(["gen", "--algo", "fig1", "--n", "40", "--seed", str(seed),
+                     "--out", str(src)]) == 0
+    assert cli.main(["decompose", str(src), "--mode", "greedy", "--target", "both",
+                     "--out", str(dec)]) == 0
+    text = dec.read_text()
+    out = serialize(parse_document(text))
+    assert out == text
+    assert hashlib.sha256(out.encode()).hexdigest() == DECOMPOSED_SHA256[seed]

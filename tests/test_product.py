@@ -8,6 +8,7 @@ import pytest
 
 import oracles
 from minplus import (
+    SHIFTED_ENTRY_BOUND,
     Decomposition,
     DirectionViolation,
     IntMatrix,
@@ -16,6 +17,7 @@ from minplus import (
     OverlapError,
     Subsequence,
     UniformViolation,
+    boolmat,
     decompose_cols,
     decompose_rows,
     mat_extreme_witness,
@@ -182,6 +184,28 @@ class TestDecomposed:
         assert peak < 9 * 8 * n * n, peak / (8 * n * n)
 
 
+    def test_each_part_is_packed_once(self, monkeypatch):
+        # m_a + m_b operands are packed into block words, not 2 * m_a * m_b:
+        # a part's matrix keeps its words for every product it enters.
+        A, rows = planted_matrix_rows(3, 70, 3, "nondec")
+        B, cols = planted_matrix_cols(4, 70, 2, "nondec")
+        packed, validated = [], []
+        pack, validate = boolmat._block_words, product.validate_decomposition
+        monkeypatch.setattr(
+            boolmat, "_block_words", lambda *a: packed.append(1) or pack(*a)
+        )
+        monkeypatch.setattr(
+            product, "validate_decomposition",
+            lambda *a: validated.append(1) or validate(*a),
+        )
+        c = OpCounters()
+        out = minplus_decomposed(A, rows, B, cols, "nondec", counters=c)
+        assert out == minplus_naive(A, B)
+        assert len(packed) == 3 + 2
+        assert c.witness_matrix_calls == 3 * 2
+        assert len(validated) == 2
+
+
 class TestMixedUniform:
     def test_constant_columns(self):
         rng = np.random.default_rng(20)
@@ -228,6 +252,34 @@ class TestMixedUniform:
         c = OpCounters()
         minplus_mixed_uniform(A, rows, B, cols, counters=c)
         assert c.witness_matrix_calls == 2 * 3 * 2
+
+    def test_each_part_is_packed_once_per_kind(self, monkeypatch):
+        A, rows = planted_mixed_matrix_rows(3, 70, 3)
+        B, cols = planted_uniform_matrix_cols(4, 70, 2)
+        packed = []
+        pack = boolmat._block_words
+        monkeypatch.setattr(
+            boolmat, "_block_words", lambda *a: packed.append(1) or pack(*a)
+        )
+        c = OpCounters()
+        out = minplus_mixed_uniform(A, rows, B, cols, counters=c)
+        assert out == minplus_naive(A, B)
+        assert len(packed) == 2 * (3 + 2)
+        assert c.witness_matrix_calls == 2 * 3 * 2
+
+    def test_peak_memory_is_a_few_n_squared_arrays(self):
+        # Each pair's witnesses land in the solve's sums buffer one kind
+        # at a time, so at most one witness array is alive.
+        n = 256
+        A, rows = planted_mixed_matrix_rows(0, n, 3)
+        B, cols = planted_uniform_matrix_cols(1, n, 3)
+        tracemalloc.start()
+        try:
+            minplus_mixed_uniform(A, rows, B, cols)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 9 * 8 * n * n, peak / (8 * n * n)
 
     def test_uniform_rows_mixed_cols_wrapper(self):
         for seed in range(20):
@@ -283,6 +335,168 @@ class TestFewValues:
             B, cols = planted_uniform_matrix_cols(seed + 77, 12, 1 + seed % 4)
             got = minplus_few_values_product(A, rows, B, cols)
             assert got == minplus_naive(A, B), seed
+
+
+    def test_peak_memory_is_a_few_n_squared_arrays(self):
+        n = 256
+        A, rows = planted_uniform_matrix_rows(0, n, 3)
+        B, cols = planted_uniform_matrix_cols(1, n, 3)
+        tracemalloc.start()
+        try:
+            minplus_few_values_product(A, rows, B, cols)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * 8 * n * n, peak / (8 * n * n)
+
+
+#: Sizes around the 64-index witness blocks, and n = 1.
+PAIR_SIZES = (1, 63, 64, 65, 130)
+
+
+def spy_folds(monkeypatch):
+    """Record, for each fold of a solve, whether its hit mask is set
+    anywhere and everywhere."""
+    folds = []
+
+    def spy(c, hit, cand):
+        folds.append((bool(hit.any()), bool(hit.all())))
+        fold_min(c, hit, cand)
+
+    monkeypatch.setattr(product, "fold_min", spy)
+    return folds
+
+
+def with_empty_part(decs):
+    """Each decomposition with one empty part more: every pair it enters
+    has no witness at all."""
+    return [d.padded(d.part_count + 1) for d in decs]
+
+
+class TestPairLoop:
+    """fig1, fig2 and the few-values product share one pair loop; each is
+    checked against minplus_naive around the block size, with empty parts
+    and entries some pairs cannot reach (5 or more parts a side leave a
+    few such entries even at n = 130)."""
+
+    def check(self, monkeypatch, solve, A, rows, B, cols):
+        folds = spy_folds(monkeypatch)
+        got = solve(A, with_empty_part(rows), B, with_empty_part(cols))
+        assert got == minplus_naive(A, B)
+        assert (False, False) in folds  # pairs with no witness anywhere
+        if A.n > 1:  # some pair reaches some entries only
+            assert any(hit and not full for hit, full in folds)
+
+    @pytest.mark.parametrize("n", PAIR_SIZES)
+    @pytest.mark.parametrize("direction", ["nondec", "noninc"])
+    def test_fig1(self, monkeypatch, n, direction):
+        A, rows = planted_matrix_rows(n, n, 5, direction)
+        B, cols = planted_matrix_cols(n + 1, n, 5, direction)
+
+        def solve(*args):
+            return minplus_decomposed(*args, direction)
+
+        self.check(monkeypatch, solve, A, rows, B, cols)
+
+    @pytest.mark.parametrize("n", PAIR_SIZES)
+    @pytest.mark.parametrize("direction", ["nondec", "noninc", "mixed"])
+    def test_fig2(self, monkeypatch, n, direction):
+        if direction == "mixed":
+            A, rows = planted_mixed_matrix_rows(n, n, 5)
+        else:
+            A, rows = planted_matrix_rows(n, n, 5, direction)
+        B, cols = planted_uniform_matrix_cols(n + 1, n, 5)
+        self.check(monkeypatch, minplus_mixed_uniform, A, rows, B, cols)
+
+    @pytest.mark.parametrize("n", PAIR_SIZES)
+    def test_fig2_transposed(self, n):
+        A, rows = planted_uniform_matrix_rows(n, n, 2)
+        Bt, cols = planted_mixed_matrix_rows(n + 1, n, 3)
+        B = Bt.transpose()
+        got = minplus_uniform_mixed(A, with_empty_part(rows), B, with_empty_part(cols))
+        assert got == minplus_naive(A, B)
+
+    @pytest.mark.parametrize("n", PAIR_SIZES)
+    def test_few_values(self, monkeypatch, n):
+        A, rows = planted_uniform_matrix_rows(n, n, 5)
+        B, cols = planted_uniform_matrix_cols(n + 1, n, 6)
+        self.check(monkeypatch, minplus_few_values_product, A, rows, B, cols)
+
+
+TOP = 2 * SHIFTED_ENTRY_BOUND  # 2**63 - 2, the largest sum of shifted entries
+
+
+def shifted_pair(n):
+    """shift_transform_matrices("noninc") of inputs whose largest magnitude
+    M just fits the bound: rows of A' fall to about -SHIFTED_ENTRY_BOUND
+    and columns of B' rise to about +SHIFTED_ENTRY_BOUND (both reach it
+    exactly at n = 1)."""
+    M = SHIFTED_ENTRY_BOUND // (2 * n + 1)
+    A0, B0 = np.random.default_rng(n).integers(-M, M, size=(2, n, n), endpoint=True)
+    A0[0, 0], B0[0, 0] = -M, M
+    A2, B2, _ = shift_transform_matrices(
+        *(IntMatrix(X, entry_bound=SHIFTED_ENTRY_BOUND) for X in (A0, B0)), "noninc"
+    )
+    return A2, B2
+
+
+def late_split(n, tag):
+    """Every index but the last, then the last: the second pair of parts
+    meets only at k = n, where a monotone row holds its extreme value."""
+    return [dec(n, tag, tuple(range(n - 1)), (n - 1,))] * n
+
+
+class TestSentinelFold:
+    """While the fold runs, +infinity is INT64_MAX: one above TOP, so sums
+    at either end of int64 still fold as finite values."""
+
+    @staticmethod
+    def self_product(X, tag):
+        """X times its transpose, whose late pair sums X's extreme values."""
+        split = late_split(X.n, tag)
+        got = minplus_decomposed(X, split, X.transpose(), split, tag)
+        assert got == minplus_naive(X, X.transpose())
+        return got
+
+    @pytest.mark.parametrize("n", [1, 65])
+    def test_fig1_at_both_ends(self, n):
+        A2, B2 = shifted_pair(n)
+        low = self.self_product(A2, NI)
+        high = self.self_product(B2.transpose(), ND)
+        assert low.values.min() < -0.98 * TOP and 2 * B2.entries.max() > 0.98 * TOP
+        if n == 1:
+            assert (low.values.min(), high.values.max()) == (-TOP, TOP)
+
+    @pytest.mark.parametrize("n", [1, 65])
+    def test_fig2_at_both_ends(self, n):
+        A2, B2 = shifted_pair(n)
+        rng = np.random.default_rng(n)
+        bound = SHIFTED_ENTRY_BOUND
+        for X, top in ((A2, -bound), (B2.transpose(), bound)):
+            # Constant columns at the same end as X's extreme values.
+            C = IntMatrix(
+                np.tile(rng.choice([top, top - np.sign(top)], size=n), (n, 1)),
+                entry_bound=SHIFTED_ENTRY_BOUND,
+            )
+            rows = late_split(n, ND if top > 0 else NI)
+            cols = decompose_cols(C, "uniform")
+            assert minplus_mixed_uniform(X, rows, C, cols) == minplus_naive(X, C)
+
+    @pytest.mark.parametrize("n", [1, 65])
+    @pytest.mark.parametrize("end", [-1, 1])
+    def test_few_values_at_both_ends(self, n, end):
+        rng = np.random.default_rng(n)
+        values = end * np.array([SHIFTED_ENTRY_BOUND, SHIFTED_ENTRY_BOUND - 1])
+        A, B = (
+            IntMatrix(rng.choice(values, size=(n, n)), entry_bound=SHIFTED_ENTRY_BOUND)
+            for _ in range(2)
+        )
+        got = minplus_few_values_product(
+            A, decompose_rows(A, "uniform"), B, decompose_cols(B, "uniform")
+        )
+        want = minplus_naive(A, B)
+        assert got == want and want.all_finite
+        assert abs(want.values).max() >= TOP - 2
 
 
 class TestShiftMatrices:
