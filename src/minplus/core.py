@@ -284,6 +284,7 @@ class Decomposition:
 
     def __post_init__(self):
         object.__setattr__(self, "parts", tuple(self.parts))
+        object.__setattr__(self, "host_length", _as_index(self.host_length))
         if self.host_length < 1:
             raise ValueError("host_length must be >= 1")
 
@@ -293,6 +294,7 @@ class Decomposition:
 
     def padded(self, count: int) -> "Decomposition":
         """Copy with empty UNIFORM parts appended up to ``count`` parts."""
+        count = _as_index(count)
         if count < self.part_count:
             raise ValueError(
                 f"cannot pad {self.part_count} parts down to {count}"
@@ -503,9 +505,10 @@ class WitnessArray(_FrozenArrays):
     __slots__ = ("values",)
 
     def __init__(self, values: np.ndarray):
-        arr = np.asarray(values, dtype=np.int64).copy()
+        arr = np.asarray(values)
         if arr.ndim not in (1, 2):
             raise ValueError("witness array must be 1-D or 2-D")
+        arr = _as_int64(arr, "witness array").copy()
         arr.setflags(write=False)
         self.values = arr
 
@@ -534,7 +537,7 @@ class MinPlusOutput(_FrozenArrays):
     __slots__ = ("values", "finite")
 
     def __init__(self, values: np.ndarray, finite: np.ndarray | None = None):
-        arr = np.asarray(values, dtype=np.int64).copy()
+        arr = _as_int64(values, "output").copy()
         if finite is None:
             fin = np.ones(arr.shape, dtype=bool)
         else:
@@ -643,14 +646,13 @@ def validate_decomposition(
     # and cell (o*k + t)*n + i of the (m, k, n) stack.
     cells = np.repeat(np.arange(k) * n, sizes)
     index = _joined_positions(parts)
-    # Length and range come first: the decompositions before the first
-    # one failing them are checked in full, then its fault is named.
+    # A wrong length or an index past the host marks its decomposition bad
+    # like a partition or order fault below; such an index is clipped into
+    # its row first, so the tables can still be built.
     off = np.array([dt.host_length != n for dt in decs], dtype=bool)
     off[cells[index >= n] // n] = True
     if off.any():
-        t = int(off.argmax())
-        validate_decomposition(decs[:t], hosts[:t])
-        _raise_first_violation(decs[t], hosts[t])
+        np.minimum(index, n - 1, out=index)
     cells += index
     del index
     vals = np.take(hosts, cells)
@@ -674,7 +676,7 @@ def validate_decomposition(
     wrong = (falls, rises, falls | rises)  # as in _TAG_ROW
 
     partition = (sizes == n) & chars.any(axis=0).all(axis=1)
-    bad = np.flatnonzero(~partition | np.choose(tags, wrong).any(axis=1))
+    bad = np.flatnonzero(off | ~partition | np.choose(tags, wrong).any(axis=1))
     if bad.size:
         _raise_first_violation(decs[bad[0]], hosts[bad[0]])
     holds = {tag: ~w.T for tag, w in zip(_TAG_ROW, wrong)}

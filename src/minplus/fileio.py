@@ -27,9 +27,12 @@ also take ``+5``, ``1_0`` and non-ASCII digits, which do not round-trip.
 are ignored.  parse(serialize(x)) == x.
 
 Sections are read and written whole: one split and one int64 conversion
-per section, one bound check, rows written from ``tolist()``.  Only a
-section that fails is read again token by token, so a fault is still
-reported at its line, with the message a token-at-a-time reader gives.
+per section, one bound check, rows written from ``tolist()``.  A value
+section that fails is read again token by token.  A decomposition section
+is walked once, part by part: each part takes its indices from the
+section's one conversion, or, where that failed, converts its own tokens.
+Either way the first fault in reading order is reported at its line, with
+the message a token-at-a-time reader gives.
 """
 
 from __future__ import annotations
@@ -222,52 +225,46 @@ def _require_section(sections, name: str):
 _TAGS = {tag.value: tag for tag in MonotoneTag}
 
 
-def _parse_parts(text: str, lineno: int, base: int, n: int) -> Decomposition:
-    """One line of parts, token by token; raises at its first fault."""
-    subs = []
-    for chunk in text.split("|"):
-        toks = chunk.split()
-        if not toks:
-            raise ParseError("empty part needs its tag", lineno)
-        if toks[0] not in _TAGS:
-            raise ParseError(f"unknown part tag {toks[0]!r}", lineno)
-        idx = tuple(
-            _parse_int(t, lineno, MAX_DIMENSION) - base for t in toks[1:]
-        )
-        try:
-            subs.append(Subsequence(idx, _TAGS[toks[0]]))
-        except (ValueError, TypeError) as exc:
-            raise ParseError(str(exc), lineno) from None
-    return Decomposition(n, tuple(subs))
-
-
 def _read_decompositions(lines, base: int, n: int) -> list[Decomposition]:
-    """One decomposition per (line number, parts text) pair, the index
-    tokens of all lines converted in one call and bound-checked at once.
-    If a part is malformed, the lines are read again one at a time by
-    :func:`_parse_parts`, which names the first fault."""
-    tags, sizes, tokens, counts = [], [], [], []
-    for _, text in lines:
-        chunks = text.split("|")
-        counts.append(len(chunks))
-        for chunk in chunks:
-            tag, *idx = chunk.split() or [""]
-            tags.append(_TAGS.get(tag))
-            sizes.append(len(idx))
+    """One decomposition per (line number, parts text) pair.  The index
+    tokens of all lines are converted in one call and bound-checked at
+    once, then the parts are read in order, so the first fault raises at
+    its line.  If that conversion failed, each part's own tokens are
+    converted as the part is read, which names the first bad token."""
+    shapes, tokens = [], []
+    for ln, text in lines:
+        line = []
+        for chunk in text.split("|"):
+            tag, *idx = chunk.split() or [None]
+            line.append((tag, len(idx)))
             tokens += idx
+        shapes.append((ln, line))
     ints = _ints(tokens, MAX_DIMENSION)
-    del tokens
-    if ints is not None and None not in tags:
-        flat = ints - base
-        starts = itertools.accumulate(sizes, initial=0)
-        with contextlib.suppress(ValueError):  # indices out of order
-            subs = [
-                Subsequence(flat[a : a + k], tag)
-                for a, k, tag in zip(starts, sizes, tags)
-            ]
-            cuts = itertools.pairwise(itertools.accumulate(counts, initial=0))
-            return [Decomposition(n, tuple(subs[a:b])) for a, b in cuts]
-    return [_parse_parts(text, ln, base, n) for ln, text in lines]
+    if ints is not None:
+        ints -= base
+        tokens.clear()  # free the strings before the parts are built
+    decs, at = [], 0
+    for ln, line in shapes:
+        subs = []
+        for tag, k in line:
+            if tag is None:
+                raise ParseError("empty part needs its tag", ln)
+            if tag not in _TAGS:
+                raise ParseError(f"unknown part tag {tag!r}", ln)
+            if ints is None:
+                idx = [
+                    _parse_int(t, ln, MAX_DIMENSION) - base
+                    for t in tokens[at : at + k]
+                ]
+            else:
+                idx = ints[at : at + k]
+            at += k
+            try:
+                subs.append(Subsequence(idx, _TAGS[tag]))
+            except ValueError as exc:
+                raise ParseError(str(exc), ln) from None
+        decs.append(Decomposition(n, subs))
+    return decs
 
 
 def _parse_axis_decompositions(body, lineno, axis_word: str, n: int):

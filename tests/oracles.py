@@ -11,14 +11,18 @@ import numpy as np
 from minplus.core import (
     INT64_MAX,
     INT64_MIN,
+    MAX_DIMENSION,
     CoverageGapError,
+    Decomposition,
     IndexOutOfRange,
     LengthMismatch,
     MonotoneTag,
     OrderViolation,
     OverlapError,
+    Subsequence,
     values_satisfy,
 )
+from minplus.fileio import ParseError
 
 
 def minplus_matrix(A, B) -> np.ndarray:
@@ -256,3 +260,36 @@ def validate_decomposition_loop(d, host) -> None:
                 or (part.tag is MonotoneTag.UNIFORM and y != x)
             ):
                 raise OrderViolation(p, pos)
+
+
+_PART_TAGS = {tag.value: tag for tag in MonotoneTag}
+
+
+def parse_parts_tokenwise(text: str, lineno: int, base: int, n: int) -> Decomposition:
+    """Token-by-token reference for one line of parts in the text format:
+    parts left to right, each part's tag before its indices, each index
+    converted and bound-checked on its own; raise ParseError at the
+    line's first fault."""
+    subs = []
+    for chunk in text.split("|"):
+        toks = chunk.split()
+        if not toks:
+            raise ParseError("empty part needs its tag", lineno)
+        if toks[0] not in _PART_TAGS:
+            raise ParseError(f"unknown part tag {toks[0]!r}", lineno)
+        idx = []
+        for tok in toks[1:]:
+            try:
+                v = int(tok)
+            except ValueError:
+                raise ParseError(f"bad integer {tok!r}", lineno) from None
+            if abs(v) > MAX_DIMENSION:
+                raise ParseError(
+                    f"value {v} exceeds magnitude bound {MAX_DIMENSION}", lineno
+                )
+            idx.append(v - base)
+        try:
+            subs.append(Subsequence(tuple(idx), _PART_TAGS[toks[0]]))
+        except (ValueError, TypeError) as exc:
+            raise ParseError(str(exc), lineno) from None
+    return Decomposition(n, tuple(subs))

@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from minplus.core import (
@@ -233,6 +233,53 @@ def test_other_shapes_are_unequal():
             ValueError,
             "values and finiteness mask shapes differ",
         ),
+        # Witness and output values are int64 or refused, never wrapped.
+        (
+            lambda: WitnessArray([1.7, -1]),
+            TypeError,
+            "witness array must hold integers, got dtype float64",
+        ),
+        (
+            lambda: WitnessArray(np.array([True, False])),
+            TypeError,
+            "witness array must hold integers, got dtype bool",
+        ),
+        (
+            lambda: WitnessArray(np.array([2**63], dtype=np.uint64)),
+            ValueError,
+            "witness array holds unsigned values beyond the int64 range",
+        ),
+        (
+            lambda: MinPlusOutput(np.array([2**63], dtype=np.uint64)),
+            ValueError,
+            "output holds unsigned values beyond the int64 range",
+        ),
+        (
+            lambda: MinPlusOutput(np.array([0.5, 2.0])),
+            TypeError,
+            "output must hold integers, got dtype float64",
+        ),
+        (
+            lambda: MinPlusOutput([True, False]),
+            TypeError,
+            "output must hold integers, got dtype bool",
+        ),
+        # A host length or pad count is an integer, not a bool or a float.
+        (
+            lambda: Decomposition(True, (Subsequence((0,), ND),)),
+            TypeError,
+            "index must be an integer, got True",
+        ),
+        (
+            lambda: Decomposition(1.0, (Subsequence((0,), ND),)),
+            TypeError,
+            "'float' object cannot be interpreted as an integer",
+        ),
+        (
+            lambda: dec(1, ((0,), ND)).padded(True),
+            TypeError,
+            "index must be an integer, got True",
+        ),
     ],
 )
 def test_value_type_constructor_messages(make, error, message):
@@ -363,6 +410,11 @@ class TestSubsequence:
     def test_indices_past_int64_are_refused(self, bad):
         with pytest.raises(ValueError, match="outside the int64 range"):
             Subsequence(bad, ND)
+
+    def test_numpy_integer_lengths_and_counts(self):
+        d = Decomposition(np.int64(2), (Subsequence((0, 1), ND),))
+        assert type(d.host_length) is int and d == dec(2, ((0, 1), ND))
+        assert d.padded(np.uint8(3)).part_count == 3
 
     def test_padding_appends_empty_uniform(self):
         d = dec(4, ((0, 1, 2, 3), ND))
@@ -504,12 +556,22 @@ def _same_outcome(got, want):
         assert vars(got) == vars(want) and str(got) == str(want)
 
 
+#: Decomposition 0 breaks its order while decomposition 1 holds index 3
+#: of a length-3 host, so neither fault may hide the other.
+ORDER_THEN_RANGE = (
+    [dec(3, ((0, 1, 2), ND)), dec(3, ((0, 1, 3), ND))],
+    np.array([[3, 1, 2], [0, 0, 0]]),
+)
+
+
 class TestBatchedValidation:
     """The batched ``validate_decomposition`` against the per-index
     reference loop, run decomposition by decomposition."""
 
     @settings(max_examples=300, deadline=None)
     @given(axis_cases())
+    @example(ORDER_THEN_RANGE)
+    @example((ORDER_THEN_RANGE[0][::-1], ORDER_THEN_RANGE[1][::-1]))
     def test_accepts_and_names_what_the_reference_does(self, case):
         decs, hosts = case
         def row_by_row():

@@ -25,7 +25,7 @@ from minplus import (
     decompose_rows,
     decompose_uniform,
 )
-from minplus import cli
+from minplus import MAX_DIMENSION, cli, fileio
 from minplus.fileio import (
     FORMAT_TOKEN,
     MatrixInstance,
@@ -37,6 +37,7 @@ from minplus.fileio import (
     serialize,
     write_atomic,
 )
+from oracles import parse_parts_tokenwise
 
 ND = MonotoneTag.NON_DECREASING
 NI = MonotoneTag.NON_INCREASING
@@ -364,6 +365,10 @@ class TestSectionFaults:
         ("row 2: spiral 1 2", "unknown part tag 'spiral'"),
         ("row 2: nondec 1 2 |", "empty part needs its tag"),
         ("row 3: nondec 1 2", "expected line starting 'row 2:'"),
+        # The first fault in reading order wins within a line too.
+        ("row 2: nondec 1 x | spiral 2", "bad integer 'x'"),
+        ("row 2: spiral 1 | nondec x 2", "unknown part tag 'spiral'"),
+        (f"row 2: nondec 2 1 | nondec {'2' * 25}", "indices not strictly increasing: 1 !< 0"),
     ])
     def test_decomposition_faults_keep_their_line(self, line, message):
         text = serialize(mat_doc()).replace("row 2: nondec 1 2", line)
@@ -380,6 +385,72 @@ class TestSectionFaults:
         with pytest.raises(ParseError) as err:
             parse_document(text)
         assert str(err.value).endswith("indices not strictly increasing: 0 !< 0")
+
+
+@st.composite
+def part_lines(draw):
+    """(lines, base, n): the part lines of a few valid decompositions, as
+    (line number, parts text) pairs, with some parts mutated: a bad,
+    25-digit or over-bound token, an unknown or missing tag, indices out
+    of order or below the base, or a stray ``|``."""
+    n = draw(st.integers(1, 10))
+    base = draw(st.sampled_from([0, 1]))
+    lines = []
+    for _ in range(draw(st.integers(1, 4))):
+        labels = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+        lines.append([
+            [draw(st.sampled_from(["nondec", "noninc", "uniform"]))]
+            + [str(i + base) for i in range(n) if labels[i] == o]
+            for o in sorted(set(labels))
+        ])
+    for _ in range(draw(st.integers(0, 3))):
+        parts = draw(st.sampled_from(lines))
+        o = draw(st.integers(0, len(parts) - 1))
+        part = parts[o]
+        at = draw(st.integers(1, max(len(part), 1)))
+        how = draw(st.sampled_from(
+            ["bad", "long", "over", "tag", "untagged", "order", "zero", "bar"]
+        ))
+        if how == "bad":
+            part.insert(at, draw(st.sampled_from(["x", "1.5", "-", "0x1", "--2"])))
+        elif how == "long":
+            part.insert(at, draw(st.sampled_from(["", "-"])) + "9" * 25)
+        elif how == "over":
+            part.insert(at, str(draw(st.sampled_from([1, -1])) * (MAX_DIMENSION + 1)))
+        elif how == "tag" and part:
+            part[0] = draw(st.sampled_from(["spiral", "NONDEC", "3", "inf"]))
+        elif how == "untagged" and part:
+            del part[0]
+        elif how == "order" and len(part) > 1:
+            part.insert(at, part[draw(st.integers(1, len(part) - 1))])
+        elif how == "zero":
+            part.insert(1, str(base - 1))
+        elif how == "bar":
+            parts.insert(o, [])
+    texts = [" | ".join(" ".join(p) for p in parts) for parts in lines]
+    return [(10 + 3 * i, t) for i, t in enumerate(texts)], base, n
+
+
+def _outcome(read, *args):
+    try:
+        return read(*args)
+    except Exception as exc:  # compared whole: type, message and line
+        return type(exc), str(exc), getattr(exc, "line", None)
+
+
+class TestPartReader:
+    """The section reader against the token-by-token reference."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(part_lines())
+    def test_same_parts_or_first_fault_as_the_reference(self, case):
+        lines, base, n = case
+
+        def line_by_line():
+            return [parse_parts_tokenwise(t, ln, base, n) for ln, t in lines]
+
+        got = _outcome(fileio._read_decompositions, lines, base, n)
+        assert got == _outcome(line_by_line)
 
 
 EXTREMES = st.sampled_from(
