@@ -83,11 +83,10 @@ def conv_decomposed(
 
     ks = np.arange(2 * n - 1)
     c = np.full(2 * n - 1, INT64_MAX, dtype=np.int64)
-    for pa in parts_a.chars[:, 0]:
-        for pb in parts_b.chars[:, 0]:
-            W = conv_extreme_witness(
-                BoolVector(pa), BoolVector(pb), kind, counters=counters
-            )
+    qs = [BoolVector._adopt(pb) for pb in parts_b.chars[:, 0]]
+    for pv in map(BoolVector._adopt, parts_a.chars[:, 0]):
+        for qv in qs:
+            W = conv_extreme_witness(pv, qv, kind, counters=counters)
             ll = np.maximum(W.values, 0)
             cand = a.coords[ll] + b.coords[np.minimum(ks - ll, n - 1)]
             fold_min(c, W.values != NO_WITNESS, cand)
@@ -114,7 +113,7 @@ def conv_few_values(
     value is constant, so the smallest reachable a value is optimal.
 
     A group has at most ell set bits, so ``bool_convolution`` ORs ell
-    shifted copies of the part's packed words while ell <= ~10 log2 n.
+    windows of the part's shift table (built once) while ell <= ~10 log2 n.
     """
     n = _check_same_length(a, b)
     parts_b = validate_decomposition(dec_b, b.coords)
@@ -123,28 +122,33 @@ def conv_few_values(
         raise UniformViolation(f"part {bad[0] + 1} of b is not constant-valued")
     ell = checked_size(n, ell, "group size")
     order = np.argsort(a.coords, kind="stable")
-    # Members by value; a real member hits before argmax reaches the padding.
-    members = np.pad(order, (0, -n % ell)).reshape(-1, ell)
-    groups = np.zeros((len(members), n), dtype=bool)
+    # Row j: each group's member of value rank j; real members hit first.
+    ranked = np.pad(order, (0, -n % ell)).reshape(-1, ell).T.copy()
+    groups = np.zeros((ranked.shape[1], n), dtype=bool)
     groups[np.arange(n) // ell, order] = True
-    chunk = max(1, 2**14 // ell)  # 2**17 elements (1 MB of int64) cost page faults
+    group_vectors = [BoolVector._adopt(row) for row in groups]
 
     c = np.full(2 * n - 1, INT64_MAX, dtype=np.int64)
     qpad = np.zeros(3 * n - 2, dtype=bool)  # q at n-1.., zeros either side
-    for qv in map(BoolVector, parts_b.chars[:, 0]):
-        first = np.full(2 * n - 1, -1, dtype=np.int64)
-        for t, row in enumerate(groups):
-            hit = bool_convolution(BoolVector(row), qv, counters=counters).bits
-            first[hit & (first < 0)] = t
+    for qv in map(BoolVector._adopt, parts_b.chars[:, 0]):
+        first = np.zeros(2 * n - 1, dtype=np.int64)
+        unset = np.ones(2 * n - 1, dtype=bool)
+        for t, gv in enumerate(group_vectors):
+            new = bool_convolution(gv, qv, counters=counters).bits & unset
+            first[new] = t
+            unset ^= new
         qpad[n - 1 : 2 * n - 1] = qv.bits
-        kk = np.flatnonzero(first >= 0)
+        # Reached outputs step through their groups by rank to a member's mate.
+        k = np.flatnonzero(~unset)
         qsel = np.zeros(2 * n - 1, dtype=np.int64)
-        for lo in range(0, kk.size, chunk):
-            k = kk[lo : lo + chunk]
-            m = members[first[k]]
-            col = np.argmax(qpad[(k + (n - 1))[:, None] - m], axis=1)
-            qsel[k] = m[np.arange(k.size), col]
-        fold_min(c, first >= 0, a.coords[qsel] + b.coords[qv.bits.argmax()])
+        for rank in ranked:
+            m = rank[first[k]]
+            mate = qpad[k + (n - 1) - m]
+            qsel[k[mate]] = m[mate]
+            k = k[~mate]
+            if not k.size:
+                break
+        fold_min(c, ~unset, a.coords[qsel] + b.coords[qv.bits.argmax()])
     return folded_output(c)
 
 

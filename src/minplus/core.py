@@ -154,7 +154,8 @@ def fold_min(c: np.ndarray, hit, cand: np.ndarray) -> None:
 def folded_output(c: np.ndarray) -> MinPlusOutput:
     """The output of a :func:`fold_min` run: INT64_MAX entries are
     +infinity."""
-    return MinPlusOutput(c, c != INT64_MAX)
+    finite = c != INT64_MAX
+    return MinPlusOutput._adopt(np.where(finite, c, 0), finite)
 
 
 def lowest_set_bit(words: np.ndarray) -> np.ndarray:
@@ -320,6 +321,14 @@ def _as_int64(values: IntSeq, what: str) -> np.ndarray:
     return arr.astype(np.int64)
 
 
+def _as_bits(values, what: str) -> np.ndarray:
+    """``values`` as a fresh bool array: bools or 0/1 integers, no truthiness."""
+    arr = np.asarray(values)
+    if arr.size and arr.dtype != bool and (_as_int64(arr, what) & ~1).any():
+        raise ValueError(f"{what} holds integers other than 0 and 1")
+    return arr.astype(bool)
+
+
 class _FrozenArrays:
     """Base of the value types below.  Each holds the read-only numpy
     arrays named by its public ``__slots__`` (a slot with a leading
@@ -374,6 +383,16 @@ class _FrozenArrays:
                 for name, a in zip(self._fields, self._arrays())
             )
         return f"{type(self).__name__}({body})"
+
+    def _cached(self, key, make) -> np.ndarray:
+        """``make()``, built on the first call for ``key`` and kept read-only
+        in the ``_derived`` slot, so an array derived from the immutable ones
+        is built once per instance (threads racing may both build it)."""
+        cache = self._derived = getattr(self, "_derived", None) or {}
+        if key not in cache:
+            cache[key] = arr = make()
+            arr.setflags(write=False)
+        return cache[key]
 
     @staticmethod
     def _cell(n: int, first: int, *pos, what: str = "index") -> tuple[int, ...]:
@@ -448,10 +467,10 @@ class IntMatrix(_FrozenArrays):
 class BoolVector(_FrozenArrays):
     """Characteristic Boolean vector (one bit per host position)."""
 
-    __slots__ = ("bits",)
+    __slots__ = ("bits", "_derived")
 
     def __init__(self, bits):
-        arr = np.array(bits, dtype=bool)
+        arr = _as_bits(bits, "bool vector")
         if arr.ndim != 1:
             raise ValueError("bool vector must be one-dimensional")
         arr.setflags(write=False)
@@ -475,24 +494,11 @@ class BoolMatrix(_FrozenArrays):
     __slots__ = ("bits", "_derived")
 
     def __init__(self, bits):
-        arr = np.array(bits, dtype=bool)
+        arr = _as_bits(bits, "bool matrix")
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ValueError(f"bool matrix must be square, got {arr.shape}")
         arr.setflags(write=False)
         self.bits = arr
-
-    def _cached(self, key, make) -> np.ndarray:
-        """``make()``, built on the first call for ``key`` and kept, read-only:
-        an array derived from these immutable bits (such as the witness
-        engine's packed block words) is built once per matrix.  Two
-        threads racing on a key both build it, and either copy is kept."""
-        cache = getattr(self, "_derived", None)
-        if cache is None:
-            cache = self._derived = {}
-        if key not in cache:
-            cache[key] = arr = make()
-            arr.setflags(write=False)
-        return cache[key]
 
 
 class WitnessArray(_FrozenArrays):
@@ -538,10 +544,8 @@ class MinPlusOutput(_FrozenArrays):
 
     def __init__(self, values: np.ndarray, finite: np.ndarray | None = None):
         arr = _as_int64(values, "output").copy()
-        if finite is None:
-            fin = np.ones(arr.shape, dtype=bool)
-        else:
-            fin = np.asarray(finite, dtype=bool).copy()
+        fin = np.ones(arr.shape, dtype=bool) if finite is None else finite
+        fin = _as_bits(fin, "finiteness mask")
         if fin.shape != arr.shape:
             raise ValueError("values and finiteness mask shapes differ")
         arr[~fin] = 0  # canonical filler under the mask

@@ -1,9 +1,9 @@
 """Exact integer convolution, Boolean convolution, and extreme-witness
 computation for Boolean convolutions.
 
-``bool_convolution`` ORs the denser operand's uint64 words shifted by each
-of the k set positions of the other while k * 2n/64 <= _WORD_CUTOFF * n
-log2 n (exact, no window); denser pairs run the transform below.
+``bool_convolution`` ORs a window of the denser operand's words (shifted by
+r = 0..63 once, into a table) for each of the k set positions of the other
+while k * 2n/64 <= _WORD_CUTOFF * n log2 n; denser pairs take the transform.
 
 Extreme witnesses come from a capped word scan.  "max" is "min" on both
 vectors reversed (l -> n-1-l, k -> 2n-2-k).  p is packed into uint64
@@ -118,25 +118,36 @@ def int_convolution(p: IntVector, q: IntVector) -> IntVector:
 def bool_convolution(
     p: BoolVector, q: BoolVector, counters: OpCounters | None = None
 ) -> BoolVector:
-    """Boolean convolution: bit k set iff some l has p_l and q_{k-l} set."""
+    """Boolean convolution: bit k set iff some l has p_l and q_{k-l} set;
+    the word path keeps its shift table and offsets on the operands."""
     if p.n != q.n:
         raise LengthMismatch(f"vector lengths differ: {p.n} vs {q.n}")
     n, count = p.n, (2 * p.n + 62) // 64
-    sparse, dense = sorted((p.bits, q.bits), key=np.count_nonzero)
-    off = n - 1 - np.flatnonzero(sparse)  # copy l: windows as ``_scan`` reads q
-    if off.size * count <= _WORD_CUTOFF * n * math.log2(n + 1):
-        r = (off & 63).astype(np.uint64)[:, None]
-        words = _words(dense, n - 1, (n - 1) // 64 + count + 1)
-        g = np.lib.stride_tricks.sliding_window_view(words, count + 1)[off >> 6]
-        lo = g[:, :-1] >> r
-        lo |= np.left_shift(g[:, 1:], 64 - r, out=g[:, 1:])
-        out = np.bitwise_or.reduce(lo, axis=0).view(np.uint8)
+    sparse, dense = sorted((p, q), key=lambda v: np.count_nonzero(v.bits))
+    if np.count_nonzero(sparse.bits) * count <= _WORD_CUTOFF * n * math.log2(n + 1):
+        r, w = sparse._cached("offsets", lambda: _offsets(sparse.bits))
+        table = dense._cached("shifts", lambda: _shift_table(dense.bits, count))
+        out = np.bitwise_or.reduce(table[r, w], axis=0).view(np.uint8)
         hits = np.unpackbits(out, count=2 * n - 1, bitorder="little").view(bool)
     else:
         hits = _conv_exact(p.bits.astype(np.int64), q.bits.astype(np.int64)) > 0
     if counters is not None:
         counters.bool_convolutions += 1
-    return BoolVector(hits)
+    return BoolVector._adopt(hits)
+
+
+def _offsets(bits: np.ndarray) -> np.ndarray:
+    """Shift-table rows (r, w) of each set bit l's window, from bit n - 1 - l."""
+    return np.stack(np.divmod(bits.size - 1 - np.flatnonzero(bits), 64)[::-1])
+
+
+def _shift_table(bits: np.ndarray, count: int) -> np.ndarray:
+    """A (64, windows, count) view: [r, w] holds the ``count`` words from
+    bit 64 w + r on of ``bits`` behind n - 1 zero bits (as ``_scan`` reads q)."""
+    words = _words(bits, bits.size - 1, (bits.size - 1) // 64 + count + 1)
+    r = np.arange(64, dtype=np.uint64)[:, None]
+    table = words[:-1] >> r | words[1:] << 64 - r  # a shift by 64 gives 0
+    return np.lib.stride_tricks.sliding_window_view(table, count, axis=1)
 
 
 def _words(bits: np.ndarray, lead: int, count: int) -> np.ndarray:

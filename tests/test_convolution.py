@@ -194,6 +194,29 @@ class TestFewValues:
             conv_few_values(a, b, db, ell=ell, counters=c)
             assert c.bool_convolutions == h_real * math.ceil(n / ell)
 
+    def test_each_part_and_group_is_packed_once_per_solve(self, monkeypatch):
+        # The benchmark's shape: n = 4096, h = 3, ell = 64.  Each b part is
+        # packed into its 64-shift word table once, and each group's
+        # set-bit offsets are built once, across all h * ceil(n/ell) calls.
+        from minplus import fastconv
+
+        built = {"_shift_table": 0, "_offsets": 0}
+        for name in built:
+            def spy(*args, _fn=getattr(fastconv, name), _name=name):
+                built[_name] += 1
+                return _fn(*args)
+
+            monkeypatch.setattr(fastconv, name, spy)
+        n, ell = 4096, 64
+        b, db = planted_uniform_vector(1, n, 3)
+        a = random_vector(0, n)
+        c = OpCounters()
+        got = conv_few_values(a, b, db, ell=ell, counters=c)
+        h, groups = db.part_count, math.ceil(n / ell)
+        assert c.bool_convolutions == h * groups
+        assert built == {"_shift_table": h, "_offsets": groups}
+        assert got == conv_naive(a, b)
+
     def test_peak_memory_of_a_benchmark_sized_solve(self):
         # n = 4096, h = 3, ell = 64: the benchmark's conv_fewvalues shape.
         # Stacking every group's hit row per part and the per-group

@@ -704,6 +704,78 @@ class TestBoolVector:
             BoolVector.from_indices([bad], 3)
 
 
+class TestStrictBits:
+    """Bits and finiteness masks take bools or the integers 0 and 1; a
+    truthiness cast once read 2, 0.5 and "a" as set bits."""
+
+    @pytest.mark.parametrize(
+        "make",
+        [BoolVector, lambda bits: BoolMatrix([bits, bits[::-1]])],
+        ids=["vector", "matrix"],
+    )
+    def test_bools_and_zero_one_integers_agree(self, make):
+        want = make(np.array([True, False]))
+        assert make([1, 0]) == want
+        assert make(np.array([1, 0], dtype=np.uint8)) == want
+        assert make([True, False]) == want
+
+    @pytest.mark.parametrize(
+        "bits, error",
+        [
+            ([2, 0.5, "a"], TypeError),
+            ([0.5, 0.0, 1.0], TypeError),
+            ([1.0, 0.0, 1.0], TypeError),
+            ([1, None, 0], TypeError),
+            ([2, 0, 1], ValueError),
+            ([-1, 0, 1], ValueError),
+        ],
+    )
+    def test_vector_refuses_other_values(self, bits, error):
+        with pytest.raises(error):
+            BoolVector(bits)
+
+    def test_matrix_refuses_other_values(self):
+        with pytest.raises(TypeError):
+            BoolMatrix([[2, 0], [0.5, "a"]])
+        with pytest.raises(TypeError):
+            BoolMatrix(np.eye(2))
+        with pytest.raises(ValueError):
+            BoolMatrix([[2, 0], [0, 1]])
+
+    def test_finite_mask_refuses_other_values(self):
+        values = np.array([5, 6])
+        for bad in (np.array([0.5, 0.0]), [2, "x"]):
+            with pytest.raises(TypeError):
+                MinPlusOutput(values, bad)
+        with pytest.raises(ValueError):
+            MinPlusOutput(values, [2, 0])
+        out = MinPlusOutput(values, [1, 0])
+        assert out.finite.tolist() == [True, False]
+        assert out == MinPlusOutput(values, np.array([True, False]))
+
+    def test_package_built_arrays_skip_the_check(self, monkeypatch):
+        # Solvers hand their own bool arrays over through ``_adopt``.
+        from minplus import conv_decomposed, conv_few_values, core
+        from minplus import decompose_nondecreasing, decompose_nonincreasing
+        from minplus import decompose_uniform
+
+        def refuse(values, what):
+            raise AssertionError(f"{what} checked again")
+
+        a, b = IntVector([3, 1, 4, 1, 5, 9]), IntVector([2, 7, 2, 7, 7, 2])
+        da, db = decompose_nondecreasing(a.coords), decompose_nonincreasing(b.coords)
+        runs = [
+            lambda: conv_few_values(a, b, decompose_uniform(b.coords), ell=2),
+            lambda: conv_decomposed(a, da, b, db),
+        ]
+        want = [run() for run in runs]
+        monkeypatch.setattr(core, "_as_bits", refuse)
+        for run, out in zip(runs, want):
+            got = run()
+            assert got.values.tolist() == out.values.tolist()
+            assert got.finite.tolist() == out.finite.tolist()
+
+
 class TestMinPlusOutput:
     def test_infinity_is_mask_not_number(self):
         out = MinPlusOutput(np.array([5, 123]), np.array([True, False]))

@@ -164,6 +164,67 @@ class TestBoolConvolution:
             assert c.bool_convolutions == 1
 
 
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 127, 128, 129, 1000])
+    def test_one_cached_table_serves_many_sparse_partners(self, n, monkeypatch):
+        # The denser operand is packed into its 64-shift table once, on the
+        # first call, and every later partner, in either argument order,
+        # reads the same table.
+        builds = []
+        build = fastconv._shift_table
+
+        def spy(*args):
+            builds.append(1)
+            return build(*args)
+
+        monkeypatch.setattr(fastconv, "_shift_table", spy)
+        rng = np.random.default_rng(n)
+        limit = self._word_limit(n)
+        dense_bits = rng.random(n) < 0.6
+        dense_bits[: limit + 1] = True  # more set bits than any partner
+        dense = bv(dense_bits)
+        # Offsets n - 1 - l with l at a multiple of 64 from n - 1 read
+        # their window from bit 0 of a word (a shift by 0).
+        aligned = np.arange(n - 1, -1, -64)
+        for trial in range(12):
+            k = int(rng.integers(0, limit + 1))
+            sparse_bits = np.zeros(n, bool)
+            if trial % 3 == 0:
+                sparse_bits[aligned[:k]] = True
+            else:
+                sparse_bits[rng.choice(n, k, replace=False)] = True
+            sparse = bv(sparse_bits)
+            want = np.convolve(sparse_bits.astype(int), dense_bits.astype(int)) > 0
+            for p, q in ((sparse, dense), (dense, sparse)):
+                c = OpCounters()
+                assert np.array_equal(bool_convolution(p, q, counters=c).bits, want)
+                assert c.bool_convolutions == 1
+        assert len(builds) == 1
+
+    def test_result_is_read_only_and_owns_its_bits(self):
+        rng = np.random.default_rng(5)
+        dense, sparse = bv(rng.random(300) < 0.7), bv(rng.random(300) < 0.02)
+        for _ in range(2):  # a fresh table, then the cached one
+            out = bool_convolution(sparse, dense)
+            assert not out.bits.flags.writeable
+            with pytest.raises(ValueError):
+                out.bits[0] = True
+            for cached in dense._derived.values():
+                assert not np.shares_memory(out.bits, cached)
+            for v in (dense, sparse):
+                assert not np.shares_memory(out.bits, v.bits)
+
+    def test_cache_leaves_equality_and_hash_alone(self):
+        rng = np.random.default_rng(6)
+        bits = rng.random(200) < 0.5
+        v, fresh = bv(bits), bv(bits)
+        before = hash(v), repr(v)
+        bool_convolution(bv(np.eye(1, 200, 7, dtype=bool)[0]), v)
+        assert v._derived
+        assert v == fresh and fresh == v
+        assert (hash(v), repr(v)) == before == (hash(fresh), repr(fresh))
+        assert bv(bits[::-1]) != v
+
+
 class TestFftSize:
     def test_least_five_smooth_length(self):
         def smooth(x):
