@@ -29,7 +29,7 @@ from .core import (
     parse_direction,
     validate_decomposition,
 )
-from .fastconv import bool_convolution, conv_extreme_witness
+from .fastconv import bool_convolution, conv_extreme_witness, hold_shift_table
 
 
 def _check_same_length(a: IntVector, b: IntVector) -> int:
@@ -113,7 +113,7 @@ def conv_few_values(
     value is constant, so the smallest reachable a value is optimal.
 
     A group has at most ell set bits, so ``bool_convolution`` ORs ell
-    windows of the part's shift table (built once) while ell <= ~10 log2 n.
+    windows of the shift table each part holds while ell <= ~10 log2 n.
     """
     n = _check_same_length(a, b)
     parts_b = validate_decomposition(dec_b, b.coords)
@@ -131,6 +131,7 @@ def conv_few_values(
     c = np.full(2 * n - 1, INT64_MAX, dtype=np.int64)
     qpad = np.zeros(3 * n - 2, dtype=bool)  # q at n-1.., zeros either side
     for qv in map(BoolVector._adopt, parts_b.chars[:, 0]):
+        hold_shift_table(qv)
         first = np.zeros(2 * n - 1, dtype=np.int64)
         unset = np.ones(2 * n - 1, dtype=bool)
         for t, gv in enumerate(group_vectors):

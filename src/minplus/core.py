@@ -322,11 +322,14 @@ def _as_int64(values: IntSeq, what: str) -> np.ndarray:
 
 
 def _as_bits(values, what: str) -> np.ndarray:
-    """``values`` as a fresh bool array: bools or 0/1 integers, no truthiness."""
+    """``values`` as a fresh read-only bool array: bools or 0/1 integers, no
+    truthiness."""
     arr = np.asarray(values)
     if arr.size and arr.dtype != bool and (_as_int64(arr, what) & ~1).any():
         raise ValueError(f"{what} holds integers other than 0 and 1")
-    return arr.astype(bool)
+    arr = arr.astype(bool)
+    arr.setflags(write=False)
+    return arr
 
 
 class _FrozenArrays:
@@ -384,10 +387,13 @@ class _FrozenArrays:
             )
         return f"{type(self).__name__}({body})"
 
+    def __reduce__(self):
+        # Copies and pickles carry the arrays, not the caches derived from them.
+        return type(self)._adopt, self._arrays()
+
     def _cached(self, key, make) -> np.ndarray:
-        """``make()``, built on the first call for ``key`` and kept read-only
-        in the ``_derived`` slot, so an array derived from the immutable ones
-        is built once per instance (threads racing may both build it)."""
+        """``make()``, built once per ``key`` and kept read-only in ``_derived``
+        (threads racing may both build it)."""
         cache = self._derived = getattr(self, "_derived", None) or {}
         if key not in cache:
             cache[key] = arr = make()
@@ -473,7 +479,6 @@ class BoolVector(_FrozenArrays):
         arr = _as_bits(bits, "bool vector")
         if arr.ndim != 1:
             raise ValueError("bool vector must be one-dimensional")
-        arr.setflags(write=False)
         self.bits = arr
 
     @classmethod
@@ -497,7 +502,6 @@ class BoolMatrix(_FrozenArrays):
         arr = _as_bits(bits, "bool matrix")
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ValueError(f"bool matrix must be square, got {arr.shape}")
-        arr.setflags(write=False)
         self.bits = arr
 
 
@@ -550,7 +554,6 @@ class MinPlusOutput(_FrozenArrays):
             raise ValueError("values and finiteness mask shapes differ")
         arr[~fin] = 0  # canonical filler under the mask
         arr.setflags(write=False)
-        fin.setflags(write=False)
         self.values = arr
         self.finite = fin
 

@@ -1,9 +1,10 @@
 """Exact integer convolution, Boolean convolution, and extreme-witness
 computation for Boolean convolutions.
 
-``bool_convolution`` ORs a window of the denser operand's words (shifted by
-r = 0..63 once, into a table) for each of the k set positions of the other
-while k * 2n/64 <= _WORD_CUTOFF * n log2 n; denser pairs take the transform.
+``bool_convolution`` ORs, for each of the k set bits of the sparser operand,
+a window of a table of the denser's words shifted by r = 0..63 (kept on the
+vector by ``hold_shift_table``) while k * 2n/64 <= _WORD_CUTOFF * n log2 n;
+denser pairs take the transform.
 
 Extreme witnesses come from a capped word scan.  "max" is "min" on both
 vectors reversed (l -> n-1-l, k -> 2n-2-k).  p is packed into uint64
@@ -118,15 +119,18 @@ def int_convolution(p: IntVector, q: IntVector) -> IntVector:
 def bool_convolution(
     p: BoolVector, q: BoolVector, counters: OpCounters | None = None
 ) -> BoolVector:
-    """Boolean convolution: bit k set iff some l has p_l and q_{k-l} set;
-    the word path keeps its shift table and offsets on the operands."""
+    """Boolean convolution: bit k set iff some l has p_l and q_{k-l} set."""
     if p.n != q.n:
         raise LengthMismatch(f"vector lengths differ: {p.n} vs {q.n}")
-    n, count = p.n, (2 * p.n + 62) // 64
-    sparse, dense = sorted((p, q), key=lambda v: np.count_nonzero(v.bits))
-    if np.count_nonzero(sparse.bits) * count <= _WORD_CUTOFF * n * math.log2(n + 1):
-        r, w = sparse._cached("offsets", lambda: _offsets(sparse.bits))
-        table = dense._cached("shifts", lambda: _shift_table(dense.bits, count))
+    n, (kp, kq) = p.n, map(np.count_nonzero, (p.bits, q.bits))
+    if kp > kq:  # p: the sparser side, whose set bits pick q's windows
+        p, q, kp = q, p, kq
+    if kp * ((2 * n + 62) // 64) <= _WORD_CUTOFF * n * math.log2(n + 1):
+        r, w = p._cached("offsets", lambda: _offsets(p.bits))
+        table = (getattr(q, "_derived", None) or {}).get("shifts")
+        if table is None:  # rows for the shifts this call reads, not all 64
+            shifts, r = np.unique(r, return_inverse=True)
+            table = _shift_table(q.bits, shifts)
         out = np.bitwise_or.reduce(table[r, w], axis=0).view(np.uint8)
         hits = np.unpackbits(out, count=2 * n - 1, bitorder="little").view(bool)
     else:
@@ -136,16 +140,24 @@ def bool_convolution(
     return BoolVector._adopt(hits)
 
 
+def hold_shift_table(v: BoolVector) -> None:
+    """Keep ``v``'s table of all 64 shifts on it (24n bytes), for the word
+    path of every ``bool_convolution`` where ``v`` is the denser operand."""
+    v._cached("shifts", lambda: _shift_table(v.bits))
+
+
 def _offsets(bits: np.ndarray) -> np.ndarray:
     """Shift-table rows (r, w) of each set bit l's window, from bit n - 1 - l."""
     return np.stack(np.divmod(bits.size - 1 - np.flatnonzero(bits), 64)[::-1])
 
 
-def _shift_table(bits: np.ndarray, count: int) -> np.ndarray:
-    """A (64, windows, count) view: [r, w] holds the ``count`` words from
-    bit 64 w + r on of ``bits`` behind n - 1 zero bits (as ``_scan`` reads q)."""
-    words = _words(bits, bits.size - 1, (bits.size - 1) // 64 + count + 1)
-    r = np.arange(64, dtype=np.uint64)[:, None]
+def _shift_table(bits: np.ndarray, shifts=range(64)) -> np.ndarray:
+    """A (len(shifts), windows, count) view: [i, w] holds the count =
+    ceil((2n-1)/64) words from bit 64 w + shifts[i] on of ``bits`` behind
+    n - 1 zero bits, as ``_scan`` reads q."""
+    n, count = bits.size, (2 * bits.size + 62) // 64
+    words = _words(bits, n - 1, (n - 1) // 64 + count + 1)
+    r = np.asarray(shifts, dtype=np.uint64)[:, None]
     table = words[:-1] >> r | words[1:] << 64 - r  # a shift by 64 gives 0
     return np.lib.stride_tricks.sliding_window_view(table, count, axis=1)
 

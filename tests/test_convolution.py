@@ -194,27 +194,54 @@ class TestFewValues:
             conv_few_values(a, b, db, ell=ell, counters=c)
             assert c.bool_convolutions == h_real * math.ceil(n / ell)
 
-    def test_each_part_and_group_is_packed_once_per_solve(self, monkeypatch):
-        # The benchmark's shape: n = 4096, h = 3, ell = 64.  Each b part is
-        # packed into its 64-shift word table once, and each group's
-        # set-bit offsets are built once, across all h * ceil(n/ell) calls.
+    @staticmethod
+    def _sparse_part_input(n):
+        # h = 4: two planted values, one more on 5 positions (fewer than a
+        # group's ell set bits), and an empty part.
+        b, _ = planted_uniform_vector(1, n, 2)
+        coords = b.coords.copy()
+        coords[np.random.default_rng(2).choice(n, 5, replace=False)] = 10**6
+        return IntVector(coords), decompose_uniform(coords).padded(4)
+
+    @pytest.mark.parametrize("sparse_parts", [0, 2])
+    def test_each_part_and_group_is_packed_once_per_solve(
+        self, sparse_parts, monkeypatch
+    ):
+        # The benchmark's shape: n = 4096, h = 3, ell = 64, and h = 4 with
+        # two parts sparser than a group.  Each b part is packed into its
+        # 64-shift word table once, and the sparser side of each call
+        # builds its set-bit offsets once: every group's against the dense
+        # parts, a sparse part's own (it then reads only the rows of each
+        # group's words that its offsets need, and keeps none).
         from minplus import fastconv
 
-        built = {"_shift_table": 0, "_offsets": 0}
-        for name in built:
-            def spy(*args, _fn=getattr(fastconv, name), _name=name):
-                built[_name] += 1
-                return _fn(*args)
+        tables, offsets = [], []
+        table, offs = fastconv._shift_table, fastconv._offsets
 
-            monkeypatch.setattr(fastconv, name, spy)
+        def table_spy(bits, shifts=range(64)):
+            tables.append(len(shifts))
+            return table(bits, shifts)
+
+        def offsets_spy(bits):
+            offsets.append(np.count_nonzero(bits))
+            return offs(bits)
+
+        monkeypatch.setattr(fastconv, "_shift_table", table_spy)
+        monkeypatch.setattr(fastconv, "_offsets", offsets_spy)
         n, ell = 4096, 64
-        b, db = planted_uniform_vector(1, n, 3)
+        if sparse_parts:
+            b, db = self._sparse_part_input(n)
+        else:
+            b, db = planted_uniform_vector(1, n, 3)
         a = random_vector(0, n)
         c = OpCounters()
         got = conv_few_values(a, b, db, ell=ell, counters=c)
         h, groups = db.part_count, math.ceil(n / ell)
         assert c.bool_convolutions == h * groups
-        assert built == {"_shift_table": h, "_offsets": groups}
+        assert tables.count(64) == h
+        assert len(tables) == h + sparse_parts * groups
+        assert all(k <= 5 for k in tables if k < 64)
+        assert sorted(offsets) == [0, 5][:sparse_parts] + [ell] * groups
         assert got == conv_naive(a, b)
 
     def test_peak_memory_of_a_benchmark_sized_solve(self):
@@ -223,6 +250,21 @@ class TestFewValues:
         # |outputs| x ell gathers measured an 8.5 MB peak.
         n = 4096
         b, db = planted_uniform_vector(1, n, 3)
+        a = random_vector(0, n)
+        tracemalloc.start()
+        try:
+            got = conv_few_values(a, b, db, ell=64)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20, peak / 2**20
+        assert got == conv_naive(a, b)
+
+    def test_peak_memory_with_parts_sparser_than_a_group(self):
+        # With the table on whichever operand had more set bits, each of
+        # the 64 groups kept a 96 KB shift table for the solve: 6 MB.
+        n = 4096
+        b, db = self._sparse_part_input(n)
         a = random_vector(0, n)
         tracemalloc.start()
         try:

@@ -2,8 +2,10 @@
 convolution witnesses: the capped word scan and the block search that
 takes the outputs it leaves."""
 
+import copy
 import math
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -164,24 +166,31 @@ class TestBoolConvolution:
             assert c.bool_convolutions == 1
 
 
-    @pytest.mark.parametrize("n", [1, 63, 64, 65, 127, 128, 129, 1000])
-    def test_one_cached_table_serves_many_sparse_partners(self, n, monkeypatch):
-        # The denser operand is packed into its 64-shift table once, on the
-        # first call, and every later partner, in either argument order,
-        # reads the same table.
-        builds = []
-        build = fastconv._shift_table
+    @staticmethod
+    def _spy_tables(monkeypatch):
+        """The row count of every shift table built from now on."""
+        rows, build = [], fastconv._shift_table
 
-        def spy(*args):
-            builds.append(1)
-            return build(*args)
+        def spy(bits, shifts=range(64)):
+            rows.append(len(shifts))
+            return build(bits, shifts)
 
         monkeypatch.setattr(fastconv, "_shift_table", spy)
+        return rows
+
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 127, 128, 129, 1000])
+    def test_one_held_table_serves_many_sparse_partners(self, n, monkeypatch):
+        # A dense vector given its 64-shift table by hold_shift_table is
+        # read, never rebuilt, against every sparser partner the word
+        # kernel takes, in either argument order.
+        rows = self._spy_tables(monkeypatch)
         rng = np.random.default_rng(n)
         limit = self._word_limit(n)
         dense_bits = rng.random(n) < 0.6
         dense_bits[: limit + 1] = True  # more set bits than any partner
         dense = bv(dense_bits)
+        fastconv.hold_shift_table(dense)
+        assert rows == [64]
         # Offsets n - 1 - l with l at a multiple of 64 from n - 1 read
         # their window from bit 0 of a word (a shift by 0).
         aligned = np.arange(n - 1, -1, -64)
@@ -198,31 +207,61 @@ class TestBoolConvolution:
                 c = OpCounters()
                 assert np.array_equal(bool_convolution(p, q, counters=c).bits, want)
                 assert c.bool_convolutions == 1
-        assert len(builds) == 1
+        assert rows == [64]
+
+    @pytest.mark.parametrize("n", [64, 1000])
+    def test_no_table_is_held_unless_asked(self, n, monkeypatch):
+        # Without a held table on the denser side (none at all, or one on
+        # the sparser side) a call builds only the rows for the shifts its
+        # offsets read, and drops them; the sparser side keeps its offsets.
+        rows = self._spy_tables(monkeypatch)
+        rng = np.random.default_rng(4)
+        dense_bits = rng.random(n) < 0.7
+        for k in (0, 1, 5):
+            sparse_bits = np.zeros(n, bool)
+            sparse_bits[rng.choice(n, k, replace=False)] = True
+            dense, sparse = bv(dense_bits), bv(sparse_bits)
+            fastconv.hold_shift_table(sparse)
+            rows.clear()
+            want = np.convolve(sparse_bits.astype(int), dense_bits.astype(int)) > 0
+            for p, q in ((sparse, dense), (dense, sparse)):
+                assert np.array_equal(bool_convolution(p, q).bits, want)
+            assert len(rows) == 2 and max(rows) <= k
+            assert getattr(dense, "_derived", None) is None
+            assert set(sparse._derived) == {"shifts", "offsets"}
 
     def test_result_is_read_only_and_owns_its_bits(self):
         rng = np.random.default_rng(5)
         dense, sparse = bv(rng.random(300) < 0.7), bv(rng.random(300) < 0.02)
-        for _ in range(2):  # a fresh table, then the cached one
+        for held in (False, True):  # a table for the call, then a held one
+            if held:
+                fastconv.hold_shift_table(dense)
             out = bool_convolution(sparse, dense)
             assert not out.bits.flags.writeable
             with pytest.raises(ValueError):
                 out.bits[0] = True
-            for cached in dense._derived.values():
+            for cached in getattr(dense, "_derived", {}).values():
                 assert not np.shares_memory(out.bits, cached)
             for v in (dense, sparse):
                 assert not np.shares_memory(out.bits, v.bits)
 
-    def test_cache_leaves_equality_and_hash_alone(self):
+    def test_cache_leaves_equality_hash_and_copies_alone(self):
         rng = np.random.default_rng(6)
         bits = rng.random(200) < 0.5
         v, fresh = bv(bits), bv(bits)
         before = hash(v), repr(v)
+        fastconv.hold_shift_table(v)
         bool_convolution(bv(np.eye(1, 200, 7, dtype=bool)[0]), v)
-        assert v._derived
+        assert "shifts" in v._derived
         assert v == fresh and fresh == v
         assert (hash(v), repr(v)) == before == (hash(fresh), repr(fresh))
         assert bv(bits[::-1]) != v
+        # Copies and pickles carry the bits only, never the (64, windows,
+        # count) view, which a copy would make n**2 / 4 bytes.
+        for c in (copy.copy(v), copy.deepcopy(v), pickle.loads(pickle.dumps(v))):
+            assert c == v and not c.bits.flags.writeable
+            assert getattr(c, "_derived", None) is None
+        assert len(pickle.dumps(v)) < 1000
 
 
 class TestFftSize:
