@@ -11,14 +11,14 @@ start at index 1 and "max" blocks end at n, so either kind starts on a
 full block.  Each row of P and column of Q packs its bits of a block (at
 most 64 wide) into one uint64 word, the preferred end at bit 0: the
 lowest set bit of ``p_i & q_j`` names the extreme witness of (i, j) in
-the block.  A matrix keeps its packed words, so an operand is packed once
-however many products it enters, and the witness array is handed over
-without a copy.  This runs on one core, not on BLAS threads, which slowed
-several-fold while another process held a core.  The first block visited
-is read densely over all n x n entries, in place; on planted inputs it
-settles almost all of them.  Later blocks gather only the entries still
-unset, the pass stops once none is left, and peak memory is a few n x n
-arrays.
+the block.  A solver packs each operand once with :func:`packed` for all
+the products it enters; other operands are packed per call.  The witness
+array is handed over without a copy.  This runs on one core, not on BLAS
+threads, which slowed several-fold while another process held a core.
+The first block visited is read densely over all n x n entries, in
+place; on planted inputs it settles almost all of them.  Later blocks
+gather only the entries still unset, the pass stops once none is left,
+and peak memory is a few n x n arrays.
 """
 
 from __future__ import annotations
@@ -30,9 +30,11 @@ from .core import (
     BoolMatrix,
     DimensionMismatch,
     OpCounters,
+    Packed,
     WitnessArray,
     checked_size,
     lowest_set_bit,
+    packed_words,
 )
 
 def bool_matmul(
@@ -48,32 +50,30 @@ def bool_matmul(
     return BoolMatrix._adopt(bits)
 
 
-def _block_words(bits: np.ndarray, width: int) -> np.ndarray:
-    """(blocks, n) uint64: bit t of word [b, i] is bits[i, b*width + t],
-    0 past the end."""
+def _block_words(bits: np.ndarray, kind: str, width: int) -> np.ndarray:
+    """(blocks, n) uint64 words of the rows of ``bits`` read from the
+    preferred end of ``kind``: bit t of word [b, i] is bit b*width + t of
+    row i from that end, 0 past the other."""
     n = bits.shape[0]
+    bits = bits[:, ::-1] if kind == "max" else bits
     blocks = np.pad(bits, ((0, 0), (0, -n % width))).reshape(n, -1, width)
     words = np.zeros((*blocks.shape[:2], 64), dtype=bool)
     words[:, :, :width] = blocks
-    packed = np.packbits(words, axis=-1, bitorder="little").view("<u8")
-    return np.ascontiguousarray(packed[:, :, 0].T)
+    words = np.packbits(words, axis=-1, bitorder="little").view("<u8")
+    return np.ascontiguousarray(words[:, :, 0].T)
 
 
-def _packed(M: BoolMatrix, side: str, kind: str, width: int) -> np.ndarray:
-    """Block words of M's ``"rows"`` or ``"cols"``, read from the preferred
-    end of ``kind``: packed on first use and kept on M, so a part's matrix
-    is packed once however many products it enters."""
-
-    def pack():
-        bits = M.bits if side == "rows" else M.bits.T
-        return _block_words(bits[:, ::-1] if kind == "max" else bits, width)
-
-    return M._cached((side, kind, width), pack)
+def packed(bits: np.ndarray, side: str, kind: str) -> Packed:
+    """``bits`` packed for :func:`mat_extreme_witness` of ``kind`` at the
+    default 64-wide blocks: the words of its rows for the ``"rows"`` side
+    (``P``), of its columns for the ``"cols"`` side (``Q``)."""
+    words = _block_words(bits if side == "rows" else bits.T, kind, 64)
+    return Packed(bits, (kind, 64), words)
 
 
 def mat_extreme_witness(
-    P: BoolMatrix,
-    Q: BoolMatrix,
+    P: BoolMatrix | Packed,
+    Q: BoolMatrix | Packed,
     kind: str,
     *,
     block_size: int | None = None,
@@ -86,7 +86,8 @@ def mat_extreme_witness(
     NO_WITNESS where the bit is 0.  ``block_size`` tunes the blocking
     (full 64-bit blocks by default, capped at 64); the output is independent
     of it.  The first block visited is read densely; later blocks gather
-    only the entries still unset.
+    only the entries still unset.  Either operand may be a
+    :func:`packed` form.
     """
     if P.n != Q.n:
         raise DimensionMismatch(f"dimensions differ: {P.n} vs {Q.n}")
@@ -97,7 +98,8 @@ def mat_extreme_witness(
     r = min(r, 64)  # one uint64 word
     # "max" reads the indices from n down, so its blocks end at n and its
     # first block is full, the mirror of "min".
-    rows, cols = _packed(P, "rows", kind, r), _packed(Q, "cols", kind, r)
+    rows = packed_words(P, (kind, r), lambda bits: _block_words(bits, kind, r))
+    cols = packed_words(Q, (kind, r), lambda bits: _block_words(bits.T, kind, r))
 
     def named(b: int, bit: np.ndarray) -> np.ndarray:
         """Lowest set bits t of block-b words as the 1-based indices

@@ -29,7 +29,7 @@ from .core import (
     parse_direction,
     validate_decomposition,
 )
-from .fastconv import bool_convolution, conv_extreme_witness, hold_shift_table
+from .fastconv import bool_convolution, conv_extreme_witness, packed
 
 
 def _check_same_length(a: IntVector, b: IntVector) -> int:
@@ -113,7 +113,8 @@ def conv_few_values(
     value is constant, so the smallest reachable a value is optimal.
 
     A group has at most ell set bits, so ``bool_convolution`` ORs ell
-    windows of the shift table each part holds while ell <= ~10 log2 n.
+    windows of a part's shift table while ell <= ~10 log2 n.  Each part's
+    table and each group's set-bit offsets are packed once per solve.
     """
     n = _check_same_length(a, b)
     parts_b = validate_decomposition(dec_b, b.coords)
@@ -126,19 +127,19 @@ def conv_few_values(
     ranked = np.pad(order, (0, -n % ell)).reshape(-1, ell).T.copy()
     groups = np.zeros((ranked.shape[1], n), dtype=bool)
     groups[np.arange(n) // ell, order] = True
-    group_vectors = [BoolVector._adopt(row) for row in groups]
+    packed_groups = [packed(row, "offsets") for row in groups]
 
     c = np.full(2 * n - 1, INT64_MAX, dtype=np.int64)
     qpad = np.zeros(3 * n - 2, dtype=bool)  # q at n-1.., zeros either side
-    for qv in map(BoolVector._adopt, parts_b.chars[:, 0]):
-        hold_shift_table(qv)
+    for q in parts_b.chars[:, 0]:
+        table = packed(q, "shifts")
         first = np.zeros(2 * n - 1, dtype=np.int64)
         unset = np.ones(2 * n - 1, dtype=bool)
-        for t, gv in enumerate(group_vectors):
-            new = bool_convolution(gv, qv, counters=counters).bits & unset
+        for t, group in enumerate(packed_groups):
+            new = bool_convolution(group, table, counters=counters).bits & unset
             first[new] = t
             unset ^= new
-        qpad[n - 1 : 2 * n - 1] = qv.bits
+        qpad[n - 1 : 2 * n - 1] = q
         # Reached outputs step through their groups by rank to a member's mate.
         k = np.flatnonzero(~unset)
         qsel = np.zeros(2 * n - 1, dtype=np.int64)
@@ -149,7 +150,7 @@ def conv_few_values(
             k = k[~mate]
             if not k.size:
                 break
-        fold_min(c, ~unset, a.coords[qsel] + b.coords[qv.bits.argmax()])
+        fold_min(c, ~unset, a.coords[qsel] + b.coords[q.argmax()])
     return folded_output(c)
 
 

@@ -21,7 +21,7 @@ import enum
 import math
 import operator
 from dataclasses import asdict, dataclass
-from typing import Iterable, Sequence, Union
+from typing import Iterable, NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -95,10 +95,6 @@ class DirectionViolation(MinPlusError):
 
 class UniformViolation(MinPlusError):
     """A part that must be constant-valued is not."""
-
-
-class PrecisionWindowExceeded(MinPlusError):
-    """Convolution inputs too large for the exact transform window."""
 
 
 class IndexOutOfRange(MinPlusError, IndexError):
@@ -333,17 +329,17 @@ def _as_bits(values, what: str) -> np.ndarray:
 
 
 class _FrozenArrays:
-    """Base of the value types below.  Each holds the read-only numpy
-    arrays named by its public ``__slots__`` (a slot with a leading
-    underscore holds a cache derived from them), so two of them are equal
-    when they have the same type and equal arrays.  The first slot is the
-    main array: ``n`` is its length, and the accessors check their
-    positions against it."""
+    """Base of the value types below.  Each holds exactly the read-only
+    numpy arrays named by its ``__slots__``, and nothing derived from
+    them: solvers keep packed forms of their operands in local
+    :class:`Packed` tuples.  So two of them are equal when they have the
+    same type and equal arrays.  The first slot is the main array: ``n``
+    is its length, and the accessors check their positions against it."""
 
     __slots__ = ()
 
     def __init_subclass__(cls):
-        cls._fields = tuple(s for s in cls.__slots__ if not s.startswith("_"))
+        cls._fields = cls.__slots__
         # The first slot's descriptor under one shared name, read as fast
         # as the subclass's own attribute (``BoolVector.n`` is per-call).
         cls._main = cls.__dict__[cls._fields[0]]
@@ -388,17 +384,9 @@ class _FrozenArrays:
         return f"{type(self).__name__}({body})"
 
     def __reduce__(self):
-        # Copies and pickles carry the arrays, not the caches derived from them.
+        # Through _adopt, so copies and pickles keep their arrays read-only:
+        # a deep copy or an unpickled array would otherwise be writeable.
         return type(self)._adopt, self._arrays()
-
-    def _cached(self, key, make) -> np.ndarray:
-        """``make()``, built once per ``key`` and kept read-only in ``_derived``
-        (threads racing may both build it)."""
-        cache = self._derived = getattr(self, "_derived", None) or {}
-        if key not in cache:
-            cache[key] = arr = make()
-            arr.setflags(write=False)
-        return cache[key]
 
     @staticmethod
     def _cell(n: int, first: int, *pos, what: str = "index") -> tuple[int, ...]:
@@ -473,7 +461,7 @@ class IntMatrix(_FrozenArrays):
 class BoolVector(_FrozenArrays):
     """Characteristic Boolean vector (one bit per host position)."""
 
-    __slots__ = ("bits", "_derived")
+    __slots__ = ("bits",)
 
     def __init__(self, bits):
         arr = _as_bits(bits, "bool vector")
@@ -496,13 +484,35 @@ class BoolVector(_FrozenArrays):
 class BoolMatrix(_FrozenArrays):
     """Square Boolean matrix."""
 
-    __slots__ = ("bits", "_derived")
+    __slots__ = ("bits",)
 
     def __init__(self, bits):
         arr = _as_bits(bits, "bool matrix")
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ValueError(f"bool matrix must be square, got {arr.shape}")
         self.bits = arr
+
+
+class Packed(NamedTuple):
+    """A solver's Boolean operand with its ``bits`` packed once into
+    ``words`` in one engine ``layout``.  An engine in any other layout
+    packs ``bits`` per call, so no output depends on the form passed."""
+
+    bits: np.ndarray
+    layout: tuple[str, int] | str
+    words: np.ndarray
+
+    @property
+    def n(self) -> int:
+        return self.bits.shape[0]
+
+
+def packed_words(operand, layout, pack):
+    """The words of ``operand`` in ``layout``: a Packed form's own if it was
+    packed in that layout, else ``pack(operand.bits)`` for this call."""
+    if isinstance(operand, Packed) and operand.layout == layout:
+        return operand.words
+    return pack(operand.bits)
 
 
 class WitnessArray(_FrozenArrays):

@@ -1,10 +1,11 @@
-"""Exact integer convolution, Boolean convolution, and extreme-witness
-computation for Boolean convolutions.
+"""Boolean convolution and extreme-witness computation for Boolean
+convolutions.
 
 ``bool_convolution`` ORs, for each of the k set bits of the sparser operand,
-a window of a table of the denser's words shifted by r = 0..63 (kept on the
-vector by ``hold_shift_table``) while k * 2n/64 <= _WORD_CUTOFF * n log2 n;
-denser pairs take the transform.
+a window of a table of the denser's words shifted by r = 0..63 while
+k * 2n/64 <= _WORD_CUTOFF * n log2 n; denser pairs take the transform.  A
+solver packs an operand once with :func:`packed` for all the calls it
+enters; other operands are packed per call, the table in the rows read.
 
 Extreme witnesses come from a capped word scan.  "max" is "min" on both
 vectors reversed (l -> n-1-l, k -> 2n-2-k).  p is packed into uint64
@@ -19,16 +20,13 @@ slices of p, transformed in row chunks of about 1 MB, are convolved with q
 to find per output the first block holding a witness, and the scan
 restarts there, ending within s // 64 + 2 steps for blocks of size s.
 
-The block search, ``int_convolution`` and dense ``bool_convolution`` run on
-a float64 FFT of the least 5-smooth length holding the output, rounded with
-``np.rint`` (small exact convolutions on a direct kernel), exact inside the
-window that ``_check_window`` enforces: inputs are non-negative and
-``max(p) * max(q) * min(len(p), len(q)) < CONV_WINDOW < 2**30``.
-Equal-length inputs then have ``||p||_2 * ||q||_2 <= max(p) * max(q) * n
-< 2**30`` (0/1 block slices ``<= n <= 2**20``), and the error of a float64
-FFT convolution of length N is at most a small constant times ``2**-53 *
-log2(N) * ||p||_2 * ||q||_2``, about ``2**30 * 2**-53 * 22 < 3e-6``, far
-below the 0.5 that rounding tolerates.
+The block search and dense ``bool_convolution`` run on a float64 FFT of
+the least 5-smooth length holding the output, rounded with ``np.rint``
+(small convolutions on a direct kernel).  Both convolve 0/1 vectors of
+length at most n <= 2**20, so ``||p||_2 * ||q||_2 <= n <= 2**20``, and the
+error of a float64 FFT convolution of length N is at most a small constant
+times ``2**-53 * log2(N) * ||p||_2 * ||q||_2``, about
+``2**20 * 2**-53 * 22 < 3e-9``, far below the 0.5 that rounding tolerates.
 """
 
 from __future__ import annotations
@@ -40,18 +38,14 @@ import numpy as np
 from .core import (
     NO_WITNESS,
     BoolVector,
-    IntVector,
     LengthMismatch,
     OpCounters,
-    PrecisionWindowExceeded,
+    Packed,
     WitnessArray,
     checked_size,
     lowest_set_bit,
+    packed_words,
 )
-
-#: Inputs are accepted while max(p) * max(q) * min(len(p), len(q)) stays
-#: below this bound, which keeps float64 FFT rounding exact (see above).
-CONV_WINDOW = 998244353
 
 #: Below this length the direct summation kernel beats the transform.
 _DIRECT_CUTOFF = 512
@@ -79,21 +73,9 @@ def _fft_size(out_len: int) -> int:
     return best
 
 
-def _check_window(pa: np.ndarray, qa: np.ndarray) -> None:
-    if pa.size == 0 or qa.size == 0:
-        return
-    if np.any(pa < 0) or np.any(qa < 0):
-        raise ValueError("convolution inputs must be non-negative")
-    worst = int(pa.max()) * int(qa.max()) * min(pa.shape[0], qa.shape[0])
-    if worst >= CONV_WINDOW:
-        raise PrecisionWindowExceeded(
-            f"coefficient bound {worst} reaches the exactness window {CONV_WINDOW}"
-        )
-
-
 def _conv_exact(pa: np.ndarray, qa: np.ndarray) -> np.ndarray:
-    """Exact convolution of non-negative int64 arrays inside the window."""
-    _check_window(pa, qa)
+    """Convolution of non-negative int64 arrays, rounded: exact for the
+    0/1 arrays this module convolves (see above)."""
     if max(pa.shape[0], qa.shape[0]) <= _DIRECT_CUTOFF:
         return np.convolve(pa, qa)
     from numpy import fft
@@ -104,31 +86,21 @@ def _conv_exact(pa: np.ndarray, qa: np.ndarray) -> np.ndarray:
     return np.rint(fft.irfft(spectrum, size)[:out_len]).astype(np.int64)
 
 
-def int_convolution(p: IntVector, q: IntVector) -> IntVector:
-    """Exact arithmetic convolution c_i = sum_l p_l * q_{i-l}, length 2n-1.
-
-    Inputs must be non-negative and small enough that every coefficient
-    stays inside the exactness window (raises PrecisionWindowExceeded
-    otherwise).
-    """
-    if p.n != q.n:
-        raise LengthMismatch(f"vector lengths differ: {p.n} vs {q.n}")
-    return IntVector(_conv_exact(p.coords, q.coords))
-
-
 def bool_convolution(
-    p: BoolVector, q: BoolVector, counters: OpCounters | None = None
+    p: BoolVector | Packed, q: BoolVector | Packed, counters: OpCounters | None = None
 ) -> BoolVector:
-    """Boolean convolution: bit k set iff some l has p_l and q_{k-l} set."""
+    """Boolean convolution: bit k set iff some l has p_l and q_{k-l} set.
+    Either operand may be a :func:`packed` form."""
     if p.n != q.n:
         raise LengthMismatch(f"vector lengths differ: {p.n} vs {q.n}")
     n, (kp, kq) = p.n, map(np.count_nonzero, (p.bits, q.bits))
     if kp > kq:  # p: the sparser side, whose set bits pick q's windows
         p, q, kp = q, p, kq
     if kp * ((2 * n + 62) // 64) <= _WORD_CUTOFF * n * math.log2(n + 1):
-        r, w = p._cached("offsets", lambda: _offsets(p.bits))
-        table = (getattr(q, "_derived", None) or {}).get("shifts")
-        if table is None:  # rows for the shifts this call reads, not all 64
+        r, w = packed_words(p, "offsets", _offsets)
+        if isinstance(q, Packed) and q.layout == "shifts":
+            table = q.words
+        else:  # rows for the shifts this call reads, not all 64
             shifts, r = np.unique(r, return_inverse=True)
             table = _shift_table(q.bits, shifts)
         out = np.bitwise_or.reduce(table[r, w], axis=0).view(np.uint8)
@@ -140,10 +112,12 @@ def bool_convolution(
     return BoolVector._adopt(hits)
 
 
-def hold_shift_table(v: BoolVector) -> None:
-    """Keep ``v``'s table of all 64 shifts on it (24n bytes), for the word
-    path of every ``bool_convolution`` where ``v`` is the denser operand."""
-    v._cached("shifts", lambda: _shift_table(v.bits))
+def packed(bits: np.ndarray, layout: str) -> Packed:
+    """``bits`` packed once for the ``bool_convolution`` calls it enters:
+    its table of all 64 shifts (``"shifts"``, 24n bytes) as the denser
+    operand, or its set-bit offsets (``"offsets"``) as the sparser one."""
+    pack = _shift_table if layout == "shifts" else _offsets
+    return Packed(bits, layout, pack(bits))
 
 
 def _offsets(bits: np.ndarray) -> np.ndarray:

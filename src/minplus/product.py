@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .boolmat import bool_matmul, mat_extreme_witness
+from .boolmat import bool_matmul, mat_extreme_witness, packed
 from .core import (
     INT64_MAX,
     NO_WITNESS,
@@ -81,15 +81,16 @@ class _WitnessSums:
         return hit
 
 
-def _fold_pairs(n: int, rows: AxisParts, cols: AxisParts, pair) -> MinPlusOutput:
+def _fold_pairs(n: int, rows: AxisParts, cols: AxisParts, pack, pair) -> MinPlusOutput:
     """The pair loop of every matrix solver.  Each row part's and each
-    column part's characteristic matrix is built once; for row part o and
-    column part r, ``pair(o, P, r, Q, sums)`` writes the pair's candidate
-    sums into ``sums``, one buffer for the solve, and returns the mask of
+    column part's characteristic matrix is built and packed once, as
+    ``pack(M, "rows")`` or ``pack(M, "cols")``; for row part o and column
+    part r, ``pair(o, P, r, Q, sums)`` writes the pair's candidate sums
+    into ``sums``, one buffer for the solve, and returns the mask of
     entries that have one, which fold_min folds into the running minimum.
     """
-    Ps = [BoolMatrix._adopt(P) for P in rows.chars]
-    Qs = [BoolMatrix._adopt(Q.T) for Q in cols.chars]
+    Ps = [pack(P, "rows") for P in rows.chars]
+    Qs = [pack(Q.T, "cols") for Q in cols.chars]
     # c and sums are one (2, n, n) block, as are _WitnessSums' buffers.
     # Once glibc has freed a block that large it stops handing the witness
     # engine's per-call n x n arrays back to the system, so later pairs
@@ -144,7 +145,7 @@ def minplus_decomposed(
         W = mat_extreme_witness(P, Q, kind, counters=counters)
         return witness_sums(W.values, sums)
 
-    return _fold_pairs(n, rows, cols, pair)
+    return _fold_pairs(n, rows, cols, lambda M, side: packed(M, side, kind), pair)
 
 
 def minplus_mixed_uniform(
@@ -171,16 +172,19 @@ def minplus_mixed_uniform(
     use_min = rows.holds[MonotoneTag.NON_DECREASING]
     witness_sums = _WitnessSums(A, B)
 
+    def pack(M, side):
+        return {kind: packed(M, side, kind) for kind in ("min", "max")}
+
     def pair(o, P, r, Q, sums):
         # Each row's witnesses are gathered in ``sums``, which the
         # candidate sums then overwrite.
         for kind, picked in (("min", use_min[o]), ("max", ~use_min[o])):
-            W = mat_extreme_witness(P, Q, kind, counters=counters)
+            W = mat_extreme_witness(P[kind], Q[kind], kind, counters=counters)
             np.copyto(sums, W.values, where=picked[:, None])
             del W  # before the next engine call
         return witness_sums(sums, sums)
 
-    return _fold_pairs(n, rows, cols, pair)
+    return _fold_pairs(n, rows, cols, pack, pair)
 
 
 def minplus_uniform_mixed(
@@ -227,7 +231,7 @@ def minplus_few_values_product(
         np.add(rows.first[o][:, None], cols.first[r], out=sums)
         return D.bits
 
-    return _fold_pairs(n, rows, cols, pair)
+    return _fold_pairs(n, rows, cols, lambda M, side: BoolMatrix._adopt(M), pair)
 
 
 def shift_transform_matrices(

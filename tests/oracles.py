@@ -15,6 +15,7 @@ from minplus.core import (
     CoverageGapError,
     Decomposition,
     IndexOutOfRange,
+    IntVector,
     LengthMismatch,
     MonotoneTag,
     OrderViolation,
@@ -22,6 +23,7 @@ from minplus.core import (
     Subsequence,
     values_satisfy,
 )
+from minplus import fastconv
 from minplus.fileio import ParseError
 
 
@@ -116,6 +118,36 @@ def int_conv(p, q) -> np.ndarray:
         for m in range(n):
             out[l + m] += int(p[l]) * int(q[m])
     return out
+
+
+#: ``int_convolution`` accepts inputs while max(p) * max(q) * n stays
+#: below this bound.  Then ``||p||_2 * ||q||_2 < 2**30``, and the error of
+#: a float64 FFT convolution of length N, at most a small constant times
+#: ``2**-53 * log2(N) * ||p||_2 * ||q||_2``, is about
+#: ``2**30 * 2**-53 * 22 < 3e-6``, far below the 0.5 that rounding tolerates.
+CONV_WINDOW = 998244353
+
+
+class PrecisionWindowExceeded(Exception):
+    """Convolution inputs too large for the exact transform window."""
+
+
+def int_convolution(p: IntVector, q: IntVector) -> IntVector:
+    """Exact counting convolution c_i = sum_l p_l * q_{i-l}, length 2n-1,
+    on the package's own transform (``fastconv._conv_exact``), for inputs
+    that are non-negative and inside CONV_WINDOW; :func:`int_conv` is its
+    loop reference."""
+    if p.n != q.n:
+        raise LengthMismatch(f"vector lengths differ: {p.n} vs {q.n}")
+    pa, qa = p.coords, q.coords
+    if (pa < 0).any() or (qa < 0).any():
+        raise ValueError("convolution inputs must be non-negative")
+    worst = int(pa.max()) * int(qa.max()) * p.n
+    if worst >= CONV_WINDOW:
+        raise PrecisionWindowExceeded(
+            f"coefficient bound {worst} reaches the exactness window {CONV_WINDOW}"
+        )
+    return IntVector(fastconv._conv_exact(pa, qa))
 
 
 def longest_strict_dec(values) -> int:

@@ -36,7 +36,6 @@ PUBLIC = {
     "MinPlusError",
     "OrderViolation",
     "OverlapError",
-    "PrecisionWindowExceeded",
     "UniformViolation",
     # validation and decomposition
     "validate_decomposition",
@@ -56,7 +55,6 @@ PUBLIC = {
     "bool_convolution",
     "bool_matmul",
     "conv_extreme_witness",
-    "int_convolution",
     "mat_extreme_witness",
     # (min,+) products and convolutions
     "minplus_decomposed",
@@ -98,7 +96,6 @@ OPTIONS = {
     "mat_extreme_witness": ("block_size", "counters"),
     "bool_convolution": ("counters",),
     "conv_extreme_witness": ("block_size", "counters"),
-    "int_convolution": (),
 }
 
 

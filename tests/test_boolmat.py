@@ -170,6 +170,21 @@ class TestMatExtremeWitness:
                 got = mat_extreme_witness(bm(P), bm(Q), kind).values
                 assert np.array_equal(got, want), (n, density, kind)
 
+    def test_forms_packed_for_another_layout_are_repacked(self):
+        # Forms packed for the other kind, or at width 64 for a call with
+        # a narrower block, are packed again from their bits for the call.
+        n = 70
+        rng = np.random.default_rng(9)
+        P, Q = rng.random((2, n, n)) < 0.15
+        for kind, other in (("min", "max"), ("max", "min")):
+            want = witness_reference(P, Q, kind)
+            mixed = boolmat.packed(P, "rows", other), boolmat.packed(Q, "cols", other)
+            assert np.array_equal(mat_extreme_witness(*mixed, kind).values, want)
+            forms = boolmat.packed(P, "rows", kind), boolmat.packed(Q, "cols", kind)
+            for bs in (None, 1, 5, 17):
+                got = mat_extreme_witness(*forms, kind, block_size=bs)
+                assert np.array_equal(got.values, want), (kind, bs)
+
     @pytest.mark.parametrize("n", [1, 5, 63, 64, 65, 130, 200, 520])
     def test_default_block_visits_every_block(self, n):
         # An all-zero P leaves every entry unset in every block.

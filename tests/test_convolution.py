@@ -208,11 +208,11 @@ class TestFewValues:
         self, sparse_parts, monkeypatch
     ):
         # The benchmark's shape: n = 4096, h = 3, ell = 64, and h = 4 with
-        # two parts sparser than a group.  Each b part is packed into its
-        # 64-shift word table once, and the sparser side of each call
-        # builds its set-bit offsets once: every group's against the dense
-        # parts, a sparse part's own (it then reads only the rows of each
-        # group's words that its offsets need, and keeps none).
+        # two parts sparser than a group.  The solve packs each b part into
+        # its 64-shift table once and each group's set-bit offsets once.  A
+        # part sparser than a group is the sparser side of its calls, so
+        # each call builds that part's offsets and reads only the rows of
+        # the group's words that they need.
         from minplus import fastconv
 
         tables, offsets = [], []
@@ -241,7 +241,8 @@ class TestFewValues:
         assert tables.count(64) == h
         assert len(tables) == h + sparse_parts * groups
         assert all(k <= 5 for k in tables if k < 64)
-        assert sorted(offsets) == [0, 5][:sparse_parts] + [ell] * groups
+        want = sorted([0, 5][:sparse_parts] * groups) + [ell] * groups
+        assert sorted(offsets) == want
         assert got == conv_naive(a, b)
 
     def test_peak_memory_of_a_benchmark_sized_solve(self):

@@ -1,5 +1,7 @@
 """Domain type behavior: bounds, indexing conventions, validation."""
 
+import copy
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -7,13 +9,16 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from minplus import convolution, product
 from minplus.core import (
     INT64_MAX,
     INT64_MIN,
+    _FrozenArrays,
     fold_min,
     folded_output,
     lowest_set_bit,
 )
+from minplus import generators as gen
 from minplus.generators import planted_matrix_rows
 
 from minplus import (
@@ -702,6 +707,87 @@ class TestBoolVector:
         # A bool index once acted as a mask and set every bit.
         with pytest.raises(TypeError):
             BoolVector.from_indices([bad], 3)
+
+
+#: One small instance of each value type.
+VALUES = {
+    IntVector: IntVector([3, -1, 4]),
+    IntMatrix: IntMatrix([[1, -2], [3, 4]]),
+    BoolVector: BoolVector([1, 0, 1]),
+    BoolMatrix: BoolMatrix([[1, 0], [1, 1]]),
+    WitnessArray: WitnessArray([[1, -1], [2, 1]]),
+    MinPlusOutput: MinPlusOutput([5, 6, 7], [True, False, True]),
+}
+
+
+def _held(x) -> set[str]:
+    """The names of every attribute set on ``x`` itself."""
+    slots = {s for c in type(x).__mro__ for s in getattr(c, "__slots__", ())}
+    return {s for s in slots if hasattr(x, s)} | set(getattr(x, "__dict__", ()))
+
+
+class TestFrozenArrays:
+    """The value types hold their public arrays and nothing else."""
+
+    def test_every_slot_is_a_field(self):
+        assert set(_FrozenArrays.__subclasses__()) == set(VALUES)
+        for cls in VALUES:
+            assert cls.__slots__ == cls._fields, cls
+            assert _held(VALUES[cls]) == set(cls._fields), cls
+
+    @pytest.mark.parametrize("cls", list(VALUES), ids=lambda c: c.__name__)
+    def test_copies_and_pickles_keep_arrays_read_only(self, cls):
+        v = VALUES[cls]
+        for c in (copy.copy(v), copy.deepcopy(v), pickle.loads(pickle.dumps(v))):
+            assert type(c) is cls and c == v and hash(c) == hash(v)
+            assert _held(c) == set(cls._fields)
+            for name in cls._fields:
+                assert not getattr(c, name).flags.writeable, name
+
+    @pytest.mark.parametrize("algo", ["fig1", "fig2", "fig4"])
+    def test_a_solve_adds_nothing_to_its_engine_inputs(self, algo, monkeypatch):
+        # Each engine call gets its operands as plain BoolMatrix or
+        # BoolVector values; after the solve none of them holds more than
+        # its bits.
+        seen = []
+
+        def plain(engine, value_type):
+            def call(*args, **kwargs):
+                operands = [value_type(x.bits) for x in args[:2]]
+                seen.extend(operands)
+                return engine(*operands, *args[2:], **kwargs)
+
+            return call
+
+        n = 70
+        if algo == "fig4":
+            monkeypatch.setattr(
+                convolution, "bool_convolution",
+                plain(convolution.bool_convolution, BoolVector),
+            )
+            a = gen.random_vector(0, n)
+            b, db = gen.planted_uniform_vector(1, n, 3)
+            got = convolution.conv_few_values(a, b, db, ell=8)
+            want = convolution.conv_naive(a, b)
+        else:
+            monkeypatch.setattr(
+                product, "mat_extreme_witness",
+                plain(product.mat_extreme_witness, BoolMatrix),
+            )
+            if algo == "fig1":
+                A, rows = gen.planted_matrix_rows(0, n, 3, "nondec")
+                B, cols = gen.planted_matrix_cols(1, n, 2, "nondec")
+                got = product.minplus_decomposed(A, rows, B, cols, "nondec")
+            else:
+                A, rows = gen.planted_mixed_matrix_rows(0, n, 3)
+                B, cols = gen.planted_uniform_matrix_cols(1, n, 2)
+                got = product.minplus_mixed_uniform(A, rows, B, cols)
+            want = product.minplus_naive(A, B)
+        assert got == want
+        assert seen
+        for x in seen:
+            assert _held(x) == {"bits"}
+            assert not x.bits.flags.writeable
 
 
 class TestStrictBits:

@@ -1,11 +1,9 @@
-"""Exact counting convolutions, Boolean convolutions, and extreme
-convolution witnesses: the capped word scan and the block search that
-takes the outputs it leaves."""
+"""Exact counting convolutions on the package's transform, Boolean
+convolutions, and extreme convolution witnesses: the capped word scan and
+the block search that takes the outputs it leaves."""
 
-import copy
 import math
 import os
-import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -22,11 +20,10 @@ from minplus import (
     IntVector,
     LengthMismatch,
     OpCounters,
-    PrecisionWindowExceeded,
     bool_convolution,
     conv_extreme_witness,
-    int_convolution,
 )
+from oracles import PrecisionWindowExceeded, int_convolution
 
 
 def bv(bits):
@@ -180,16 +177,15 @@ class TestBoolConvolution:
 
     @pytest.mark.parametrize("n", [1, 63, 64, 65, 127, 128, 129, 1000])
     def test_one_held_table_serves_many_sparse_partners(self, n, monkeypatch):
-        # A dense vector given its 64-shift table by hold_shift_table is
-        # read, never rebuilt, against every sparser partner the word
-        # kernel takes, in either argument order.
+        # A dense operand packed with its 64-shift table is read, never
+        # rebuilt, against every sparser partner the word kernel takes, plain
+        # or packed with its offsets, in either argument order.
         rows = self._spy_tables(monkeypatch)
         rng = np.random.default_rng(n)
         limit = self._word_limit(n)
         dense_bits = rng.random(n) < 0.6
         dense_bits[: limit + 1] = True  # more set bits than any partner
-        dense = bv(dense_bits)
-        fastconv.hold_shift_table(dense)
+        dense = fastconv.packed(dense_bits, "shifts")
         assert rows == [64]
         # Offsets n - 1 - l with l at a multiple of 64 from n - 1 read
         # their window from bit 0 of a word (a shift by 0).
@@ -201,67 +197,61 @@ class TestBoolConvolution:
                 sparse_bits[aligned[:k]] = True
             else:
                 sparse_bits[rng.choice(n, k, replace=False)] = True
-            sparse = bv(sparse_bits)
             want = np.convolve(sparse_bits.astype(int), dense_bits.astype(int)) > 0
-            for p, q in ((sparse, dense), (dense, sparse)):
-                c = OpCounters()
-                assert np.array_equal(bool_convolution(p, q, counters=c).bits, want)
-                assert c.bool_convolutions == 1
+            for sparse in (bv(sparse_bits), fastconv.packed(sparse_bits, "offsets")):
+                for p, q in ((sparse, dense), (dense, sparse)):
+                    c = OpCounters()
+                    got = bool_convolution(p, q, counters=c)
+                    assert np.array_equal(got.bits, want)
+                    assert c.bool_convolutions == 1
         assert rows == [64]
 
     @pytest.mark.parametrize("n", [64, 1000])
     def test_no_table_is_held_unless_asked(self, n, monkeypatch):
-        # Without a held table on the denser side (none at all, or one on
-        # the sparser side) a call builds only the rows for the shifts its
-        # offsets read, and drops them; the sparser side keeps its offsets.
+        # Without a packed table on the denser side (plain vectors, or a
+        # table packed for the sparser side) a call builds only the rows
+        # for the shifts its offsets read.
         rows = self._spy_tables(monkeypatch)
         rng = np.random.default_rng(4)
         dense_bits = rng.random(n) < 0.7
         for k in (0, 1, 5):
             sparse_bits = np.zeros(n, bool)
             sparse_bits[rng.choice(n, k, replace=False)] = True
-            dense, sparse = bv(dense_bits), bv(sparse_bits)
-            fastconv.hold_shift_table(sparse)
-            rows.clear()
             want = np.convolve(sparse_bits.astype(int), dense_bits.astype(int)) > 0
-            for p, q in ((sparse, dense), (dense, sparse)):
-                assert np.array_equal(bool_convolution(p, q).bits, want)
-            assert len(rows) == 2 and max(rows) <= k
-            assert getattr(dense, "_derived", None) is None
-            assert set(sparse._derived) == {"shifts", "offsets"}
+            for sparse in (bv(sparse_bits), fastconv.packed(sparse_bits, "shifts")):
+                dense = bv(dense_bits)
+                rows.clear()
+                for p, q in ((sparse, dense), (dense, sparse)):
+                    assert np.array_equal(bool_convolution(p, q).bits, want)
+                assert len(rows) == 2 and max(rows) <= k
+
+    @pytest.mark.parametrize("n", [64, 129, 1000])
+    def test_forms_packed_for_the_other_side_are_repacked(self, n):
+        # An "offsets" form on the denser side and a "shifts" form on the
+        # sparser side are packed again from their bits for the call.
+        rng = np.random.default_rng(n + 7)
+        dense_bits = rng.random(n) < 0.7
+        sparse_bits = np.zeros(n, bool)
+        sparse_bits[rng.choice(n, 3, replace=False)] = True
+        want = np.convolve(sparse_bits.astype(int), dense_bits.astype(int)) > 0
+        dense = fastconv.packed(dense_bits, "offsets")
+        sparse = fastconv.packed(sparse_bits, "shifts")
+        for p, q in ((sparse, dense), (dense, sparse)):
+            assert np.array_equal(bool_convolution(p, q).bits, want)
 
     def test_result_is_read_only_and_owns_its_bits(self):
         rng = np.random.default_rng(5)
-        dense, sparse = bv(rng.random(300) < 0.7), bv(rng.random(300) < 0.02)
-        for held in (False, True):  # a table for the call, then a held one
-            if held:
-                fastconv.hold_shift_table(dense)
-            out = bool_convolution(sparse, dense)
+        dense_bits, sparse_bits = rng.random(300) < 0.7, rng.random(300) < 0.02
+        table = fastconv.packed(dense_bits, "shifts")
+        offsets = fastconv.packed(sparse_bits, "offsets")
+        # Plain vectors (a table for the call), then the packed forms.
+        for p, q in ((bv(sparse_bits), bv(dense_bits)), (offsets, table)):
+            out = bool_convolution(p, q)
             assert not out.bits.flags.writeable
             with pytest.raises(ValueError):
                 out.bits[0] = True
-            for cached in getattr(dense, "_derived", {}).values():
-                assert not np.shares_memory(out.bits, cached)
-            for v in (dense, sparse):
-                assert not np.shares_memory(out.bits, v.bits)
-
-    def test_cache_leaves_equality_hash_and_copies_alone(self):
-        rng = np.random.default_rng(6)
-        bits = rng.random(200) < 0.5
-        v, fresh = bv(bits), bv(bits)
-        before = hash(v), repr(v)
-        fastconv.hold_shift_table(v)
-        bool_convolution(bv(np.eye(1, 200, 7, dtype=bool)[0]), v)
-        assert "shifts" in v._derived
-        assert v == fresh and fresh == v
-        assert (hash(v), repr(v)) == before == (hash(fresh), repr(fresh))
-        assert bv(bits[::-1]) != v
-        # Copies and pickles carry the bits only, never the (64, windows,
-        # count) view, which a copy would make n**2 / 4 bytes.
-        for c in (copy.copy(v), copy.deepcopy(v), pickle.loads(pickle.dumps(v))):
-            assert c == v and not c.bits.flags.writeable
-            assert getattr(c, "_derived", None) is None
-        assert len(pickle.dumps(v)) < 1000
+            for held in (p.bits, q.bits, table.words, *offsets.words):
+                assert not np.shares_memory(out.bits, held)
 
 
 class TestFftSize:
