@@ -44,7 +44,6 @@ from .core import (
 )
 from .decompose import (
     DecompositionStats,
-    char_vector,
     decompose_cols,
     decompose_monotone_greedy,
     decompose_nondecreasing,
@@ -54,7 +53,6 @@ from .decompose import (
     decomposition_stats,
     longest_strictly_decreasing_length,
     longest_strictly_increasing_length,
-    pad_decompositions,
 )
 from .fastconv import bool_convolution, conv_extreme_witness
 from .product import (
@@ -95,7 +93,6 @@ __all__ = [
     "WitnessArray",
     "bool_convolution",
     "bool_matmul",
-    "char_vector",
     "conv_decomposed",
     "conv_extreme_witness",
     "conv_few_values",
@@ -116,7 +113,6 @@ __all__ = [
     "minplus_mixed_uniform",
     "minplus_naive",
     "minplus_uniform_mixed",
-    "pad_decompositions",
     "shift_transform_matrices",
     "shift_transform_vectors",
     "validate_decomposition",

@@ -283,12 +283,12 @@ def _cmd_decompose(args) -> int:
         if args.target in ("rows", "both"):
             inst.dec_rows = tuple(decompose_rows(inst.A, args.mode))
             inst.rows_parts = None
-            m = inst.dec_rows[0].part_count
+            m = max(d.part_count for d in inst.dec_rows)
             report.append(f"rows: count={inst.A.n} max-parts={m} mode={args.mode}")
         if args.target in ("cols", "both"):
             inst.dec_cols = tuple(decompose_cols(inst.B, args.mode))
             inst.cols_parts = None
-            m = inst.dec_cols[0].part_count
+            m = max(d.part_count for d in inst.dec_cols)
             report.append(f"cols: count={inst.B.n} max-parts={m} mode={args.mode}")
     for line in report:
         label, _, stats = line.partition(": ")

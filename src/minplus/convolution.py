@@ -113,8 +113,10 @@ def conv_few_values(
     value is constant, so the smallest reachable a value is optimal.
 
     A group has at most ell set bits, so ``bool_convolution`` ORs ell
-    windows of a part's shift table while ell <= ~10 log2 n.  Each part's
-    table and each group's set-bit offsets are packed once per solve.
+    windows of a part's shift table while ell <= ~10 log2 n.  Each group's
+    set-bit offsets are packed once per solve, and so is each part: as its
+    shift table, or, with fewer than ell set bits, as its own offsets,
+    since such a part is the sparser side of its calls.
     """
     n = _check_same_length(a, b)
     parts_b = validate_decomposition(dec_b, b.coords)
@@ -132,11 +134,11 @@ def conv_few_values(
     c = np.full(2 * n - 1, INT64_MAX, dtype=np.int64)
     qpad = np.zeros(3 * n - 2, dtype=bool)  # q at n-1.., zeros either side
     for q in parts_b.chars[:, 0]:
-        table = packed(q, "shifts")
+        part = packed(q, "offsets" if np.count_nonzero(q) < ell else "shifts")
         first = np.zeros(2 * n - 1, dtype=np.int64)
         unset = np.ones(2 * n - 1, dtype=bool)
         for t, group in enumerate(packed_groups):
-            new = bool_convolution(group, table, counters=counters).bits & unset
+            new = bool_convolution(group, part, counters=counters).bits & unset
             first[new] = t
             unset ^= new
         qpad[n - 1 : 2 * n - 1] = q

@@ -21,7 +21,7 @@ import enum
 import math
 import operator
 from dataclasses import asdict, dataclass
-from typing import Iterable, NamedTuple, Sequence, Union
+from typing import NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -220,8 +220,8 @@ class Subsequence:
 
     The indices must be strictly increasing; they may come as a tuple, a
     list or a numpy integer array.  ``indices`` reads them back as a tuple
-    of ints.  Empty subsequences are legal; they are used to pad
-    decompositions to a common part count.
+    of ints.  Empty subsequences are legal: a part with no positions
+    constrains nothing.
     """
 
     __slots__ = ("positions", "tag")
@@ -288,19 +288,6 @@ class Decomposition:
     @property
     def part_count(self) -> int:
         return len(self.parts)
-
-    def padded(self, count: int) -> "Decomposition":
-        """Copy with empty UNIFORM parts appended up to ``count`` parts."""
-        count = _as_index(count)
-        if count < self.part_count:
-            raise ValueError(
-                f"cannot pad {self.part_count} parts down to {count}"
-            )
-        extra = tuple(
-            Subsequence((), MonotoneTag.UNIFORM)
-            for _ in range(count - self.part_count)
-        )
-        return Decomposition(self.host_length, self.parts + extra)
 
 
 IntSeq = Union[Sequence[int], np.ndarray]
@@ -469,17 +456,6 @@ class BoolVector(_FrozenArrays):
             raise ValueError("bool vector must be one-dimensional")
         self.bits = arr
 
-    @classmethod
-    def from_indices(cls, indices: Iterable[int], n: int) -> "BoolVector":
-        bits = np.zeros(n, dtype=bool)
-        for i in indices:
-            bits[cls._cell(n, 0, i)] = True
-        return cls(bits)
-
-    def indices(self) -> tuple[int, ...]:
-        """Positions of the set bits, ascending."""
-        return tuple(int(i) for i in np.flatnonzero(self.bits))
-
 
 class BoolMatrix(_FrozenArrays):
     """Square Boolean matrix."""
@@ -609,8 +585,9 @@ class OpCounters:
 
 @dataclass(frozen=True)
 class AxisParts:
-    """The parts of k validated decompositions of k length-n hosts, padded
-    to the largest part count m: ``chars[o, t]`` is the characteristic
+    """The parts of k validated decompositions of k length-n hosts, each
+    filled up with empty parts to the largest part count m, the one place
+    part counts are made equal: ``chars[o, t]`` is the characteristic
     vector of part o of decomposition t, ``first[o, t]`` the host value at
     its first index (0 if empty), and ``holds[tag][o, t]`` whether its
     values satisfy ``tag`` (empty parts satisfy every tag)."""

@@ -2,9 +2,9 @@
 
 Provides exact minimum-cardinality decompositions for a single direction
 (non-decreasing or non-increasing), a greedy mixed-direction heuristic, the
-distinct-value (uniform) decomposition, characteristic Boolean vectors
-of subsequences, and per-row/per-column decompositions of a matrix padded
-to a common part count.
+distinct-value (uniform) decomposition, and per-row/per-column
+decompositions of a matrix.  Rows and columns keep their own part counts:
+:func:`~minplus.core.validate_decomposition` lines them up for the solvers.
 
 The single-direction decompositions use a patience-style greedy scan whose
 part count provably equals the length of the longest strictly decreasing
@@ -15,12 +15,10 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from .core import (
-    BoolVector,
     Decomposition,
     IntMatrix,
     IntVector,
@@ -175,31 +173,17 @@ DECOMPOSE_MODES = {
 }
 
 
-def pad_decompositions(
-    decs: Sequence[Decomposition],
-) -> tuple[list[Decomposition], int]:
-    """Pad every decomposition with empty parts to the common maximum part
-    count; returns the padded list and that count."""
-    m = max(1, max(d.part_count for d in decs))
-    return [d.padded(m) for d in decs], m
-
-
 def decompose_rows(A: IntMatrix, mode: str) -> list[Decomposition]:
-    """One decomposition per row of A, padded to a common part count.
-    Modes: the keys of :data:`DECOMPOSE_MODES`."""
+    """One decomposition per row of A.  Modes: the keys of
+    :data:`DECOMPOSE_MODES`."""
     fn = DECOMPOSE_MODES[mode]
-    return pad_decompositions([fn(A.entries[i]) for i in range(A.n)])[0]
+    return [fn(A.entries[i]) for i in range(A.n)]
 
 
 def decompose_cols(B: IntMatrix, mode: str) -> list[Decomposition]:
-    """One decomposition per column of B, padded to a common part count."""
+    """One decomposition per column of B."""
     fn = DECOMPOSE_MODES[mode]
-    return pad_decompositions([fn(B.entries[:, j]) for j in range(B.n)])[0]
-
-
-def char_vector(p: Subsequence, n: int) -> BoolVector:
-    """Characteristic Boolean vector of a subsequence of a length-n host."""
-    return BoolVector.from_indices(p.indices, n)
+    return [fn(B.entries[:, j]) for j in range(B.n)]
 
 
 def longest_strictly_increasing_length(s) -> int:
@@ -235,14 +219,15 @@ def decomposition_stats(d: Decomposition, host) -> DecompositionStats:
     """Stats for a decomposition of ``host``; the certificate is computed
     independently of how ``d`` was produced."""
     values = _host_values(host)
-    tags = {p.tag for p in d.parts}
-    if tags <= {MonotoneTag.UNIFORM}:
+    # A UNIFORM part satisfies either order, so it fits either direction.
+    tags = {p.tag for p in d.parts} - {MonotoneTag.UNIFORM}
+    if not tags:
         direction = "uniform"
         cert: int | None = len(set(values.tolist()))
-    elif tags <= {MonotoneTag.NON_DECREASING}:
+    elif tags == {MonotoneTag.NON_DECREASING}:
         direction = "nondec"
         cert = longest_strictly_decreasing_length(values)
-    elif tags <= {MonotoneTag.NON_INCREASING}:
+    elif tags == {MonotoneTag.NON_INCREASING}:
         direction = "noninc"
         cert = longest_strictly_increasing_length(values)
     else:

@@ -12,6 +12,7 @@ from minplus.core import (
     INT64_MAX,
     INT64_MIN,
     MAX_DIMENSION,
+    BoolVector,
     CoverageGapError,
     Decomposition,
     IndexOutOfRange,
@@ -260,6 +261,20 @@ def cols_monotone(M, tag) -> bool:
 def vector_monotone(v, tag) -> bool:
     """Whether the whole IntVector satisfies the tag's order."""
     return values_satisfy(v.coords, tag)
+
+
+def padded(d: Decomposition, count: int) -> Decomposition:
+    """``d`` with empty UNIFORM parts appended up to ``count`` parts."""
+    extra = (Subsequence((), MonotoneTag.UNIFORM),) * (count - d.part_count)
+    return Decomposition(d.host_length, d.parts + extra)
+
+
+def char_vector(p: Subsequence, n: int) -> BoolVector:
+    """Characteristic Boolean vector of a subsequence of a length-n host."""
+    bits = np.zeros(n, dtype=bool)
+    for i in p.indices:
+        bits[i] = True
+    return BoolVector(bits)
 
 
 def validate_decomposition_loop(d, host) -> None:

@@ -20,7 +20,6 @@ from minplus import (
     MonotoneTag,
     OpCounters,
     Subsequence,
-    char_vector,
     conv_decomposed,
     conv_extreme_witness,
     conv_few_values,
@@ -36,7 +35,7 @@ from minplus import (
     shift_transform_matrices,
     shift_transform_vectors,
 )
-from oracles import cols_monotone, rows_monotone, vector_monotone
+from oracles import char_vector, cols_monotone, rows_monotone, vector_monotone
 from minplus.generators import (
     planted_matrix_cols,
     planted_matrix_rows,

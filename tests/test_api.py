@@ -2,6 +2,8 @@
 engines, pinned so that additions and removals are deliberate."""
 
 import inspect
+import re
+from pathlib import Path
 
 import pytest
 
@@ -40,7 +42,6 @@ PUBLIC = {
     # validation and decomposition
     "validate_decomposition",
     "values_satisfy",
-    "char_vector",
     "decompose_cols",
     "decompose_monotone_greedy",
     "decompose_nondecreasing",
@@ -50,7 +51,6 @@ PUBLIC = {
     "decomposition_stats",
     "longest_strictly_decreasing_length",
     "longest_strictly_increasing_length",
-    "pad_decompositions",
     # Boolean engines
     "bool_convolution",
     "bool_matmul",
@@ -79,6 +79,15 @@ def test_all_is_pinned():
 def test_every_public_name_resolves():
     for name in minplus.__all__:
         assert hasattr(minplus, name), name
+
+
+def test_readme_api_table_names_all():
+    # One row per public name, each with its paper role or CLI use.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## Public API\n", 1)[1].split("\n## ", 1)[0]
+    names = re.findall(r"^\| `([^`]+)` \|", section, flags=re.M)
+    assert len(names) == len(set(names))
+    assert set(names) == set(minplus.__all__)
 
 
 #: The parameters of each solver and engine that take a default or are

@@ -37,6 +37,40 @@ begin vector b
 end vector b
 """
 
+#: Greedy splits a = [3, 1, 2] into (0,) uniform and (1, 2) nondec.
+GREEDY_DOC = """format: minplus/1
+kind: vector
+n: 3
+index-base: 0
+
+begin vector a
+3 1 2
+end vector a
+
+begin vector b
+4 4 4
+end vector b
+"""
+
+#: Rows of A and columns of B with 1, 3 and 2 nondec parts each.
+UNEQUAL_PARTS_DOC = """format: minplus/1
+kind: matrix
+n: 3
+index-base: 1
+
+begin matrix A
+1 2 3
+3 2 1
+2 1 3
+end matrix A
+
+begin matrix B
+1 3 2
+2 2 1
+3 1 3
+end matrix B
+"""
+
 
 #: SHA-256 of ``minplus gen --n 16 --seed 0`` plus these flags, recorded
 #: before the CLI's algorithm table replaced its per-algorithm branches.
@@ -288,6 +322,14 @@ class TestDecompose:
         assert "a: parts=3 direction=nondec lower-bound=3" in out
         assert "begin decomposition a" in out_file.read_text()
 
+    def test_greedy_uniform_part_fits_either_direction(self, capsys, tmp_path):
+        inst = tmp_path / "v.txt"
+        inst.write_text(GREEDY_DOC)
+        code, out, _ = run(capsys, "decompose", str(inst), "--mode", "greedy",
+                           "--target", "a", "--out", str(tmp_path / "o.txt"))
+        assert code == 0
+        assert "a: parts=2 direction=nondec lower-bound=2" in out
+
     def test_uniform_constant_vector_single_part(self, capsys, tmp_path):
         inst = tmp_path / "c.txt"
         inst.write_text(CONSTANT_DOC)
@@ -309,6 +351,26 @@ class TestDecompose:
         text = out_file.read_text()
         assert "begin decompositions A rows" in text
         assert "begin decompositions B cols" in text
+
+    def test_unequal_part_counts_end_to_end(self, capsys, tmp_path):
+        inst, dec = tmp_path / "m.txt", tmp_path / "md.txt"
+        inst.write_text(UNEQUAL_PARTS_DOC)
+        code, out, _ = run(capsys, "decompose", str(inst), "--mode", "nondec",
+                           "--target", "both", "--out", str(dec))
+        assert code == 0
+        assert "rows: count=3 max-parts=3 mode=nondec" in out
+        assert "cols: count=3 max-parts=3 mode=nondec" in out
+        doc = fileio.parse_path(str(dec))
+        for decs in (doc.dec_rows, doc.dec_cols):
+            assert [d.part_count for d in decs] == [1, 3, 2]
+            assert all(len(p) for d in decs for p in d.parts)
+        r_fig, r_naive = tmp_path / "fig.txt", tmp_path / "naive.txt"
+        assert run(capsys, "compute", str(dec), "--algo", "fig1",
+                   "--out", str(r_fig))[0] == 0
+        assert run(capsys, "compute", str(dec), "--algo", "naive",
+                   "--out", str(r_naive))[0] == 0
+        assert values_section(r_fig) == values_section(r_naive)
+        assert "meta witness-matrix-calls: 9" in r_fig.read_text()
 
     def test_wrong_target_for_kind(self, capsys, tmp_path):
         inst = tmp_path / "v.txt"

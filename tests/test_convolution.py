@@ -201,18 +201,18 @@ class TestFewValues:
         b, _ = planted_uniform_vector(1, n, 2)
         coords = b.coords.copy()
         coords[np.random.default_rng(2).choice(n, 5, replace=False)] = 10**6
-        return IntVector(coords), decompose_uniform(coords).padded(4)
+        return IntVector(coords), oracles.padded(decompose_uniform(coords), 4)
 
     @pytest.mark.parametrize("sparse_parts", [0, 2])
     def test_each_part_and_group_is_packed_once_per_solve(
         self, sparse_parts, monkeypatch
     ):
         # The benchmark's shape: n = 4096, h = 3, ell = 64, and h = 4 with
-        # two parts sparser than a group.  The solve packs each b part into
-        # its 64-shift table once and each group's set-bit offsets once.  A
-        # part sparser than a group is the sparser side of its calls, so
-        # each call builds that part's offsets and reads only the rows of
-        # the group's words that they need.
+        # two parts sparser than a group.  The solve packs each group's
+        # set-bit offsets once and each b part once: a dense part into its
+        # 64-shift table, a part sparser than a group into its own offsets,
+        # since it is the sparser side of its calls.  Those calls read only
+        # the rows of the group's words that the part's offsets need.
         from minplus import fastconv
 
         tables, offsets = [], []
@@ -238,10 +238,10 @@ class TestFewValues:
         got = conv_few_values(a, b, db, ell=ell, counters=c)
         h, groups = db.part_count, math.ceil(n / ell)
         assert c.bool_convolutions == h * groups
-        assert tables.count(64) == h
-        assert len(tables) == h + sparse_parts * groups
+        assert tables.count(64) == h - sparse_parts
+        assert len(tables) == h - sparse_parts + sparse_parts * groups
         assert all(k <= 5 for k in tables if k < 64)
-        want = sorted([0, 5][:sparse_parts] * groups) + [ell] * groups
+        want = [0, 5][:sparse_parts] + [ell] * groups
         assert sorted(offsets) == want
         assert got == conv_naive(a, b)
 

@@ -20,6 +20,7 @@ from minplus.core import (
 )
 from minplus import generators as gen
 from minplus.generators import planted_matrix_rows
+from oracles import padded
 
 from minplus import (
     ENTRY_BOUND,
@@ -269,7 +270,7 @@ def test_other_shapes_are_unequal():
             TypeError,
             "output must hold integers, got dtype bool",
         ),
-        # A host length or pad count is an integer, not a bool or a float.
+        # A host length is an integer, not a bool or a float.
         (
             lambda: Decomposition(True, (Subsequence((0,), ND),)),
             TypeError,
@@ -279,11 +280,6 @@ def test_other_shapes_are_unequal():
             lambda: Decomposition(1.0, (Subsequence((0,), ND),)),
             TypeError,
             "'float' object cannot be interpreted as an integer",
-        ),
-        (
-            lambda: dec(1, ((0,), ND)).padded(True),
-            TypeError,
-            "index must be an integer, got True",
         ),
     ],
 )
@@ -419,15 +415,6 @@ class TestSubsequence:
     def test_numpy_integer_lengths_and_counts(self):
         d = Decomposition(np.int64(2), (Subsequence((0, 1), ND),))
         assert type(d.host_length) is int and d == dec(2, ((0, 1), ND))
-        assert d.padded(np.uint8(3)).part_count == 3
-
-    def test_padding_appends_empty_uniform(self):
-        d = dec(4, ((0, 1, 2, 3), ND))
-        p = d.padded(3)
-        assert p.part_count == 3
-        assert p.parts[1].indices == () and p.parts[1].tag is UN
-        with pytest.raises(ValueError):
-            p.padded(1)
 
 
 class TestValidateDecomposition:
@@ -519,7 +506,8 @@ def axis_cases(draw):
                 vals = vals[:1] * len(ix)
             hosts[t, ix] = [v * scale for v in vals]
             parts.append(Subsequence(tuple(ix), tag))
-        decs.append(Decomposition(n, tuple(parts)).padded(m + draw(st.integers(0, 2))))
+        d = Decomposition(n, tuple(parts))
+        decs.append(padded(d, m + draw(st.integers(0, 2))))
     for t in draw(st.lists(st.integers(0, k - 1), max_size=3)):
         parts = [list(p.indices) for p in decs[t].parts]
         tags = [p.tag for p in decs[t].parts]
@@ -687,26 +675,6 @@ class TestFoldMin:
         assert out.values.tolist() == [top, -top, 0]
         fold_min(c, np.ones(3, bool), np.array([top, top, top]))
         assert folded_output(c).values.tolist() == [top, -top, top]
-
-
-class TestBoolVector:
-    def test_from_indices_round_trip(self):
-        v = BoolVector.from_indices((0, 2, 4), 6)
-        assert v.bits.astype(int).tolist() == [1, 0, 1, 0, 1, 0]
-        assert v.indices() == (0, 2, 4)
-        with pytest.raises(IndexOutOfRange):
-            BoolVector.from_indices((6,), 6)
-        with pytest.raises(IndexOutOfRange):
-            BoolVector.from_indices((-1,), 6)
-        assert BoolVector.from_indices(np.array([1]), 3) == BoolVector([0, 1, 0])
-
-    @pytest.mark.parametrize(
-        "bad", [True, np.True_, 1.0], ids=["bool", "np-bool", "float"]
-    )
-    def test_from_indices_refuses_bools_and_floats(self, bad):
-        # A bool index once acted as a mask and set every bit.
-        with pytest.raises(TypeError):
-            BoolVector.from_indices([bad], 3)
 
 
 #: One small instance of each value type.

@@ -8,12 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from oracles import char_vector
 from minplus import (
     MonotoneTag,
     OrderViolation,
     Decomposition,
     Subsequence,
-    char_vector,
     decompose_monotone_greedy,
     decompose_nondecreasing,
     decompose_nonincreasing,
@@ -189,6 +189,19 @@ class TestStats:
         st_ = decomposition_stats(decompose_uniform(v), v)
         assert st_.direction == "uniform"
         assert st_.lower_bound_certificate == 2
+
+    def test_uniform_parts_fit_either_direction(self):
+        # Greedy splits [3, 1, 2] into (0,) uniform and (1, 2) nondec.
+        v = np.array([3, 1, 2])
+        d = decompose_monotone_greedy(v)
+        assert [p.tag for p in d.parts] == [MonotoneTag.UNIFORM, ND]
+        st_ = decomposition_stats(d, v)
+        assert (st_.direction, st_.lower_bound_certificate) == ("nondec", 2)
+        v = np.array([1, 3, 2])
+        d = Decomposition(3, (Subsequence((0,), MonotoneTag.UNIFORM),
+                              Subsequence((1, 2), NI)))
+        st_ = decomposition_stats(d, v)
+        assert (st_.direction, st_.lower_bound_certificate) == ("noninc", 2)
 
     def test_mixed_has_no_certificate(self):
         v = np.array([1, 2, 3, 9, 6, 0])

@@ -37,7 +37,7 @@ from minplus.fileio import (
     serialize,
     write_atomic,
 )
-from oracles import parse_parts_tokenwise
+from oracles import padded, parse_parts_tokenwise
 
 ND = MonotoneTag.NON_DECREASING
 NI = MonotoneTag.NON_INCREASING
@@ -101,7 +101,7 @@ class TestRoundTrip:
         assert parse_document(serialize(doc)) == doc
 
     def test_padded_empty_parts(self):
-        d = Decomposition(3, (Subsequence((0, 1, 2), ND),)).padded(3)
+        d = padded(Decomposition(3, (Subsequence((0, 1, 2), ND),)), 3)
         doc = VectorInstance(IntVector([1, 2, 3]), IntVector([4, 5, 6]), d, d)
         back = parse_document(serialize(doc))
         assert back == doc
@@ -482,7 +482,7 @@ def matrix_docs(draw):
     dec_rows = dec_cols = None
     if mode is not None:
         pad = draw(st.integers(0, 2))
-        dec_rows = tuple(d.padded(d.part_count + pad) for d in decompose_rows(A, mode))
+        dec_rows = tuple(padded(d, d.part_count + pad) for d in decompose_rows(A, mode))
         dec_cols = tuple(decompose_cols(B, mode))
     return MatrixInstance(A, B, dec_rows, dec_cols, {"seed": str(n)})
 
@@ -493,7 +493,7 @@ def vector_docs(draw):
     values, _ = drawn_values(draw, (2, n), EXTREMES)
     a, b = IntVector(values[0]), IntVector(values[1])
     dec_a = decompose_nondecreasing(a.coords)
-    dec_a = dec_a.padded(dec_a.part_count + draw(st.integers(0, 3)))
+    dec_a = padded(dec_a, dec_a.part_count + draw(st.integers(0, 3)))
     dec_b = draw(st.sampled_from([None, decompose_uniform(b.coords)]))
     return VectorInstance(a, b, dec_a, dec_b, {})
 
@@ -518,6 +518,13 @@ class TestRoundTripProperty:
         assert serialize(back) == text
 
 
+def padded_alike(decs):
+    """``decs`` padded to their largest part count, as the guard documents
+    were first written."""
+    m = max(d.part_count for d in decs)
+    return tuple(padded(d, m) for d in decs)
+
+
 def guard_docs():
     """A matrix instance with decompositions and a result matrix with
     infinities (plus their vector counterparts), built from a fixed seed."""
@@ -528,7 +535,8 @@ def guard_docs():
         for _ in range(2)
     )
     mat = MatrixInstance(
-        A, B, tuple(decompose_rows(A, "nondec")), tuple(decompose_cols(B, "greedy")),
+        A, B, padded_alike(decompose_rows(A, "nondec")),
+        padded_alike(decompose_cols(B, "greedy")),
         {"seed": "20231"},
     )
     vals = rng.integers(
@@ -544,7 +552,7 @@ def guard_docs():
     )
     vec = VectorInstance(
         a, b, decompose_monotone_greedy(a.coords),
-        decompose_nondecreasing(b.coords).padded(9), {},
+        padded(decompose_nondecreasing(b.coords), 9), {},
     )
     cvals = rng.integers(
         -SHIFTED_ENTRY_BOUND, SHIFTED_ENTRY_BOUND, size=29, endpoint=True

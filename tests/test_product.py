@@ -26,7 +26,6 @@ from minplus import (
     minplus_mixed_uniform,
     minplus_naive,
     minplus_uniform_mixed,
-    pad_decompositions,
     product,
     shift_transform_matrices,
 )
@@ -222,7 +221,7 @@ class TestMixedUniform:
         rows = [dec(6, ND, (0, 2, 5), (1, 4), (3,))] * 6
         rng = np.random.default_rng(22)
         B = IntMatrix(rng.choice([2, 9], size=(6, 6)))
-        cols = pad_decompositions(decompose_cols(B, "uniform"))[0]
+        cols = decompose_cols(B, "uniform")
         out = minplus_mixed_uniform(A, rows, B, cols)
         assert out == minplus_naive(A, B)
 
@@ -370,7 +369,7 @@ def spy_folds(monkeypatch):
 def with_empty_part(decs):
     """Each decomposition with one empty part more: every pair it enters
     has no witness at all."""
-    return [d.padded(d.part_count + 1) for d in decs]
+    return [oracles.padded(d, d.part_count + 1) for d in decs]
 
 
 class TestPairLoop:
@@ -543,18 +542,10 @@ class TestShiftMatrices:
 
 
 class TestHelpers:
-    def test_pad_decompositions_to_common_count(self):
-        d1 = dec(3, ND, (0, 1, 2))
-        d2 = dec(3, ND, (0,), (1,), (2,))
-        padded, m = pad_decompositions([d1, d2])
-        assert m == 3
-        assert [p.part_count for p in padded] == [3, 3]
-
     def test_decompose_rows_modes(self):
         M = IntMatrix(np.array([[3, 1, 2], [5, 5, 5], [9, 4, 4]]))
         by_rows = decompose_rows(M, "nondec")
-        assert len(by_rows) == 3
-        assert len({d.part_count for d in by_rows}) == 1  # padded equal
+        assert [d.part_count for d in by_rows] == [2, 1, 2]  # each row its own
         uni = decompose_rows(M, "uniform")
         assert uni[1].parts[0].indices == (0, 1, 2)
 
