@@ -29,7 +29,8 @@ from .core import (
     parse_direction,
     validate_decomposition,
 )
-from .fastconv import bool_convolution, conv_extreme_witness, packed
+from .fastconv import _CHUNK_ELEMENTS, _lead_ranks, bool_convolution, packed
+from .fastconv import conv_extreme_witness, packed_groups
 
 
 def _check_same_length(a: IntVector, b: IntVector) -> int:
@@ -105,18 +106,17 @@ def conv_few_values(
     constant-valued parts; a is arbitrary.
 
     a's indices are stable-sorted by value and cut into ceil(n/ell)
-    groups of at most ell.  For each b part and each group, one Boolean
-    convolution marks the outputs reachable from that group; per output k
-    the first (smallest-value) group with a hit is scanned for the member
-    of smallest value (ties: smallest index) whose mate k-q lies in the
-    part, and a_q + b_{k-q} enters the minimum fold.  Within a part the b
-    value is constant, so the smallest reachable a value is optimal.
-
-    A group has at most ell set bits, so ``bool_convolution`` ORs ell
-    windows of a part's shift table while ell <= ~10 log2 n.  Each group's
-    set-bit offsets are packed once per solve, and so is each part: as its
-    shift table, or, with fewer than ell set bits, as its own offsets,
-    since such a part is the sparser side of its calls.
+    groups of at most ell, all packed in one pass.  For each b part and
+    each group, one Boolean convolution marks the outputs reachable from
+    that group.  Per output k the first (smallest-value) group with a hit
+    gives the member of smallest value (ties: smallest index) whose mate
+    k-q lies in the part, and a_q + b_{k-q} enters the minimum fold.
+    Within a part the b value is constant, so that a value is optimal.
+    Group 0, first to reach most outputs, ranks them by its first 64
+    members in one word-level pass; the rest gather their group and take
+    its first member with a mate.  ``bool_convolution`` ORs a group's
+    windows of a part's shift table while ell <= ~10 log2 n; a part with
+    fewer than ell set bits is packed as its offsets (the sparser side).
     """
     n = _check_same_length(a, b)
     parts_b = validate_decomposition(dec_b, b.coords)
@@ -125,11 +125,9 @@ def conv_few_values(
         raise UniformViolation(f"part {bad[0] + 1} of b is not constant-valued")
     ell = checked_size(n, ell, "group size")
     order = np.argsort(a.coords, kind="stable")
-    # Row j: each group's member of value rank j; real members hit first.
-    ranked = np.pad(order, (0, -n % ell)).reshape(-1, ell).T.copy()
-    groups = np.zeros((ranked.shape[1], n), dtype=bool)
-    groups[np.arange(n) // ell, order] = True
-    packed_groups = [packed(row, "offsets") for row in groups]
+    groups = packed_groups(order, ell)
+    members = np.pad(order, (0, -n % ell)).reshape(-1, ell)  # padding last
+    rows = max(1, _CHUNK_ELEMENTS // (2 * ell))  # two int64 (rows, ell) arrays
 
     c = np.full(2 * n - 1, INT64_MAX, dtype=np.int64)
     qpad = np.zeros(3 * n - 2, dtype=bool)  # q at n-1.., zeros either side
@@ -137,21 +135,18 @@ def conv_few_values(
         part = packed(q, "offsets" if np.count_nonzero(q) < ell else "shifts")
         first = np.zeros(2 * n - 1, dtype=np.int64)
         unset = np.ones(2 * n - 1, dtype=bool)
-        for t, group in enumerate(packed_groups):
+        for t, group in enumerate(groups):
             new = bool_convolution(group, part, counters=counters).bits & unset
             first[new] = t
             unset ^= new
+        rank = _lead_ranks(groups[0], part)
+        qsel = members[0].take(rank, mode="clip")
         qpad[n - 1 : 2 * n - 1] = q
-        # Reached outputs step through their groups by rank to a member's mate.
-        k = np.flatnonzero(~unset)
-        qsel = np.zeros(2 * n - 1, dtype=np.int64)
-        for rank in ranked:
-            m = rank[first[k]]
-            mate = qpad[k + (n - 1) - m]
-            qsel[k[mate]] = m[mate]
-            k = k[~mate]
-            if not k.size:
-                break
+        later = np.flatnonzero((first > 0) | (rank == 64) & ~unset)
+        for k in np.split(later, range(rows, later.size, rows)):
+            m = members[first[k]]
+            j = qpad[k[:, None] + (n - 1) - m].argmax(axis=1)
+            qsel[k] = m[np.arange(k.size), j]
         fold_min(c, ~unset, a.coords[qsel] + b.coords[q.argmax()])
     return folded_output(c)
 

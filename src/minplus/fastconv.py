@@ -5,7 +5,8 @@ convolutions.
 a window of a table of the denser's words shifted by r = 0..63 while
 k * 2n/64 <= _WORD_CUTOFF * n log2 n; denser pairs take the transform.  A
 solver packs an operand once with :func:`packed` for all the calls it
-enters; other operands are packed per call, the table in the rows read.
+enters, fig4's groups all at once; other operands are packed per call, the
+table in the rows read.  ``_lead_ranks`` ORs such windows in rank order.
 
 Extreme witnesses come from a capped word scan.  "max" is "min" on both
 vectors reversed (l -> n-1-l, k -> 2n-2-k).  p is packed into uint64
@@ -53,7 +54,7 @@ _DIRECT_CUTOFF = 512
 #: Word kernel cutoff of ``bool_convolution``, fitted on measured times.
 _WORD_CUTOFF = 0.3
 
-#: float64 elements per chunk of block transforms in the block search.
+#: Elements per chunk: block transforms, and fig4's rank passes and gathers.
 _CHUNK_ELEMENTS = 1 << 17
 
 #: The witness scan stops after ceil(_SCAN_CAP * sqrt(n)) steps and leaves
@@ -93,16 +94,15 @@ def bool_convolution(
     Either operand may be a :func:`packed` form."""
     if p.n != q.n:
         raise LengthMismatch(f"vector lengths differ: {p.n} vs {q.n}")
-    n, (kp, kq) = p.n, map(np.count_nonzero, (p.bits, q.bits))
+    n, (kp, kq) = p.n, [  # an "offsets" form holds one column per set bit
+        v.words.shape[1] if isinstance(v, Packed) and v.layout == "offsets"
+        else np.count_nonzero(v.bits) for v in (p, q)
+    ]
     if kp > kq:  # p: the sparser side, whose set bits pick q's windows
         p, q, kp = q, p, kq
     if kp * ((2 * n + 62) // 64) <= _WORD_CUTOFF * n * math.log2(n + 1):
         r, w = packed_words(p, "offsets", _offsets)
-        if isinstance(q, Packed) and q.layout == "shifts":
-            table = q.words
-        else:  # rows for the shifts this call reads, not all 64
-            shifts, r = np.unique(r, return_inverse=True)
-            table = _shift_table(q.bits, shifts)
+        table, r = _windows(q, r)
         out = np.bitwise_or.reduce(table[r, w], axis=0).view(np.uint8)
         hits = np.unpackbits(out, count=2 * n - 1, bitorder="little").view(bool)
     else:
@@ -120,9 +120,41 @@ def packed(bits: np.ndarray, layout: str) -> Packed:
     return Packed(bits, layout, pack(bits))
 
 
+def packed_groups(order: np.ndarray, ell: int) -> list[Packed]:
+    """One pass packs ``order``'s groups of ``ell`` as "offsets", in its order."""
+    n, offsets = order.size, np.stack(np.divmod(order.size - 1 - order, 64)[::-1])
+    bits = np.zeros((-(-n // ell), n), dtype=bool)
+    bits[np.arange(n) // ell, order] = True
+    return [Packed(row, "offsets", offsets[:, t * ell : (t + 1) * ell])
+            for t, row in enumerate(bits)]
+
+
 def _offsets(bits: np.ndarray) -> np.ndarray:
     """Shift-table rows (r, w) of each set bit l's window, from bit n - 1 - l."""
     return np.stack(np.divmod(bits.size - 1 - np.flatnonzero(bits), 64)[::-1])
+
+
+def _lead_ranks(lead: Packed, part: BoolVector | Packed) -> np.ndarray:
+    """Per output k, the least j < 64 with q_{k - m_j} set over the lead's
+    members m_j in order, else min(len(lead), 64): the rows missing k in its
+    windows ORed down the rank axis.  Uncounted; all rows cost ell n bits."""
+    r, w = lead.words[:, :64]
+    table, r = _windows(part, r)
+    hits = np.empty(64 * table.shape[-1], dtype=np.min_scalar_type(r.size))
+    cols = max(1, _CHUNK_ELEMENTS // (64 * r.size))
+    for c in range(0, table.shape[-1], cols):
+        acc = np.bitwise_or.accumulate(table[r, w, c : c + cols], axis=0)
+        bits = np.unpackbits(acc.view(np.uint8), axis=1, bitorder="little")
+        bits.sum(axis=0, dtype=hits.dtype, out=hits[64 * c : 64 * (c + cols)])
+    return r.size - hits[: 2 * part.n - 1]
+
+
+def _windows(q: BoolVector | Packed, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """q's shift table and the rows of shifts ``r`` in it: held, or for ``r`` only."""
+    if isinstance(q, Packed) and q.layout == "shifts":
+        return q.words, r
+    shifts, r = np.unique(r, return_inverse=True)
+    return _shift_table(q.bits, shifts), r
 
 
 def _shift_table(bits: np.ndarray, shifts=range(64)) -> np.ndarray:

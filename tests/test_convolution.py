@@ -6,6 +6,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from minplus import (
@@ -208,15 +210,18 @@ class TestFewValues:
         self, sparse_parts, monkeypatch
     ):
         # The benchmark's shape: n = 4096, h = 3, ell = 64, and h = 4 with
-        # two parts sparser than a group.  The solve packs each group's
-        # set-bit offsets once and each b part once: a dense part into its
-        # 64-shift table, a part sparser than a group into its own offsets,
-        # since it is the sparser side of its calls.  Those calls read only
-        # the rows of the group's words that the part's offsets need.
+        # two parts sparser than a group.  The solve packs all groups'
+        # offsets in one pass, in value order, and each b part once: a
+        # dense part into its 64-shift table, a part sparser than a group
+        # into its own offsets, since it is the sparser side of its calls.
+        # Those calls read only the rows of the group's words that the
+        # part's offsets need; the lead group's ranks read one more table
+        # of such a part, with the rows for the lead's shifts.
         from minplus import fastconv
 
-        tables, offsets = [], []
+        tables, offsets, group_packs = [], [], []
         table, offs = fastconv._shift_table, fastconv._offsets
+        pack_groups = convolution.packed_groups
 
         def table_spy(bits, shifts=range(64)):
             tables.append(len(shifts))
@@ -226,8 +231,13 @@ class TestFewValues:
             offsets.append(np.count_nonzero(bits))
             return offs(bits)
 
+        def groups_spy(order, ell):
+            group_packs.append(ell)
+            return pack_groups(order, ell)
+
         monkeypatch.setattr(fastconv, "_shift_table", table_spy)
         monkeypatch.setattr(fastconv, "_offsets", offsets_spy)
+        monkeypatch.setattr(convolution, "packed_groups", groups_spy)
         n, ell = 4096, 64
         if sparse_parts:
             b, db = self._sparse_part_input(n)
@@ -238,11 +248,14 @@ class TestFewValues:
         got = conv_few_values(a, b, db, ell=ell, counters=c)
         h, groups = db.part_count, math.ceil(n / ell)
         assert c.bool_convolutions == h * groups
-        assert tables.count(64) == h - sparse_parts
-        assert len(tables) == h - sparse_parts + sparse_parts * groups
-        assert all(k <= 5 for k in tables if k < 64)
-        want = [0, 5][:sparse_parts] + [ell] * groups
-        assert sorted(offsets) == want
+        assert group_packs == [ell]
+        assert sorted(offsets) == [0, 5][:sparse_parts]
+        lead = np.argsort(a.coords, kind="stable")[:ell]
+        lead_shifts = np.unique((n - 1 - lead) % 64).size
+        assert lead_shifts > 5
+        assert sum(k <= 5 for k in tables) == sparse_parts * groups
+        big = [64] * (h - sparse_parts) + [lead_shifts] * sparse_parts
+        assert sorted(k for k in tables if k > 5) == sorted(big)
         assert got == conv_naive(a, b)
 
     def test_peak_memory_of_a_benchmark_sized_solve(self):
@@ -280,6 +293,46 @@ class TestFewValues:
         b, db = planted_uniform_vector(3, 20, 2)
         a = random_vector(4, 20)
         assert conv_few_values(a, b, db) == conv_naive(a, b)
+
+    def test_later_groups_in_row_chunks(self, monkeypatch):
+        # One output per chunk of the later groups' gather, and one word
+        # column per chunk of the lead group's ranks.  Groups of more than
+        # 64 send group 0's outputs past rank 63 to the gather too.
+        from minplus import fastconv
+
+        monkeypatch.setattr(convolution, "_CHUNK_ELEMENTS", 1)
+        monkeypatch.setattr(fastconv, "_CHUNK_ELEMENTS", 1)
+        for seed, n, ell in [(0, 200, 7), (1, 130, 64), (2, 97, 2), (3, 300, 300)]:
+            b, db = planted_uniform_vector(seed, n, 3)
+            a = IntVector(np.random.default_rng(seed).integers(-5, 5, n))
+            assert conv_few_values(a, b, db, ell=ell) == conv_naive(a, b)
+
+
+@st.composite
+def few_values_cases(draw):
+    """a with ties; b with one common value, a few rare ones (parts
+    sparser than a group) and empty parts; ell 1, 2, n or a non-divisor."""
+    n = draw(st.integers(1, 160))
+    a = IntVector(draw(st.lists(st.integers(-4, 4), min_size=n, max_size=n)))
+    coords = np.full(n, draw(st.integers(-9, 9)), dtype=np.int64)
+    rare = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(-9, 9)), max_size=6))
+    for i, v in rare:
+        coords[i] = v
+    dec = decompose_uniform(coords)
+    dec = oracles.padded(dec, dec.part_count + draw(st.integers(0, 2)))
+    choices = [1, min(2, n), n]
+    nondiv = [e for e in range(2, n) if n % e]
+    if nondiv:
+        choices.append(draw(st.sampled_from(nondiv)))
+    ell = draw(st.sampled_from(choices))
+    return a, IntVector(coords), dec, ell
+
+
+@settings(max_examples=150, deadline=None)
+@given(few_values_cases())
+def test_few_values_edge_cases_equal_naive(case):
+    a, b, dec, ell = case
+    assert conv_few_values(a, b, dec, ell=ell) == conv_naive(a, b)
 
 
 class TestShiftVectors:

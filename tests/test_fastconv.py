@@ -254,6 +254,63 @@ class TestBoolConvolution:
                 assert not np.shares_memory(out.bits, held)
 
 
+class TestLeadRanks:
+    """fig4's lead-group kernel: per output k, the rank of the lead's first
+    member m with q_{k-m} set, read from the part's shift table; ranks from
+    64 on all read 64."""
+
+    @staticmethod
+    def brute_force(members, q):
+        n, none = q.size, min(len(members), 64)
+        want = np.full(2 * n - 1, none)
+        for k in range(2 * n - 1):
+            for j, m in enumerate(members[:64]):
+                if 0 <= k - m < n and q[k - m]:
+                    want[k] = j
+                    break
+        return want
+
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 127, 129, 1000])
+    def test_matches_brute_force(self, n, monkeypatch):
+        rng = np.random.default_rng(n)
+        sizes = sorted({1, 2, 3, 17, 63, 64, 65, 200} & set(range(1, n + 1)))
+        for size in sizes:
+            for trial in range(2):
+                # One chunk of word columns, then one word per chunk.
+                monkeypatch.setattr(fastconv, "_CHUNK_ELEMENTS", (1 << 17, 1)[trial])
+                order = rng.permutation(n)
+                lead = fastconv.packed_groups(order, size)[0]
+                dense = rng.random(n) < 0.3
+                sparse = np.zeros(n, bool)
+                sparse[rng.choice(n, min(n, 5), replace=False)] = True
+                for q, form in ((dense, "shifts"), (sparse, "offsets"), (sparse, None)):
+                    part = bv(q) if form is None else fastconv.packed(q, form)
+                    got = fastconv._lead_ranks(lead, part)
+                    assert got.dtype == np.uint8
+                    assert np.array_equal(got, self.brute_force(order[:size], q))
+
+    def test_every_lead_size_up_to_a_word_and_past_it(self):
+        n = 200
+        rng = np.random.default_rng(2)
+        q = fastconv.packed(rng.random(n) < 0.05, "shifts")
+        for size in [*range(1, 66), 100, n]:
+            order = rng.permutation(n)
+            lead = fastconv.packed_groups(order, size)[0]
+            want = self.brute_force(order[:size], q.bits)
+            assert np.array_equal(fastconv._lead_ranks(lead, q), want)
+
+    def test_groups_list_their_members_in_order(self):
+        n, ell = 130, 24
+        order = np.random.default_rng(3).permutation(n)
+        groups = fastconv.packed_groups(order, ell)
+        assert len(groups) == math.ceil(n / ell)
+        for t, g in enumerate(groups):
+            members = order[t * ell : (t + 1) * ell]
+            assert np.array_equal(np.flatnonzero(g.bits), np.sort(members))
+            r, w = g.words
+            assert np.array_equal(n - 1 - (64 * w + r), members)
+
+
 class TestFftSize:
     def test_least_five_smooth_length(self):
         def smooth(x):
