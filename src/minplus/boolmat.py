@@ -15,10 +15,12 @@ the block.  A solver packs each operand once with :func:`packed` for all
 the products it enters; other operands are packed per call.  The witness
 array is handed over without a copy.  This runs on one core, not on BLAS
 threads, which slowed several-fold while another process held a core.
-The first block visited is read densely over all n x n entries, in
-place; on planted inputs it settles almost all of them.  Later blocks
-gather only the entries still unset, the pass stops once none is left,
-and peak memory is a few n x n arrays.
+The engine works on row tiles of about ``core._TILE`` entries, so its
+scratch stays in L2 and the witness array is its only n x n array.  In
+a tile the first block visited is read densely; on planted inputs it
+settles almost all entries.  Later blocks are read densely while more
+than a quarter of the tile is unset, then only the entries left are
+gathered, until none is.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ from .core import (
     checked_size,
     lowest_set_bit,
     packed_words,
+    row_tiles,
 )
 
 def bool_matmul(
@@ -85,9 +88,7 @@ def mat_extreme_witness(
     greatest ("max") 1-based index k with P[i,k] and Q[k,j] both set;
     NO_WITNESS where the bit is 0.  ``block_size`` tunes the blocking
     (full 64-bit blocks by default, capped at 64); the output is independent
-    of it.  The first block visited is read densely; later blocks gather
-    only the entries still unset.  Either operand may be a
-    :func:`packed` form.
+    of it.  Either operand may be a :func:`packed` form.
     """
     if P.n != Q.n:
         raise DimensionMismatch(f"dimensions differ: {P.n} vs {Q.n}")
@@ -101,33 +102,47 @@ def mat_extreme_witness(
     rows = packed_words(P, (kind, r), lambda bits: _block_words(bits, kind, r))
     cols = packed_words(Q, (kind, r), lambda bits: _block_words(bits.T, kind, r))
 
-    def named(b: int, bit: np.ndarray) -> np.ndarray:
+    def named(b: int, bit: np.ndarray, out) -> np.ndarray:
         """Lowest set bits t of block-b words as the 1-based indices
-        lo + 1 + t ("min") or n - lo - t ("max"), lo = b*r, in place."""
+        lo + 1 + t ("min") or n - lo - t ("max"), lo = b*r, into ``out``."""
         if kind == "min":
-            bit += b * r + 1
-        else:
-            np.subtract(n - b * r, bit, out=bit)
-        return bit
+            return np.add(bit, b * r + 1, out=out)
+        return np.subtract(n - b * r, bit, out=out)
 
-    first, *rest = range(rows.shape[0])
-    both = np.empty((n, n), dtype=np.uint64)
-    np.bitwise_and(rows[first][:, None], cols[first], out=both)
-    wit = named(first, lowest_set_bit(both))
-    unset = both == 0
-    wit[unset] = NO_WITNESS
-    left = np.count_nonzero(unset)
-    fresh = np.empty((n, n), dtype=bool)
-    for b in rest:
-        if not left:
-            break
-        np.bitwise_and(rows[b][:, None], cols[b], out=both)
-        np.not_equal(both, 0, out=fresh)
-        fresh &= unset
-        bit = lowest_set_bit(both[fresh])
-        wit[fresh] = named(b, bit)
-        unset ^= fresh
-        left -= bit.size
+    wit = np.empty((n, n), dtype=np.int64)
+    flat = wit.reshape(-1)
+    tiles = row_tiles(n)
+    both = np.empty((tiles[0].stop, n), dtype=np.uint64)
+    unset, fresh = np.empty((2, *both.shape), dtype=bool)
+    for tile in tiles:
+        k = tile.stop - tile.start
+        t_both, t_unset, t_fresh, t_wit = both[:k], unset[:k], fresh[:k], wit[tile]
+        np.bitwise_and(rows[0, tile, None], cols[0], out=t_both)
+        named(0, lowest_set_bit(t_both), t_wit)
+        left = np.count_nonzero(np.equal(t_both, 0, out=t_unset))
+        b = 1
+        # Dense passes while more than a quarter of the tile is unset (with
+        # all witnesses in the last block, gathers alone took 4x as long) ...
+        while b < len(rows) and 4 * left > k * n:
+            np.bitwise_and(rows[b, tile, None], cols[b], out=t_both)
+            np.not_equal(t_both, 0, out=t_fresh)
+            t_fresh &= t_unset
+            bit = lowest_set_bit(t_both[t_fresh])
+            t_wit[t_fresh] = named(b, bit, bit)
+            t_unset ^= t_fresh
+            left -= bit.size
+            b += 1
+        # ... then gathers of only the entries left.
+        at = np.flatnonzero(t_unset) + tile.start * n
+        flat[at] = NO_WITNESS
+        i, j = np.divmod(at, n)
+        for b in range(b, len(rows)):
+            if not at.size:
+                break
+            words = rows[b, i] & cols[b, j]
+            hit = words != 0
+            flat[at[hit]] = named(b, lowest_set_bit(words[hit]), None)
+            at, i, j = at[~hit], i[~hit], j[~hit]
     if counters is not None:
         counters.witness_matrix_calls += 1
     return WitnessArray._adopt(wit)

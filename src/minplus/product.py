@@ -32,6 +32,7 @@ from .core import (
     fold_min,
     folded_output,
     parse_direction,
+    row_tiles,
     validate_decomposition,
 )
 
@@ -51,55 +52,55 @@ def _require_tag(parts: AxisParts, tag: MonotoneTag, axis: str, error) -> None:
 
 
 class _WitnessSums:
-    """Candidate sums a_{i,k} + b_{k,j} at each entry's 1-based witness k,
-    written through index and part buffers made once per solve."""
+    """Folds candidate sums a_{i,k} + b_{k,j} at each entry's 1-based
+    witness k into the running minimum, one row tile at a time, through
+    tile-sized index, part, sums and hit buffers made once per solve."""
 
     def __init__(self, A: IntMatrix, B: IntMatrix):
         n = A.n
         self.n, self.a, self.b = n, A.entries.ravel(), B.entries.ravel()
+        self.tiles = row_tiles(n)
+        h = self.tiles[0].stop
         # Flat gathers, about twice as fast as take_along_axis at n=512:
-        # i*n + k - 1 indexes a_{i,k}, and (k - 1)*n + j indexes b_{k,j}.
-        self.row_base = np.arange(-1, n * n - 1, n)[:, None]
-        self.col_base = np.arange(-n, 0)
-        self.index, self.part = np.empty((2, n, n), dtype=np.int64)
-        self.hit = np.empty((n, n), dtype=bool)
+        # (k - 1)*n + j indexes b_{k,j}, and i*n + k - 1 indexes a_{i,k}
+        # in the tile's rows of a, i counted from the tile's first row.
+        # The bases are tile-sized: a broadcast add took twice as long.
+        self.col_base = np.tile(np.arange(-n, 0), (h, 1))
+        self.row_base = np.repeat(np.arange(-1, h * n - 1, n), n).reshape(h, n)
+        self.bufs = np.empty((3, h, n), dtype=np.int64)  # index, part, sums
+        self.hit = np.empty((h, n), dtype=bool)
 
-    def __call__(self, wit: np.ndarray, sums: np.ndarray) -> np.ndarray:
-        """Write the sums for witnesses ``wit`` into ``sums`` and return
-        the mask of entries that have a witness.  An entry without one
-        reads clipped indices, so its sum is of two in-range entries and
-        masked off.  ``wit`` may be ``sums`` itself: it is read in full
-        before ``sums`` is written."""
-        index = self.index
-        hit = np.not_equal(wit, NO_WITNESS, out=self.hit)
-        np.multiply(wit, self.n, out=index)
-        index += self.col_base
-        np.take(self.b, index, out=self.part, mode="clip")
-        np.add(wit, self.row_base, out=index)
-        np.take(self.a, index, out=sums, mode="clip")
-        sums += self.part
-        return hit
+    def __call__(self, wit: np.ndarray, c: np.ndarray) -> None:
+        """Fold the sums for witnesses ``wit`` into ``c``.  An entry without
+        one reads clipped indices, so its sum is of two in-range entries and
+        masked off."""
+        n = self.n
+        for tile in self.tiles:
+            k = tile.stop - tile.start
+            w, (index, part, sums) = wit[tile], self.bufs[:, :k]
+            np.multiply(w, n, out=index)
+            index += self.col_base[:k]
+            np.take(self.b, index, out=part, mode="clip")
+            np.add(w, self.row_base[:k], out=index)
+            a = self.a[tile.start * n : tile.stop * n]
+            np.take(a, index, out=sums, mode="clip")
+            sums += part
+            fold_min(c[tile], np.not_equal(w, NO_WITNESS, out=self.hit[:k]), sums)
 
 
 def _fold_pairs(n: int, rows: AxisParts, cols: AxisParts, pack, pair) -> MinPlusOutput:
     """The pair loop of every matrix solver.  Each row part's and each
     column part's characteristic matrix is built and packed once, as
     ``pack(M, "rows")`` or ``pack(M, "cols")``; for row part o and column
-    part r, ``pair(o, P, r, Q, sums)`` writes the pair's candidate sums
-    into ``sums``, one buffer for the solve, and returns the mask of
-    entries that have one, which fold_min folds into the running minimum.
+    part r, ``pair(o, P, r, Q, c)`` folds the pair's candidate sums into
+    the running minimum ``c`` with fold_min.
     """
     Ps = [pack(P, "rows") for P in rows.chars]
     Qs = [pack(Q.T, "cols") for Q in cols.chars]
-    # c and sums are one (2, n, n) block, as are _WitnessSums' buffers.
-    # Once glibc has freed a block that large it stops handing the witness
-    # engine's per-call n x n arrays back to the system, so later pairs
-    # reuse them instead of faulting them in again: at n=512, every other
-    # solve took about 10,000 minor faults with separate n x n buffers.
-    c, sums = np.full((2, n, n), INT64_MAX, dtype=np.int64)
+    c = np.full((n, n), INT64_MAX, dtype=np.int64)
     for o, P in enumerate(Ps):
         for r, Q in enumerate(Qs):
-            fold_min(c, pair(o, P, r, Q, sums), sums)
+            pair(o, P, r, Q, c)
     return folded_output(c)
 
 
@@ -141,9 +142,8 @@ def minplus_decomposed(
     kind = "min" if tag is MonotoneTag.NON_DECREASING else "max"
     witness_sums = _WitnessSums(A, B)
 
-    def pair(o, P, r, Q, sums):
-        W = mat_extreme_witness(P, Q, kind, counters=counters)
-        return witness_sums(W.values, sums)
+    def pair(o, P, r, Q, c):
+        witness_sums(mat_extreme_witness(P, Q, kind, counters=counters).values, c)
 
     return _fold_pairs(n, rows, cols, lambda M, side: packed(M, side, kind), pair)
 
@@ -171,18 +171,18 @@ def minplus_mixed_uniform(
     _require_tag(cols, MonotoneTag.UNIFORM, "cols", UniformViolation)
     use_min = rows.holds[MonotoneTag.NON_DECREASING]
     witness_sums = _WitnessSums(A, B)
+    wit = np.empty((n, n), dtype=np.int64)
 
     def pack(M, side):
         return {kind: packed(M, side, kind) for kind in ("min", "max")}
 
-    def pair(o, P, r, Q, sums):
-        # Each row's witnesses are gathered in ``sums``, which the
-        # candidate sums then overwrite.
+    def pair(o, P, r, Q, c):
+        # Each row's min or max witnesses are gathered in ``wit``.
         for kind, picked in (("min", use_min[o]), ("max", ~use_min[o])):
             W = mat_extreme_witness(P[kind], Q[kind], kind, counters=counters)
-            np.copyto(sums, W.values, where=picked[:, None])
+            np.copyto(wit, W.values, where=picked[:, None])
             del W  # before the next engine call
-        return witness_sums(sums, sums)
+        witness_sums(wit, c)
 
     return _fold_pairs(n, rows, cols, pack, pair)
 
@@ -226,10 +226,15 @@ def minplus_few_values_product(
     _require_tag(rows, MonotoneTag.UNIFORM, "rows", UniformViolation)
     _require_tag(cols, MonotoneTag.UNIFORM, "cols", UniformViolation)
 
-    def pair(o, P, r, Q, sums):
+    tiles = row_tiles(n)
+    sums = np.empty((tiles[0].stop, n), dtype=np.int64)
+
+    def pair(o, P, r, Q, c):
         D = bool_matmul(P, Q, counters)
-        np.add(rows.first[o][:, None], cols.first[r], out=sums)
-        return D.bits
+        for tile in tiles:
+            t_sums = sums[: tile.stop - tile.start]
+            np.add(rows.first[o][tile, None], cols.first[r], out=t_sums)
+            fold_min(c[tile], D.bits[tile], t_sums)
 
     return _fold_pairs(n, rows, cols, lambda M, side: BoolMatrix._adopt(M), pair)
 

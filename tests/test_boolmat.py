@@ -15,7 +15,7 @@ from minplus import (
     mat_extreme_witness,
 )
 
-from minplus import boolmat
+from minplus import boolmat, core
 
 import oracles
 
@@ -222,9 +222,10 @@ class TestMatExtremeWitness:
     def test_max_starts_on_a_full_top_block(self, monkeypatch):
         # Every entry has a witness among the top 64 indices, and some
         # only below the top n mod 64 = 2: the first "max" block holds all
-        # 64, so its dense pass settles every entry and the mask pass never
-        # runs.
+        # 64, so each row tile's dense pass settles every entry and no
+        # later block is read.
         n = 130
+        monkeypatch.setattr(core, "_TILE", 16 * n)
         rng = np.random.default_rng(5)
         top = np.arange(n) >= n - 64
         P = (rng.random((n, n)) < 0.5) & top
@@ -238,7 +239,7 @@ class TestMatExtremeWitness:
         )
         got = mat_extreme_witness(bm(P), bm(Q), "max").values
         assert np.array_equal(got, witness_reference(P, Q, "max"))
-        assert calls == [n * n]
+        assert calls == [16 * n] * 8 + [2 * n]
 
     def test_peak_memory_is_a_few_n_squared_arrays(self):
         n = 512
@@ -252,7 +253,9 @@ class TestMatExtremeWitness:
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
-            assert peak < 6 * 8 * n * n, (kind, peak / (8 * n * n))
+            # The witness array and one row tile's scratch: 1.33 * 8n^2,
+            # against 2.35 with n x n scratch.
+            assert peak < 2 * 8 * n * n, (kind, peak / (8 * n * n))
 
     def test_min_max_duality_under_index_reversal(self):
         rng = np.random.default_rng(21)
@@ -311,3 +314,67 @@ class TestMatExtremeWitness:
         mat_extreme_witness(P, P, "min", counters=c)
         mat_extreme_witness(P, P, "max", counters=c)
         assert c.witness_matrix_calls == 2
+
+
+#: Tile sizes in entries: one row, and 11 rows, which leaves a partial
+#: last tile at every n below but 1.
+TILINGS = {"one row": lambda n: 1, "partial last tile": lambda n: 11 * n}
+
+
+def visit_order(want, kind, n, bs):
+    """Place of each entry's witness block in the engine's order ("min"
+    blocks start at index 1, "max" blocks end at n); the block count where
+    there is no witness."""
+    k = np.maximum(want, 1)
+    order = (k - 1) // bs if kind == "min" else (n - k) // bs
+    return np.where(want == NO_WITNESS, -(-n // bs), order)
+
+
+def tile_cases(order, blocks, n):
+    """Which of the engine's paths the row tiles of ``order`` take."""
+    seen = set()
+    for tile in core.row_tiles(n):
+        o = order[tile]
+        left = [np.count_nonzero(o > b) for b in range(blocks)]
+        # Dense passes run while more than a quarter of the tile is unset.
+        fits = [b for b in range(1, blocks) if 4 * left[b - 1] <= o.size]
+        switch = fits[0] if fits else blocks
+        if 2 <= switch < blocks and left[switch - 1]:
+            seen.add("dense, then gathers")
+        if blocks > 1 and (o < blocks).any() and (o >= blocks - 1).all():
+            seen.add("only the last block")
+        if (o == blocks).any():
+            seen.add("no witness")
+    return seen
+
+
+class TestRowTiles:
+    @pytest.mark.parametrize("tiling", TILINGS)
+    def test_tiles_match_the_oracle(self, tiling, monkeypatch):
+        # Density 0.3 at 7-wide blocks leaves about half a tile for the
+        # second block, a quarter for the third and a seventh after it.
+        # The last pair shares indices only in the block visited last, and
+        # P's row 0 is empty, so that row has no witness.
+        seen = set()
+        for n in (1, 63, 64, 65, 130):
+            monkeypatch.setattr(core, "_TILE", TILINGS[tiling](n))
+            rng = np.random.default_rng(n)
+            for bs in (b for b in (1, 7, 64) if b <= n):
+                blocks = -(-n // bs)
+                for kind in ("min", "max"):
+                    idx = np.arange(n)
+                    if kind == "min":
+                        last = idx >= (blocks - 1) * bs
+                    else:
+                        last = idx < n - (blocks - 1) * bs
+                    even = idx % 2 == 0
+                    P1, Q1 = rng.random((2, n, n)) < 0.3
+                    P2 = (rng.random((n, n)) < 0.5) & (even | last)
+                    Q2 = (rng.random((n, n)) < 0.5) & (~even | last)[:, None]
+                    P2[0] = False
+                    for P, Q in ((P1, Q1), (P2, Q2)):
+                        want = oracles.mat_witness_tensor(P, Q, kind)
+                        got = mat_extreme_witness(bm(P), bm(Q), kind, block_size=bs)
+                        assert np.array_equal(got.values, want), (n, bs, kind)
+                        seen |= tile_cases(visit_order(want, kind, n, bs), blocks, n)
+        assert seen == {"dense, then gathers", "only the last block", "no witness"}
