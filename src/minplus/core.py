@@ -250,6 +250,14 @@ class Subsequence:
         object.__setattr__(self, "positions", arr)
         object.__setattr__(self, "tag", tag)
 
+    @classmethod
+    def _of(cls, positions: np.ndarray, tag: MonotoneTag) -> "Subsequence":
+        """A part over ``positions``, read-only int64 known to rise strictly from 0."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "positions", positions)
+        object.__setattr__(self, "tag", tag)
+        return self
+
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
 

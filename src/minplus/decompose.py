@@ -6,14 +6,17 @@ distinct-value (uniform) decomposition, and per-row/per-column
 decompositions of a matrix.  Rows and columns keep their own part counts:
 :func:`~minplus.core.validate_decomposition` lines them up for the solvers.
 
-The single-direction decompositions use a patience-style greedy scan whose
-part count provably equals the length of the longest strictly decreasing
-(respectively increasing) subsequence, so they are exact minima.
+The single-direction decompositions are the piles of a greedy scan, as
+many as the longest strictly decreasing (increasing) subsequence, so exact
+minima.  Element i lands on pile L(i) - 1, L(i) the length of the longest
+such subsequence ending at i: pile 0 is the weak prefix-maximum (minimum)
+records, pile t the records after t peels; a bisect scan places the rest.
 """
 
 from __future__ import annotations
 
 import bisect
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,30 +40,39 @@ def _host_values(s) -> np.ndarray:
     return arr.astype(np.int64, copy=False)
 
 
-def _patience_piles(values: list[int]) -> list[np.ndarray]:
-    """Greedy minimum partition of ``values`` into non-decreasing runs,
-    each an ascending index array.
+#: Peel while at least _PEEL_MIN are left and the last peel took 1/_PEEL_SHARE
+#: of them: in a sweep of 16-64 x 4-16, fastest on planted, random, falling rows.
+_PEEL_MIN, _PEEL_SHARE = 32, 8
 
-    Each element goes on the pile whose tail is the largest value <= it;
-    otherwise a new pile opens.  The pile tails stay strictly decreasing
-    (the chosen pile's left neighbour rejected the element, the right
-    neighbour's tail was already smaller), so the eligible pile with the
-    largest tail is found by bisection on the negated tails.  Each time a
-    pile opens, the tails at those moments chain into a strictly decreasing
-    subsequence, which certifies minimality.
-    """
-    piles: list[list[int]] = []
-    neg_tails: list[int] = []  # strictly increasing
-    find = bisect.bisect_left
-    for i, x in enumerate(values):
-        pos = find(neg_tails, -x)
-        if pos == len(piles):
-            piles.append([i])
-            neg_tails.append(-x)
+
+def _monotone_parts(values: np.ndarray, tag: MonotoneTag) -> Decomposition:
+    """The greedy piles of ``values`` as ``tag`` parts (module docstring):
+    the peeled piles, then the bisect scan's piles of what peeling left."""
+    acc = np.maximum if tag is MonotoneTag.NON_DECREASING else np.minimum
+    left, vals, piles = np.arange(values.shape[0], dtype=np.int64), values, []
+    while left.size >= _PEEL_MIN:
+        rec = vals == acc.accumulate(vals)  # compared, never negated
+        piles.append(left[rec])
+        left, vals = left[~rec], vals[~rec]
+        if _PEEL_SHARE * piles[-1].size < rec.size:
+            break
+    # Keys whose pile tails rise strictly: Python ints, which do not wrap.
+    keys = [-x for x in vals.tolist()] if acc is np.maximum else vals.tolist()
+    tails, tail = [], []  # per pile: its last key, its positions
+    for i, x in zip(left.tolist(), keys):
+        pos = bisect.bisect_left(tails, x)
+        if pos == len(tail):
+            tail.append([i])
+            tails.append(x)
         else:
-            piles[pos].append(i)
-            neg_tails[pos] = -x
-    return [np.array(p) for p in piles]
+            tail[pos].append(i)
+            tails[pos] = x
+    order = np.concatenate([*piles, np.fromiter(itertools.chain(*tail), np.int64)])
+    order.setflags(write=False)  # so no part's positions can be written
+    sizes = [p.size for p in piles] + list(map(len, tail))
+    bounds = itertools.pairwise(itertools.accumulate(sizes, initial=0))
+    parts = [Subsequence._of(order[a:b], tag) for a, b in bounds]
+    return Decomposition(values.shape[0], parts)
 
 
 def decompose_nondecreasing(s) -> Decomposition:
@@ -70,12 +82,7 @@ def decompose_nondecreasing(s) -> Decomposition:
     subsequence of ``s``.  Deterministic: ties in the greedy pile choice
     cannot occur because pile tails are pairwise distinct at all times.
     """
-    values = _host_values(s)
-    parts = tuple(
-        Subsequence(p, MonotoneTag.NON_DECREASING)
-        for p in _patience_piles(values.tolist())
-    )
-    return Decomposition(values.shape[0], parts)
+    return _monotone_parts(_host_values(s), MonotoneTag.NON_DECREASING)
 
 
 def decompose_nonincreasing(s) -> Decomposition:
@@ -84,12 +91,7 @@ def decompose_nonincreasing(s) -> Decomposition:
     Mirror of :func:`decompose_nondecreasing`; the part count equals the
     length of the longest strictly increasing subsequence of ``s``.
     """
-    values = _host_values(s)
-    parts = tuple(
-        Subsequence(p, MonotoneTag.NON_INCREASING)
-        for p in _patience_piles([-x for x in values.tolist()])
-    )
-    return Decomposition(values.shape[0], parts)
+    return _monotone_parts(_host_values(s), MonotoneTag.NON_INCREASING)
 
 
 def _value_tag(vals: np.ndarray) -> MonotoneTag:

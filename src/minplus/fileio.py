@@ -26,13 +26,13 @@ also take ``+5``, ``1_0`` and non-ASCII digits, which do not round-trip.
 ``n`` is always the input dimension.  Blank lines and ``#`` comment lines
 are ignored.  parse(serialize(x)) == x.
 
-Sections are read and written whole: one split and one int64 conversion
-per section, one bound check, rows written from ``tolist()``.  A value
-section that fails is read again token by token.  A decomposition section
-is walked once, part by part: each part takes its indices from the
-section's one conversion, or, where that failed, converts its own tokens.
-Either way the first fault in reading order is reported at its line, with
-the message a token-at-a-time reader gives.
+Sections are read whole by numpy's C text reader: a value section without
+``inf``, or a decomposition section's index text with tags and ``|`` taken
+off, whose parts are then checked in one pass per axis and kept as slices
+of one read-only array.  Any other section, or one it refuses, is read by
+one split and one int64 conversion, else token by token.  Either way the
+first fault in reading order is reported at its line, with the message a
+token-at-a-time reader gives.  Rows are written from ``tolist()``.
 """
 
 from __future__ import annotations
@@ -183,14 +183,31 @@ def _ints(tokens: list[str], bound: int) -> np.ndarray | None:
     return values
 
 
+def _int_rows(lines: list[str], bound: int) -> np.ndarray | None:
+    """Non-blank ``lines`` of equally many tokens as one flat int64 array,
+    or None if ragged, past ``bound`` or not ints.  On lines that passed
+    :func:`_check_section_line` numpy's reader takes what ``int()`` takes,
+    split on the same whitespace; ``comments=None``, as ``#`` ends a row."""
+    try:
+        values = np.loadtxt(lines, dtype=np.int64, comments=None, ndmin=2).ravel()
+    except ValueError:
+        return None
+    return None if values.min() < -bound or values.max() > bound else values
+
+
 def _section_values(sections, name: str, expect: int, bound: int):
-    """Section ``name`` as ``expect`` int64 values and their finite mask,
-    read whole: one split, one conversion, one bound check.  Only a result's
+    """Section ``name`` as ``expect`` int64 values and their finite mask, by
+    :func:`_int_rows` or else one split and one conversion.  Only a result's
     ``values`` section may hold ``inf``.  Faults are reported as a
     token-by-token read meets them: a bad integer or a value past ``bound``
     at its line, then a wrong count at the begin line, then an ``inf``."""
     lineno, body = _require_section(sections, name)
-    text = " ".join([s for _, s in body])
+    lines = [s for _, s in body]
+    if lines and not any("inf" in s for s in lines):
+        values = _int_rows(lines, bound)
+        if values is not None and values.size == expect:
+            return values, np.ones(expect, dtype=bool)
+    text = " ".join(lines)
     tokens = text.split()
     finite = np.ones(len(tokens), dtype=bool)
     if "inf" in text:
@@ -226,23 +243,36 @@ _TAGS = {tag.value: tag for tag in MonotoneTag}
 
 
 def _read_decompositions(lines, base: int, n: int) -> list[Decomposition]:
-    """One decomposition per (line number, parts text) pair.  The index
-    tokens of all lines are converted in one call and bound-checked at
-    once, then the parts are read in order, so the first fault raises at
-    its line.  If that conversion failed, each part's own tokens are
-    converted as the part is read, which names the first bad token."""
-    shapes, tokens = [], []
+    """One decomposition per (line number, parts text) pair.  The index text
+    is read by :func:`_int_rows` and checked in one pass; else the index
+    tokens are converted in one call, or each part's own if that failed,
+    and each part is checked as it is built.  Faults raise in line order."""
+    shapes, index_lines, lengths = [], [], []
     for ln, text in lines:
-        line = []
+        line, idx = [], []
         for chunk in text.split("|"):
-            tag, *idx = chunk.split() or [None]
-            line.append((tag, len(idx)))
-            tokens += idx
+            tag, *toks = chunk.split() or [None]
+            line.append((tag, len(toks)))
+            lengths.append(len(toks))
+            idx += toks
         shapes.append((ln, line))
-    ints = _ints(tokens, MAX_DIMENSION)
-    if ints is not None:
-        ints -= base
-        tokens.clear()  # free the strings before the parts are built
+        index_lines.append(" ".join(idx))
+    flat = _int_rows(index_lines, MAX_DIMENSION) if all(index_lines) else None
+    if flat is not None:
+        flat = flat - base  # a fresh array, made read-only below
+        cut = np.zeros(flat.size + 1, dtype=bool)
+        cut[np.cumsum(lengths)] = True  # where one part ends, the next starts
+        if flat.min() < 0 or not ((flat[1:] > flat[:-1]) | cut[1:-1]).all():
+            flat = None
+    if flat is not None:
+        flat.setflags(write=False)  # so no part's positions can be written
+        ints, make = flat, Subsequence._of
+    else:
+        tokens = " ".join(index_lines).split()
+        ints, make = _ints(tokens, MAX_DIMENSION), Subsequence
+        if ints is not None:
+            ints -= base
+            tokens.clear()  # free the strings before the parts are built
     decs, at = [], 0
     for ln, line in shapes:
         subs = []
@@ -260,7 +290,7 @@ def _read_decompositions(lines, base: int, n: int) -> list[Decomposition]:
                 idx = ints[at : at + k]
             at += k
             try:
-                subs.append(Subsequence(idx, _TAGS[tag]))
+                subs.append(make(idx, _TAGS[tag]))
             except ValueError as exc:
                 raise ParseError(str(exc), ln) from None
         decs.append(Decomposition(n, subs))

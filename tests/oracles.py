@@ -6,6 +6,8 @@ dense formulation) so that agreement with the package is meaningful.
 
 from __future__ import annotations
 
+import bisect
+
 import numpy as np
 
 from minplus.core import (
@@ -184,6 +186,29 @@ def batch_longest_strict_dec(batch: np.ndarray) -> np.ndarray:
 
 def batch_longest_strict_inc(batch: np.ndarray) -> np.ndarray:
     return batch_longest_strict_dec(-batch)
+
+
+def patience_piles(values: list[int]) -> list[list[int]]:
+    """Greedy partition of ``values`` into non-decreasing runs, each a list
+    of ascending positions, one element at a time.
+
+    Each element goes on the pile whose tail is the largest value <= it;
+    otherwise a new pile opens.  The pile tails stay strictly decreasing,
+    so the eligible pile is found by bisection on the negated tails (Python
+    ints, which do not wrap).  Non-increasing runs are the piles of the
+    negated values.
+    """
+    piles: list[list[int]] = []
+    neg_tails: list[int] = []  # strictly increasing
+    for i, x in enumerate(values):
+        pos = bisect.bisect_left(neg_tails, -x)
+        if pos == len(piles):
+            piles.append([i])
+            neg_tails.append(-x)
+        else:
+            piles[pos].append(i)
+            neg_tails[pos] = -x
+    return piles
 
 
 def min_monotone_parts(values, nondec: bool) -> int:

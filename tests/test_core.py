@@ -19,6 +19,7 @@ from minplus.core import (
     lowest_set_bit,
 )
 from minplus import generators as gen
+from minplus.fileio import MatrixInstance, parse_document, serialize
 from minplus.generators import planted_matrix_rows
 from oracles import padded
 
@@ -411,6 +412,26 @@ class TestSubsequence:
     def test_indices_past_int64_are_refused(self, bad):
         with pytest.raises(ValueError, match="outside the int64 range"):
             Subsequence(bad, ND)
+
+    def test_parts_read_from_a_file_are_read_only_views(self):
+        # The reader builds parts with Subsequence._of, as slices of one
+        # read-only array per axis: no part's positions can be made
+        # writable, and they equal parts built from tuples.
+        A = IntMatrix([[1, 7, 3], [4, 4, 2], [0, 5, 9]])
+        rows = tuple(
+            Decomposition(3, [Subsequence(ix, ND) for ix in parts])
+            for parts in (((0, 2), (1,)), ((0, 1), (2,)), ((0, 1, 2),))
+        )
+        doc = parse_document(serialize(MatrixInstance(A, A, rows, None)))
+        assert doc.dec_rows == rows
+        for got, built in zip(doc.dec_rows, rows):
+            for p, q in zip(got.parts, built.parts):
+                assert p.positions.base is not None  # a view, not a copy
+                assert p.positions.dtype == np.int64
+                assert not p.positions.flags.writeable
+                with pytest.raises(ValueError):
+                    p.positions.setflags(write=True)
+                assert p == q and hash(p) == hash(q) and p.indices == q.indices
 
     def test_numpy_integer_lengths_and_counts(self):
         d = Decomposition(np.int64(2), (Subsequence((0, 1), ND),))

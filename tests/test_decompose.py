@@ -23,6 +23,9 @@ from minplus import (
     longest_strictly_increasing_length,
     validate_decomposition,
 )
+from minplus import cli
+from minplus.fileio import MatrixInstance, parse_document, serialize, write_atomic
+from minplus.generators import planted_matrix_cols, planted_matrix_rows
 
 ND = MonotoneTag.NON_DECREASING
 NI = MonotoneTag.NON_INCREASING
@@ -99,6 +102,76 @@ class TestNonIncreasing:
             d = decompose_nonincreasing(v)
             validate_decomposition(d, v)
             assert d.part_count == oracles.longest_strict_inc(xs)
+
+
+def piles_of(d: Decomposition) -> list[list[int]]:
+    return [list(p.indices) for p in d.parts]
+
+
+def reference_decomposition(values, tag) -> Decomposition:
+    """The bisect scan's piles of ``values`` as parts tagged ``tag``."""
+    xs = values.tolist() if tag is ND else [-x for x in values.tolist()]
+    return Decomposition(len(xs), [Subsequence(p, tag) for p in oracles.patience_piles(xs)])
+
+
+INT64_EXTREMES = [-(2**63), -(2**63) + 1, -1, 0, 1, 2**63 - 2, 2**63 - 1]
+
+
+class TestPeeledPiles:
+    """Piles peeled as records, with the bisect scan on the rest, against
+    the bisect scan of the whole row: same parts, same order."""
+
+    @staticmethod
+    def check(values):
+        values = np.asarray(values, dtype=np.int64)
+        for fn, tag in ((decompose_nondecreasing, ND), (decompose_nonincreasing, NI)):
+            d = fn(values)
+            assert piles_of(d) == piles_of(reference_decomposition(values, tag))
+            assert all(p.tag is tag for p in d.parts)
+            for p in d.parts:
+                assert p.positions.dtype == np.int64
+                with pytest.raises(ValueError):
+                    p.positions.setflags(write=True)
+
+    @given(st.lists(st.one_of(st.integers(-9, 9), st.sampled_from(INT64_EXTREMES)),
+                    min_size=1, max_size=300))
+    @settings(max_examples=150, deadline=None)
+    def test_drawn_rows(self, xs):
+        self.check(xs)
+
+    @pytest.mark.parametrize("n", [1, 31, 32, 33, 200])
+    def test_constant_rows(self, n):
+        for x in (INT64_EXTREMES[0], 0, INT64_EXTREMES[-1]):
+            self.check([x] * n)
+
+    def test_strictly_decreasing_row_of_2_16(self):
+        # n piles of one element each in one direction, one pile in the other
+        self.check(np.arange(2**16)[::-1])
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_random_rows(self, seed):
+        rng = np.random.default_rng(seed)
+        self.check(rng.integers(-1000, 1000, size=5000))
+        self.check(rng.integers(-(2**63), 2**63 - 1, size=5000, endpoint=True))
+        self.check(rng.choice(INT64_EXTREMES, size=5000))
+
+    def test_file_pipeline_instances_decompose_to_the_reference_bytes(
+        self, tmp_path, capsys
+    ):
+        # The benchmark's file_pipeline instances at seed 1: four planted
+        # n=128 pairs, 3 nondec parts per row of A and per column of B.
+        rng = np.random.default_rng(1)
+        for k in range(4):
+            A, _ = planted_matrix_rows(rng, 128, 3, "nondec")
+            B, _ = planted_matrix_cols(rng, 128, 3, "nondec")
+            src, dst = tmp_path / f"in-{k}.txt", tmp_path / f"dec-{k}.txt"
+            write_atomic(src, serialize(MatrixInstance(A, B)))
+            assert cli.main(["decompose", str(src), "--mode", "nondec",
+                             "--target", "both", "--out", str(dst)]) == 0
+            doc = parse_document(dst.read_text())
+            doc.dec_rows = tuple(reference_decomposition(r, ND) for r in A.entries)
+            doc.dec_cols = tuple(reference_decomposition(c, ND) for c in B.entries.T)
+            assert dst.read_text() == serialize(doc)
 
 
 class TestGreedyEitherDirection:

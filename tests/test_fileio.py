@@ -2,10 +2,11 @@
 
 import hashlib
 import os
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from minplus import (
@@ -390,9 +391,10 @@ class TestSectionFaults:
 @st.composite
 def part_lines(draw):
     """(lines, base, n): the part lines of a few valid decompositions, as
-    (line number, parts text) pairs, with some parts mutated: a bad,
-    25-digit or over-bound token, an unknown or missing tag, indices out
-    of order or below the base, or a stray ``|``."""
+    (line number, parts text) pairs, tokens split by spaces or tabs, with
+    some parts mutated: a bad, 25-digit, int64-edge or over-bound token, an
+    unknown or missing tag, indices out of order, falling or below the
+    base, an index with leading zeros or a minus sign, or a stray ``|``."""
     n = draw(st.integers(1, 10))
     base = draw(st.sampled_from([0, 1]))
     lines = []
@@ -409,10 +411,11 @@ def part_lines(draw):
         part = parts[o]
         at = draw(st.integers(1, max(len(part), 1)))
         how = draw(st.sampled_from(
-            ["bad", "long", "over", "tag", "untagged", "order", "zero", "bar"]
+            ["bad", "long", "over", "tag", "untagged", "order", "zero", "bar",
+             "padded", "int64", "fall"]
         ))
         if how == "bad":
-            part.insert(at, draw(st.sampled_from(["x", "1.5", "-", "0x1", "--2"])))
+            part.insert(at, draw(st.sampled_from(["x", "1.5", "-", "0x1", "--2", "#"])))
         elif how == "long":
             part.insert(at, draw(st.sampled_from(["", "-"])) + "9" * 25)
         elif how == "over":
@@ -427,7 +430,17 @@ def part_lines(draw):
             part.insert(1, str(base - 1))
         elif how == "bar":
             parts.insert(o, [])
-    texts = [" | ".join(" ".join(p) for p in parts) for parts in lines]
+        elif how == "padded" and len(part) > 1:
+            j = draw(st.integers(1, len(part) - 1))
+            part[j] = draw(st.sampled_from(["0", "00", "-"])) + part[j]
+        elif how == "int64":
+            part.insert(at, draw(st.sampled_from(
+                [str(2**63 - 1), str(-(2**63 - 1)), str(2**63), str(-(2**63))]
+            )))
+        elif how == "fall" and len(part) > 2:
+            part[1:] = part[:0:-1]
+    sep = draw(st.sampled_from([" ", "\t", "  ", " \t "]))
+    texts = [" | ".join(sep.join(p) for p in parts) for parts in lines]
     return [(10 + 3 * i, t) for i, t in enumerate(texts)], base, n
 
 
@@ -451,6 +464,97 @@ class TestPartReader:
 
         got = _outcome(fileio._read_decompositions, lines, base, n)
         assert got == _outcome(line_by_line)
+
+    @settings(max_examples=300, deadline=None)
+    @given(part_lines())
+    def test_fast_path_matches_the_token_path(self, case):
+        lines, base, n = case
+        got = _outcome(fileio._read_decompositions, lines, base, n)
+        with token_path_only():
+            assert got == _outcome(fileio._read_decompositions, lines, base, n)
+
+
+def token_path_only():
+    """The section readers with numpy's text reader switched off, so every
+    section takes the token-by-token path."""
+    return mock.patch.object(fileio, "_int_rows", lambda lines, bound: None)
+
+
+def _refuse(*args):
+    raise AssertionError("the token path was taken")
+
+
+SECTION_BOUNDS = {
+    "matrix A": ENTRY_BOUND, "vector a": ENTRY_BOUND, "values": SHIFTED_ENTRY_BOUND,
+}
+
+
+@st.composite
+def value_sections(draw):
+    """(sections, name, expect, bound): one matrix, vector or values
+    section of drawn tokens, rectangular or ragged, split by spaces or
+    tabs; tokens include leading zeros, -0, the int64 edges, values just
+    past the bound and tokens no reader takes; ``expect`` may be off by one."""
+    name = draw(st.sampled_from(sorted(SECTION_BOUNDS)))
+    bound = SECTION_BOUNDS[name]
+    good = st.one_of(
+        st.integers(-bound, bound).map(str),
+        st.sampled_from(["0", "-0", "007", "-0042", str(bound), str(-bound)]),
+    )
+    odd = st.sampled_from([
+        str(bound + 1), str(-bound - 1), str(2**63 - 1), str(-(2**63 - 1)),
+        str(2**63), str(-(2**63)), "#", "5#", "x", "1.5", "1e3", "inf", "-",
+    ])
+    rows, cols = draw(st.integers(0, 6)), draw(st.integers(1, 6))
+    tokens = draw(st.lists(good, min_size=rows * cols, max_size=rows * cols))
+    for _ in range(draw(st.integers(0, 2)) if tokens else 0):
+        tokens[draw(st.integers(0, len(tokens) - 1))] = draw(odd)
+    if draw(st.booleans()):
+        cuts = list(range(0, len(tokens), cols))
+    else:
+        cuts = sorted(set(draw(st.lists(st.integers(0, len(tokens)), max_size=6))))
+    seps = st.sampled_from([" ", "\t", "  ", " \t "])
+    body = []
+    for i, (a, b) in enumerate(zip(cuts, [*cuts[1:], len(tokens)])):
+        text = draw(seps).join(tokens[a:b]).strip()
+        if text and not text.startswith("#"):  # else a blank or comment line
+            body.append((20 + 2 * i, text))
+    expect = max(1, len(tokens) + draw(st.sampled_from([0, 0, 0, 1, -1])))
+    return {name: (10, body)}, name, expect, bound
+
+
+def _read_values(sections, name, expect, bound):
+    values, finite = fileio._section_values(sections, name, expect, bound)
+    return values.dtype, values.tolist(), finite.tolist()
+
+
+class TestFastSectionReader:
+    """Sections read by numpy's text reader against the token path."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(value_sections())
+    @example(({"values": (10, [(20, "1 5#")])}, "values", 2, SHIFTED_ENTRY_BOUND))
+    @example(({"vector a": (10, [(20, "1 2 #")])}, "vector a", 2, ENTRY_BOUND))
+    def test_same_values_or_same_fault(self, case):
+        got = _outcome(_read_values, *case)
+        with token_path_only():
+            assert got == _outcome(_read_values, *case)
+
+    def test_empty_section_names_the_count(self):
+        # numpy's reader warns on empty input; it is not asked to read one.
+        sections = {"matrix A": (7, [])}
+        with pytest.raises(ParseError, match="line 7: expected 4 values, found 0"):
+            fileio._section_values(sections, "matrix A", 4, ENTRY_BOUND)
+
+    def test_clean_documents_take_the_fast_path(self, tmp_path, capsys):
+        text, _ = matrix_text_128()
+        src, dec = tmp_path / "in.txt", tmp_path / "dec.txt"
+        src.write_text(text)
+        assert cli.main(["decompose", str(src), "--mode", "nondec",
+                         "--target", "both", "--out", str(dec)]) == 0
+        with mock.patch.object(fileio, "_ints", _refuse):
+            doc = parse_document(dec.read_text())
+        assert all(p.positions.base is not None for d in doc.dec_rows for p in d.parts)
 
 
 EXTREMES = st.sampled_from(
