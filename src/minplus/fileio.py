@@ -41,6 +41,7 @@ import contextlib
 import itertools
 import os
 import stat
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -187,10 +188,15 @@ def _int_rows(lines: list[str], bound: int) -> np.ndarray | None:
     """Non-blank ``lines`` of equally many tokens as one flat int64 array,
     or None if ragged, past ``bound`` or not ints.  On lines that passed
     :func:`_check_section_line` numpy's reader takes what ``int()`` takes,
-    split on the same whitespace; ``comments=None``, as ``#`` ends a row."""
+    split on the same whitespace; ``comments=None``, as ``#`` ends a row.
+    A warning (empty input, or a field read through a float) refuses too."""
+    if not lines:
+        return None
     try:
-        values = np.loadtxt(lines, dtype=np.int64, comments=None, ndmin=2).ravel()
-    except ValueError:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = np.loadtxt(lines, dtype=np.int64, comments=None, ndmin=2).ravel()
+    except (ValueError, Warning):
         return None
     return None if values.min() < -bound or values.max() > bound else values
 
@@ -244,9 +250,9 @@ _TAGS = {tag.value: tag for tag in MonotoneTag}
 
 def _read_decompositions(lines, base: int, n: int) -> list[Decomposition]:
     """One decomposition per (line number, parts text) pair.  The index text
-    is read by :func:`_int_rows` and checked in one pass; else the index
-    tokens are converted in one call, or each part's own if that failed,
-    and each part is checked as it is built.  Faults raise in line order."""
+    is read by :func:`_int_rows` and checked in one pass; else each part's
+    tokens are converted and the part checked as it is built, so faults
+    raise in line order."""
     shapes, index_lines, lengths = [], [], []
     for ln, text in lines:
         line, idx = [], []
@@ -266,13 +272,8 @@ def _read_decompositions(lines, base: int, n: int) -> list[Decomposition]:
             flat = None
     if flat is not None:
         flat.setflags(write=False)  # so no part's positions can be written
-        ints, make = flat, Subsequence._of
     else:
         tokens = " ".join(index_lines).split()
-        ints, make = _ints(tokens, MAX_DIMENSION), Subsequence
-        if ints is not None:
-            ints -= base
-            tokens.clear()  # free the strings before the parts are built
     decs, at = [], 0
     for ln, line in shapes:
         subs = []
@@ -281,16 +282,14 @@ def _read_decompositions(lines, base: int, n: int) -> list[Decomposition]:
                 raise ParseError("empty part needs its tag", ln)
             if tag not in _TAGS:
                 raise ParseError(f"unknown part tag {tag!r}", ln)
-            if ints is None:
-                idx = [
-                    _parse_int(t, ln, MAX_DIMENSION) - base
-                    for t in tokens[at : at + k]
-                ]
-            else:
-                idx = ints[at : at + k]
+            if flat is not None:
+                subs.append(Subsequence._of(flat[at : at + k], _TAGS[tag]))
+                at += k
+                continue
+            idx = [_parse_int(t, ln, MAX_DIMENSION) - base for t in tokens[at : at + k]]
             at += k
             try:
-                subs.append(make(idx, _TAGS[tag]))
+                subs.append(Subsequence(idx, _TAGS[tag]))
             except ValueError as exc:
                 raise ParseError(str(exc), ln) from None
         decs.append(Decomposition(n, subs))

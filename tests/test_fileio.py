@@ -2,6 +2,7 @@
 
 import hashlib
 import os
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -378,6 +379,16 @@ class TestSectionFaults:
         assert err.value.line == text.splitlines().index(line) + 1
         assert str(err.value).endswith(message)
 
+    @pytest.mark.parametrize("line", ["row 2: nondec 1 2", "row1: nondec 1 2"])
+    def test_misnumbered_first_line_is_named(self, line):
+        text = serialize(mat_doc()).replace("row 1: nondec 1 2", line)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the reader must not lean on pytest's
+            with pytest.raises(ParseError) as err:
+                parse_document(text)
+        assert err.value.line == text.splitlines().index(line) + 1
+        assert str(err.value).endswith("expected line starting 'row 1:'")
+
     def test_decomposition_fault_on_an_earlier_line_wins(self):
         text = serialize(mat_doc())
         text = text.replace("row 1: nondec 1 2", "row 1: nondec 1 1").replace(
@@ -472,6 +483,30 @@ class TestPartReader:
         got = _outcome(fileio._read_decompositions, lines, base, n)
         with token_path_only():
             assert got == _outcome(fileio._read_decompositions, lines, base, n)
+
+
+class TestIntRows:
+    """numpy's reader refuses whatever it cannot read exactly as int()."""
+
+    def test_no_lines_are_refused(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert fileio._int_rows([], ENTRY_BOUND) is None
+            assert fileio._read_decompositions([], 1, 3) == []
+
+    def test_a_warning_refuses_whatever_the_filter(self):
+        def through_a_float(*args, **kwargs):  # older numpy truncated '1.5' to 1
+            warnings.warn("Parsing an integer via a float", DeprecationWarning)
+            return np.array([[1]], dtype=np.int64)
+
+        with (
+            warnings.catch_warnings(),
+            mock.patch.object(np, "loadtxt", through_a_float),
+        ):
+            warnings.simplefilter("ignore")
+            assert fileio._int_rows(["1.5"], ENTRY_BOUND) is None
+            with pytest.raises(ParseError, match="bad integer '1.5'"):
+                fileio._read_decompositions([(4, "nondec 1.5")], 1, 1)
 
 
 def token_path_only():
