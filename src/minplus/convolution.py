@@ -14,7 +14,6 @@ from .core import (
     INT64_MAX,
     NO_WITNESS,
     SHIFTED_ENTRY_BOUND,
-    BoolVector,
     Decomposition,
     DirectionViolation,
     IntVector,
@@ -30,7 +29,7 @@ from .core import (
     validate_decomposition,
 )
 from .fastconv import _CHUNK_ELEMENTS, _lead_ranks, bool_convolution, packed
-from .fastconv import conv_extreme_witness, packed_groups
+from .fastconv import conv_extreme_witness, packed_groups, witness_packed
 
 
 def _check_same_length(a: IntVector, b: IntVector) -> int:
@@ -84,13 +83,13 @@ def conv_decomposed(
 
     ks = np.arange(2 * n - 1)
     c = np.full(2 * n - 1, INT64_MAX, dtype=np.int64)
-    qs = [BoolVector._adopt(pb) for pb in parts_b.chars[:, 0]]
-    for pv in map(BoolVector._adopt, parts_a.chars[:, 0]):
+    qs = [witness_packed(q, "q", kind) for q in parts_b.chars[:, 0]]
+    for pv in (witness_packed(p, "p", kind) for p in parts_a.chars[:, 0]):
         for qv in qs:
-            W = conv_extreme_witness(pv, qv, kind, counters=counters)
-            ll = np.maximum(W.values, 0)
-            cand = a.coords[ll] + b.coords[np.minimum(ks - ll, n - 1)]
-            fold_min(c, W.values != NO_WITNESS, cand)
+            W = conv_extreme_witness(pv, qv, kind, counters=counters).values
+            # Clipped reads stand in where W is NO_WITNESS; the fold skips them.
+            cand = a.coords.take(W, mode="clip") + b.coords.take(ks - W, mode="clip")
+            fold_min(c, W != NO_WITNESS, cand)
     return folded_output(c)
 
 

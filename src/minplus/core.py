@@ -261,6 +261,11 @@ class Subsequence:
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
 
+    def __reduce__(self):
+        # Through the constructor, so a copy or an unpickled part holds a
+        # fresh read-only array: slot assignment is refused above.
+        return Subsequence, (self.positions, self.tag)
+
     @property
     def indices(self) -> tuple[int, ...]:
         return tuple(self.positions.tolist())
@@ -493,8 +498,8 @@ class Packed(NamedTuple):
     packs ``bits`` per call, so no output depends on the form passed."""
 
     bits: np.ndarray
-    layout: tuple[str, int] | str
-    words: np.ndarray
+    layout: tuple | str
+    words: np.ndarray | tuple[np.ndarray, ...]
 
     @property
     def n(self) -> int:

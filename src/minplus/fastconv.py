@@ -10,16 +10,24 @@ table in the rows read.  ``_lead_ranks`` ORs such windows in rank order.
 
 Extreme witnesses come from a capped word scan.  "max" is "min" on both
 vectors reversed (l -> n-1-l, k -> 2n-2-k).  p is packed into uint64
-words, and the reversed q behind n - 1 zero bits, so that for output k the
-64 bits of q lined up with p word w hold q_{k-l} for l in 64w..64w+63 (0
-outside the legal window).  Each step ANDs, per unresolved output, its
-next p word with that window: the lowest set bit of a nonzero AND is the
-least witness, and an output also leaves once past min(k, n - 1).  After
-ceil(sqrt(n)) steps, O(n**1.5) word operations, the outputs left go to
-square-root blocking (Alon, Galil, Margalit and Naor, FOCS 1992): block
-slices of p, transformed in row chunks of about 1 MB, are convolved with q
-to find per output the first block holding a witness, and the scan
-restarts there, ending within s // 64 + 2 steps for blocks of size s.
+words, and the reversed q behind n - 1 zero bits, so that the 64 bits of
+q from bit 2n-2-k+x on hold q_{k-l} for l in x..x+63 (0 outside the legal
+window).  The first step needs no gathers: output k reads its 64 legal
+bits from its first legal index lo = max(k - n + 1, 0) on, ANDing p's
+window at bit lo with q's at bit 2n-2-k+lo.  For k < n that is p's first
+word and q's window at 2n-2-k; for k >= n it is p's window at k-n+1 and
+q's fixed window at n - 1.  Both sets of windows are all 64 shifts of the
+packed words, and the lowest set bit of a nonzero AND is the least
+witness.  Only the outputs left with legal bits past those 64 enter the
+scan, a handful per planted pair.  Each scan step ANDs, per output, its
+next p word with q's window lined up with it; an output also leaves once
+past min(k, n - 1).  After ceil(sqrt(n)) steps in all, the first one
+included, O(n**1.5) word operations, the outputs left go to square-root
+blocking (Alon, Galil, Margalit and Naor, FOCS 1992): block slices of p,
+transformed in row chunks of about 1 MB, are convolved with q to find per
+output the first block holding a witness, and the scan restarts there,
+ending within s // 64 + 2 steps for blocks of size s.  A solver packs each
+operand's words and windows once with :func:`witness_packed`.
 
 The block search and dense ``bool_convolution`` run on a float64 FFT of
 the least 5-smooth length holding the output, rounded with ``np.rint``
@@ -177,8 +185,11 @@ def _words(bits: np.ndarray, lead: int, count: int) -> np.ndarray:
 
 def _scan(pw, qw, n, ks, pos, steps, wit):
     """Scan outputs ``ks`` from p word ``pos`` on for at most ``steps``
-    steps; return the outputs left and the steps run.  A resolved output is
-    parked on the zero words ending ``pw`` until the next compaction."""
+    steps, writing their witnesses into ``wit``; return the outputs left
+    and the steps run.  Outputs come here only when the first step, or the
+    block search, has shown that no witness lies below word ``pos``.  A
+    resolved output is parked on the zero words ending ``pw`` until the
+    next compaction."""
     parked = pw.size - steps  # pw[parked - 1 - t + t'] is 0 for t' > t
     off = 2 * n - 2 - ks + 64 * pos  # window bit lined up with word pos
     jq, r = off >> 6, (off & 63).astype(np.uint64)
@@ -199,9 +210,49 @@ def _scan(pw, qw, n, ks, pos, steps, wit):
     return ks[stop >= t], t
 
 
+def _bit_windows(words: np.ndarray, x0: int, x1: int) -> np.ndarray:
+    """The 64-bit windows of ``words`` at bits x0..x1-1, in offset order:
+    all 64 shifts of the words holding them, flattened."""
+    j0, j1 = x0 >> 6, (x1 - 1) >> 6
+    r = np.arange(64, dtype=np.uint64)
+    table = words[j0 : j1 + 1, None] >> r | words[j0 + 1 : j1 + 2, None] << 64 - r
+    return table.reshape(-1)[x0 - 64 * j0 : x1 - 64 * j0]
+
+
+def _pad_words(n: int, s: int) -> int:
+    """Zero words behind the data of the scan's ``pw`` and ``qw``: the
+    first scan runs at most ceil(_SCAN_CAP * sqrt(n)) steps, the restarted
+    one s // 64 + 2, and each may read two runs of that many past the
+    data (live and parked outputs)."""
+    return 2 * max(math.ceil(_SCAN_CAP * math.sqrt(n)), s // 64 + 2)
+
+
+def _witness_pack(bits: np.ndarray, side: str, kind: str, pad: int):
+    """``bits`` packed as the witness engine reads side "p" or "q" of
+    ``kind``: the scan's words behind ``pad`` zero words, and the first
+    step's windows.  p's windows start at bits 0..n-1; q's, reversed
+    behind n - 1 zero bits, at bits 2n-2 down to n-1, so output k < n
+    reads its window at index k and every k >= n the one at index n - 1."""
+    n = bits.size
+    bits = bits[::-1] if kind == "max" else bits
+    if side == "p":
+        words = _words(bits, 0, (n + 63) // 64 + pad)
+        return words, _bit_windows(words, 0, n)
+    words = _words(bits[::-1], n - 1, (2 * n + 126) // 64 + pad)
+    return words, _bit_windows(words, n - 1, 2 * n - 1)[::-1]
+
+
+def witness_packed(bits: np.ndarray, side: str, kind: str) -> Packed:
+    """``bits`` packed once for the :func:`conv_extreme_witness` calls of
+    ``kind`` it enters as ``side`` "p" or "q", at the default block size."""
+    n = bits.size
+    pad = _pad_words(n, checked_size(n, None, "block size"))
+    return Packed(bits, (side, kind, pad), _witness_pack(bits, side, kind, pad))
+
+
 def conv_extreme_witness(
-    p: BoolVector,
-    q: BoolVector,
+    p: BoolVector | Packed,
+    q: BoolVector | Packed,
     kind: str,
     *,
     block_size: int | None = None,
@@ -213,7 +264,8 @@ def conv_extreme_witness(
     ("min") or greatest ("max") l in the legal window with p_l and q_{k-l}
     both set; NO_WITNESS where the bit is 0.  ``block_size`` tunes the
     fallback block search (default ceil(sqrt(n))); the output is
-    independent of it.
+    independent of it.  Either operand may be a :func:`witness_packed`
+    form of its side.
     """
     if p.n != q.n:
         raise LengthMismatch(f"vector lengths differ: {p.n} vs {q.n}")
@@ -221,16 +273,27 @@ def conv_extreme_witness(
         raise ValueError(f"witness kind must be 'min' or 'max', got {kind!r}")
     n = p.n
     s = checked_size(n, block_size, "block size")
-    pb, qb = (p.bits, q.bits) if kind == "min" else (p.bits[::-1], q.bits[::-1])
-    cap, rest = math.ceil(_SCAN_CAP * math.sqrt(n)), s // 64 + 2
-    pw = _words(pb, 0, (n + 63) // 64 + 2 * max(cap, rest))
-    qw = _words(qb[::-1], n - 1, (2 * n + 126) // 64 + 2 * max(cap, rest))
-    wit = np.full(2 * n - 1, NO_WITNESS, dtype=np.int64)
-    ks = np.arange(2 * n - 1)
-    ks, _ = _scan(pw, qw, n, ks, np.maximum(ks - n + 1, 0) >> 6, cap, wit)
+    cap, rest, pad = math.ceil(_SCAN_CAP * math.sqrt(n)), s // 64 + 2, _pad_words(n, s)
+    lp, lq = ("p", kind, pad), ("q", kind, pad)
+    pw, p_windows = packed_words(p, lp, lambda bits: _witness_pack(bits, *lp))
+    qw, q_windows = packed_words(q, lq, lambda bits: _witness_pack(bits, *lq))
+    if cap:
+        # First step: each output's 64 legal bits from its first, lo, on.
+        a = np.concatenate((pw[0] & q_windows, p_windows[1:] & q_windows[-1]))
+        lo = np.maximum(np.arange(1 - n, n), 0)
+        wit = np.where(a != 0, lo + lowest_set_bit(a), NO_WITNESS)
+        # Outputs 64..2n-66 have legal bits past those; the ones with no
+        # witness yet scan on from the next word, within the cap.
+        ks = 64 + np.flatnonzero(a[64 : 2 * n - 65] == 0)
+        if ks.size:
+            ks, _ = _scan(pw, qw, n, ks, (lo[ks] >> 6) + 1, cap - 1, wit)
+    else:
+        wit = np.full(2 * n - 1, NO_WITNESS, dtype=np.int64)
+        ks = np.arange(2 * n - 1)
     if ks.size:
         from numpy import fft
 
+        pb, qb = (p.bits, q.bits) if kind == "min" else (p.bits[::-1], q.bits[::-1])
         # Block t's slice convolved with q counts the witnesses in block t,
         # shifted by t * s.  Outputs left have none below 64 * (start + cap)
         # (the least start is ks[0]'s), so the search starts at block b0.

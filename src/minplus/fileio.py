@@ -201,18 +201,48 @@ def _int_rows(lines: list[str], bound: int) -> np.ndarray | None:
     return None if values.min() < -bound or values.max() > bound else values
 
 
+def _masked_rows(lines: list[str], bound: int):
+    """:func:`_int_rows` of ``lines`` with each ``inf`` token read as 0, and
+    the finite mask; or None.  Only lines holding ``inf`` are split, and
+    rewritten in ``lines``."""
+    holes, width = [], 0
+    for i, s in enumerate(lines):
+        if "inf" in s:
+            tokens = s.split()
+            holes += [(i, j) for j, t in enumerate(tokens) if t == "inf"]
+            lines[i] = " ".join("0" if t == "inf" else t for t in tokens)
+            width = len(tokens)
+    values = _int_rows(lines, bound)
+    if values is None or holes and values.size != len(lines) * width:
+        return None
+    finite = np.ones(values.shape, dtype=bool)
+    if holes:
+        finite.reshape(len(lines), width)[tuple(zip(*holes))] = False
+    return values, finite
+
+
 def _section_values(sections, name: str, expect: int, bound: int):
     """Section ``name`` as ``expect`` int64 values and their finite mask, by
-    :func:`_int_rows` or else one split and one conversion.  Only a result's
-    ``values`` section may hold ``inf``.  Faults are reported as a
+    :func:`_masked_rows` or else one split and one conversion.  Only a
+    result's ``values`` section may hold ``inf``.  Faults are reported as a
     token-by-token read meets them: a bad integer or a value past ``bound``
     at its line, then a wrong count at the begin line, then an ``inf``."""
     lineno, body = _require_section(sections, name)
+    fast = _masked_rows([s for _, s in body], bound)
+    if fast is not None and fast[0].size == expect:
+        values, finite = fast
+    else:
+        values, finite = _token_values(body, lineno, expect, bound)
+    if name != "values" and not finite.all():
+        bad = next(ln for ln, s in body if "inf" in s.split())
+        raise ParseError(f"section {name!r} does not allow 'inf'", bad)
+    return values, finite
+
+
+def _token_values(body, lineno: int, expect: int, bound: int):
+    """The values and finite mask of section lines ``body`` by one split and
+    one conversion, or token by token to the first fault."""
     lines = [s for _, s in body]
-    if lines and not any("inf" in s for s in lines):
-        values = _int_rows(lines, bound)
-        if values is not None and values.size == expect:
-            return values, np.ones(expect, dtype=bool)
     text = " ".join(lines)
     tokens = text.split()
     finite = np.ones(len(tokens), dtype=bool)
@@ -233,9 +263,6 @@ def _section_values(sections, name: str, expect: int, bound: int):
         raise ParseError(
             f"expected {expect} values, found {finite.size}", lineno
         )
-    if name != "values" and not finite.all():
-        bad = next(ln for ln, s in body if "inf" in s.split())
-        raise ParseError(f"section {name!r} does not allow 'inf'", bad)
     return values, finite
 
 

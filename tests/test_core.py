@@ -433,6 +433,20 @@ class TestSubsequence:
                     p.positions.setflags(write=True)
                 assert p == q and hash(p) == hash(q) and p.indices == q.indices
 
+    def test_copies_and_pickles_equal_their_original(self):
+        # Slot assignment is refused, so copies go through the constructor:
+        # a part, a decomposition and a parsed instance holding parts.
+        A, rows = planted_matrix_rows(0, 16, 3, "nondec")
+        doc = parse_document(serialize(MatrixInstance(A, A, rows, None)))
+        part = doc.dec_rows[0].parts[0]
+        for v in (Subsequence((1, 2), ND), Subsequence((), ND), part,
+                  doc.dec_rows[0], doc):
+            for c in (copy.copy(v), copy.deepcopy(v), pickle.loads(pickle.dumps(v))):
+                assert type(c) is type(v) and c == v, v
+        for c in (copy.copy(part), copy.deepcopy(part), pickle.loads(pickle.dumps(part))):
+            assert hash(c) == hash(part) and c.positions.dtype == np.int64
+            assert not c.positions.flags.writeable
+
     def test_numpy_integer_lengths_and_counts(self):
         d = Decomposition(np.int64(2), (Subsequence((0, 1), ND),))
         assert type(d.host_length) is int and d == dec(2, ((0, 1), ND))

@@ -427,13 +427,111 @@ class TestConvExtremeWitness:
             want = oracles.conv_witness_loops(p.tolist(), q.tolist(), kind)
             got = conv_extreme_witness(bv(p), bv(q), kind)
             assert np.array_equal(got.values, want), (pattern, kind)
-            # The first scan never runs past the cap.  Where it stops there,
+            # The dense first step is the first of the cap's steps, so the
+            # scan after it never runs past cap - 1.  Where it stops there,
             # the block search's restarted scan resolves every output left.
             if pattern == "halves":
-                assert len(scans) == 1 and scans[0][0] <= cap, scans
+                assert len(scans) <= 1, scans
+                assert all(1 + steps <= cap for steps, _ in scans), scans
             else:
-                assert len(scans) == 2 and scans[0][0] == cap, scans
+                assert len(scans) == 2 and 1 + scans[0][0] == cap, scans
                 assert scans[1][1] == 0, scans
+
+    @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 127, 128, 129, 191, 2048])
+    def test_first_step_windows_match_oracle(self, n):
+        # The first step reads each output's 64 bits from its first legal
+        # index lo on.  Output k >= n has lo = k - n + 1, mostly inside a
+        # word (lo & 63 != 0); a lone p bit at x is found there for the
+        # outputs with lo <= x <= lo + 63 and by the scan for the others.
+        rng = np.random.default_rng(n)
+        ones, zeros = np.ones(n, dtype=bool), np.zeros(n, dtype=bool)
+        lone = [zeros.copy() for _ in range(3)]
+        for bits, x in zip(lone, (0, n // 2 + 37, n - 1)):
+            bits[x % n] = True
+        cases = [(ones, ones), (zeros, ones), (ones, zeros), (lone[2], lone[0]),
+                 (rng.random(n) < 0.5, rng.random(n) < 0.05)]
+        cases += [(bits, ones) for bits in lone] + [(ones, bits) for bits in lone]
+        for p, q in cases:
+            for kind in ("min", "max"):
+                want = oracles.conv_witness_loops(p.tolist(), q.tolist(), kind)
+                got = conv_extreme_witness(bv(p), bv(q), kind).values
+                assert np.array_equal(got, want), (n, kind, p.sum(), q.sum())
+        # Some lone-bit witnesses lie in a window that starts mid-word.
+        k = np.arange(n, 2 * n - 1)
+        mid = (k - n + 1) & 63 != 0
+        got = conv_extreme_witness(bv(lone[1]), bv(ones), "min").values[n:]
+        if n >= 65:
+            assert (got[mid] == (n // 2 + 37) % n).any()
+
+    def test_planted_pairs_leave_few_outputs_to_the_scan(self, monkeypatch):
+        # The first step settles all but a few of the 4,095 outputs of each
+        # planted n = 2048 pair; the word scan sees only those.
+        from minplus import convolution, generators
+
+        sizes, packs = [], []
+        scan, pack = fastconv._scan, fastconv._witness_pack
+
+        def spy(pw, qw, n, ks, *rest):
+            sizes.append(ks.size)
+            return scan(pw, qw, n, ks, *rest)
+
+        def pack_spy(bits, side, kind, pad):
+            packs.append(side)
+            return pack(bits, side, kind, pad)
+
+        monkeypatch.setattr(fastconv, "_scan", spy)
+        monkeypatch.setattr(fastconv, "_witness_pack", pack_spy)
+        counters = OpCounters()
+        a, da = generators.planted_monotone_vector(0, 2048, 3, "nondec")
+        b, db = generators.planted_monotone_vector(1, 2048, 3, "noninc")
+        got = convolution.conv_decomposed(a, da, b, db, counters=counters)
+        assert got == convolution.conv_naive(a, b)
+        assert counters.witness_conv_calls == 9
+        assert len(sizes) <= 9 and all(size < 64 for size in sizes), sizes
+        # Each part is packed once per solve: m_a + m_b packings, not 2 m_a m_b.
+        assert sorted(packs) == ["p"] * 3 + ["q"] * 3, packs
+
+    def test_no_scan_cap_sends_every_output_to_the_block_search(self, monkeypatch):
+        # _SCAN_CAP = 0 skips the first step too: the one scan is the block
+        # search's restart, over every output with a witness.
+        monkeypatch.setattr(fastconv, "_SCAN_CAP", 0)
+        restarts = []
+        scan = fastconv._scan
+
+        def spy(pw, qw, n, ks, *rest):
+            restarts.append(ks.copy())
+            return scan(pw, qw, n, ks, *rest)
+
+        monkeypatch.setattr(fastconv, "_scan", spy)
+        rng = np.random.default_rng(3)
+        p, q = rng.random(300) < 0.3, rng.random(300) < 0.3
+        for kind in ("min", "max"):
+            restarts.clear()
+            got = conv_extreme_witness(bv(p), bv(q), kind)
+            assert np.array_equal(got.values, oracles.conv_witness_loops(p, q, kind))
+            defined = np.flatnonzero(got.defined)
+            if kind == "max":  # "max" runs on both vectors reversed
+                defined = 2 * 300 - 2 - defined[::-1]
+            assert len(restarts) == 1 and np.array_equal(restarts[0], defined)
+
+    @pytest.mark.parametrize("n", [1, 64, 129, 1000])
+    def test_packed_forms_match_and_others_are_repacked(self, n):
+        # Forms packed once per solve give the unpacked result at any block
+        # size; a form of the other kind or side is packed again.
+        rng = np.random.default_rng(n + 11)
+        p, q = rng.random(n) < 0.3, rng.random(n) < 0.3
+        for kind in ("min", "max"):
+            want = oracles.conv_witness_loops(p, q, kind)
+            other = "max" if kind == "min" else "min"
+            pairs = [
+                (fastconv.witness_packed(p, "p", kind), fastconv.witness_packed(q, "q", kind)),
+                (fastconv.witness_packed(p, "p", other), fastconv.witness_packed(q, "q", other)),
+                (fastconv.witness_packed(p, "q", kind), fastconv.witness_packed(q, "p", kind)),
+            ]
+            for pp, qq in pairs:
+                for bs in (None, n):
+                    got = conv_extreme_witness(pp, qq, kind, block_size=bs)
+                    assert np.array_equal(got.values, want), (kind, bs)
 
     def test_word_shift_by_64_is_zero(self):
         # The scan reads a window at bit offset r as (w >> r) | (v << 64 - r)

@@ -525,16 +525,18 @@ SECTION_BOUNDS = {
 
 
 @st.composite
-def value_sections(draw):
+def value_sections(draw, infs=False):
     """(sections, name, expect, bound): one matrix, vector or values
     section of drawn tokens, rectangular or ragged, split by spaces or
     tabs; tokens include leading zeros, -0, the int64 edges, values just
-    past the bound and tokens no reader takes; ``expect`` may be off by one."""
+    past the bound and tokens no reader takes; ``expect`` may be off by one.
+    With ``infs``, any good token may also be ``inf``."""
     name = draw(st.sampled_from(sorted(SECTION_BOUNDS)))
     bound = SECTION_BOUNDS[name]
     good = st.one_of(
         st.integers(-bound, bound).map(str),
         st.sampled_from(["0", "-0", "007", "-0042", str(bound), str(-bound)]),
+        *[st.just("inf")] * infs,
     )
     odd = st.sampled_from([
         str(bound + 1), str(-bound - 1), str(2**63 - 1), str(-(2**63 - 1)),
@@ -574,6 +576,33 @@ class TestFastSectionReader:
         got = _outcome(_read_values, *case)
         with token_path_only():
             assert got == _outcome(_read_values, *case)
+
+    @settings(max_examples=300, deadline=None)
+    @given(value_sections(infs=True))
+    @example(({"values": (10, [(20, "inf 1"), (22, "2 inf")])}, "values", 4,
+              SHIFTED_ENTRY_BOUND))
+    @example(({"values": (10, [(20, "inf"), (22, "2 inf")])}, "values", 3,
+              SHIFTED_ENTRY_BOUND))
+    @example(({"matrix A": (10, [(20, "1 2"), (22, "inf 3")])}, "matrix A", 4,
+              ENTRY_BOUND))
+    @example(({"values": (10, [(20, "-inf 1"), (22, "inf5 inf")])}, "values", 4,
+              SHIFTED_ENTRY_BOUND))
+    def test_infinities_read_as_the_token_path_reads_them(self, case):
+        # Same values, same finite mask, or the same fault at the same line.
+        got = _outcome(_read_values, *case)
+        with token_path_only():
+            assert got == _outcome(_read_values, *case)
+
+    def test_result_with_an_inf_takes_the_fast_path(self):
+        n = 128
+        values = np.arange(n * n, dtype=np.int64).reshape(n, n) - 5000
+        finite = np.ones((n, n), dtype=bool)
+        finite[5, 7] = finite[n - 1, 0] = False
+        text = serialize(ResultDocument("result-matrix", n, MinPlusOutput(values, finite)))
+        with mock.patch.object(fileio, "_ints", _refuse):
+            doc = parse_document(text)
+        assert np.array_equal(doc.output.finite, finite)
+        assert np.array_equal(doc.output.values, np.where(finite, values, 0))
 
     def test_empty_section_names_the_count(self):
         # numpy's reader warns on empty input; it is not asked to read one.
