@@ -85,9 +85,7 @@ def _infer_matrix_direction(inst: fileio.MatrixInstance) -> str:
     for tag in (MonotoneTag.NON_DECREASING, MonotoneTag.NON_INCREASING):
         if rows.holds[tag].all() and cols.holds[tag].all():
             return tag.value
-    raise DirectionViolation(
-        "row and column parts do not share one direction; pass --direction"
-    )
+    raise DirectionViolation("no direction fits both the row and the column parts")
 
 
 def _attached(inst, algo: str):
@@ -323,6 +321,7 @@ def _cmd_verify(args) -> int:
     if args.trials is not None:
         _require(args.input is None, "--trials mode takes no input file")
         _require(args.n is not None, "--trials mode needs --n")
+        _require(args.trials >= 1, "--trials must be at least 1")
         for t in range(args.trials):
             inst = _generate_instance(args, args.algo, args.seed + t)
             got, _ = _run_algorithm(inst, args.algo, args, OpCounters())

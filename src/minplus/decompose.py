@@ -27,17 +27,20 @@ from .core import (
     IntVector,
     MonotoneTag,
     Subsequence,
+    _as_int64,
     values_satisfy,
 )
 
 
 def _host_values(s) -> np.ndarray:
+    """``s`` as int64, refused as :class:`IntVector` refuses it if it holds
+    anything but integers or an unsigned value past the int64 range."""
     if isinstance(s, IntVector):
         return s.coords
-    arr = np.asarray(s)
+    arr = _as_int64(s, "sequence")
     if arr.ndim != 1:
         raise ValueError("expected a one-dimensional sequence")
-    return arr.astype(np.int64, copy=False)
+    return arr
 
 
 #: Peel while at least _PEEL_MIN are left and the last peel took 1/_PEEL_SHARE

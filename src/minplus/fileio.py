@@ -26,19 +26,18 @@ also take ``+5``, ``1_0`` and non-ASCII digits, which do not round-trip.
 ``n`` is always the input dimension.  Blank lines and ``#`` comment lines
 are ignored.  parse(serialize(x)) == x.
 
-Sections are read whole by numpy's C text reader: a value section without
-``inf``, or a decomposition section's index text with tags and ``|`` taken
-off, whose parts are then checked in one pass per axis and kept as slices
-of one read-only array.  Any other section, or one it refuses, is read by
-one split and one int64 conversion, else token by token.  Either way the
-first fault in reading order is reported at its line, with the message a
-token-at-a-time reader gives.  Rows are written from ``tolist()``.
+Sections are read whole by numpy's C text reader: a value section with
+each ``inf`` read as 0 and masked, or a decomposition section's index text
+with tags and ``|`` taken off, whose parts are then checked in one pass per
+axis and kept as slices of one read-only array.  A section it refuses,
+ragged ones included, is walked one token at a time to its first fault,
+which is reported at its line.  Each section is written by one helper,
+rows and parts from ``tolist()``.
 """
 
 from __future__ import annotations
 
 import contextlib
-import itertools
 import os
 import stat
 import warnings
@@ -52,6 +51,7 @@ from .core import (
     SHIFTED_ENTRY_BOUND,
     AxisParts,
     Decomposition,
+    IndexOutOfRange,
     IntMatrix,
     IntVector,
     MinPlusError,
@@ -172,18 +172,6 @@ def _parse_int(tok: str, lineno: int, bound: int) -> int:
     return v
 
 
-def _ints(tokens: list[str], bound: int) -> np.ndarray | None:
-    """int() of every token as one int64 array (numpy calls int() on each
-    str), or None if a token is no integer or a value lies past ``bound``."""
-    try:
-        values = np.array(tokens, dtype=np.int64)
-    except (ValueError, OverflowError):
-        return None
-    if values.size and (values.min() < -bound or values.max() > bound):
-        return None
-    return values
-
-
 def _int_rows(lines: list[str], bound: int) -> np.ndarray | None:
     """Non-blank ``lines`` of equally many tokens as one flat int64 array,
     or None if ragged, past ``bound`` or not ints.  On lines that passed
@@ -223,10 +211,11 @@ def _masked_rows(lines: list[str], bound: int):
 
 def _section_values(sections, name: str, expect: int, bound: int):
     """Section ``name`` as ``expect`` int64 values and their finite mask, by
-    :func:`_masked_rows` or else one split and one conversion.  Only a
-    result's ``values`` section may hold ``inf``.  Faults are reported as a
-    token-by-token read meets them: a bad integer or a value past ``bound``
-    at its line, then a wrong count at the begin line, then an ``inf``."""
+    :func:`_masked_rows`, or by :func:`_token_values` if that refuses the
+    section or the count is off.  Only a result's ``values`` section may
+    hold ``inf``.  Faults are reported in reading order: a bad integer or a
+    value past ``bound`` at its line, then a wrong count at the begin line,
+    then an ``inf``."""
     lineno, body = _require_section(sections, name)
     fast = _masked_rows([s for _, s in body], bound)
     if fast is not None and fast[0].size == expect:
@@ -240,30 +229,17 @@ def _section_values(sections, name: str, expect: int, bound: int):
 
 
 def _token_values(body, lineno: int, expect: int, bound: int):
-    """The values and finite mask of section lines ``body`` by one split and
-    one conversion, or token by token to the first fault."""
-    lines = [s for _, s in body]
-    text = " ".join(lines)
-    tokens = text.split()
-    finite = np.ones(len(tokens), dtype=bool)
-    if "inf" in text:
-        finite = np.fromiter(map("inf".__ne__, tokens), dtype=bool, count=len(tokens))
-        tokens = list(itertools.compress(tokens, finite))
-    ints = _ints(tokens, bound)
-    if ints is None:  # read token by token, which raises at the first fault
-        ints = [
-            _parse_int(t, ln, bound)
-            for ln, s in body
-            for t in s.split()
-            if t != "inf"
-        ]
-    values = np.zeros(finite.size, dtype=np.int64)
-    values[finite] = ints
-    if finite.size != expect:
-        raise ParseError(
-            f"expected {expect} values, found {finite.size}", lineno
-        )
-    return values, finite
+    """The values and finite mask of section lines ``body``, walked one
+    token at a time: raises at the first bad integer or value past
+    ``bound``, else at the begin line ``lineno`` if there are not
+    ``expect`` tokens.  Ragged sections, which numpy's reader refuses, are
+    read here; ``serialize`` writes none."""
+    tokens = [(ln, t) for ln, s in body for t in s.split()]
+    values = [0 if t == "inf" else _parse_int(t, ln, bound) for ln, t in tokens]
+    if len(values) != expect:
+        raise ParseError(f"expected {expect} values, found {len(values)}", lineno)
+    finite = np.array([t != "inf" for _, t in tokens], dtype=bool)
+    return np.array(values, dtype=np.int64), finite
 
 
 def _require_section(sections, name: str):
@@ -449,23 +425,15 @@ def parse_path(path):
         return parse_document(f.read())
 
 
-class _IndexText(dict):
-    """Index i -> its text ``str(i + base)``, made once per index met."""
-
-    def __init__(self, base: int):
-        super().__init__()
-        self.base = base
-
-    def __missing__(self, i: int) -> str:
-        self[i] = text = str(i + self.base)
-        return text
-
-
-def _fmt_parts(dec: Decomposition, names: _IndexText) -> str:
-    return " | ".join(
-        " ".join([p.tag.value, *map(names.__getitem__, p.indices)])
-        for p in dec.parts
-    )
+def _fmt_parts(dec: Decomposition, names: list[str]) -> str:
+    """A part line; ``names[i]`` is the text of index ``i < len(names)``."""
+    try:
+        return " | ".join(
+            " ".join([p.tag.value, *map(names.__getitem__, p.positions.tolist())])
+            for p in dec.parts
+        )
+    except IndexError:
+        raise IndexOutOfRange(f"a part index lies outside [0, {len(names)})") from None
 
 
 def _fmt_rows(values: np.ndarray, finite: np.ndarray | None = None) -> list[str]:
@@ -491,51 +459,43 @@ def _emit_headers(out: list[str], kind: str, n: int, meta: dict[str, str]):
     out.append("")
 
 
+def _section(out: list[str], name: str, lines: list[str]) -> None:
+    out.extend([f"begin {name}", *lines, f"end {name}", ""])
+
+
 def serialize(doc) -> str:
     """Serialize a MatrixInstance, VectorInstance, or ResultDocument."""
     out: list[str] = []
     if isinstance(doc, MatrixInstance):
         n = doc.A.n
-        names = _IndexText(base=1)
+        names = list(map(str, range(1, n + 1)))
         _emit_headers(out, "matrix", n, doc.meta)
-        for name, M in (("A", doc.A), ("B", doc.B)):
-            out.append(f"begin matrix {name}")
-            out += _fmt_rows(M.entries)
-            out.append(f"end matrix {name}")
-            out.append("")
-        for decs, section, word in (
+        _section(out, "matrix A", _fmt_rows(doc.A.entries))
+        _section(out, "matrix B", _fmt_rows(doc.B.entries))
+        for decs, name, word in (
             (doc.dec_rows, "decompositions A rows", "row"),
             (doc.dec_cols, "decompositions B cols", "col"),
         ):
-            if decs is None:
-                continue
-            out.append(f"begin {section}")
-            for i, d in enumerate(decs, start=1):
-                out.append(f"{word} {i}: {_fmt_parts(d, names)}")
-            out.append(f"end {section}")
-            out.append("")
+            if decs is not None:
+                _section(out, name, [
+                    f"{word} {i}: {_fmt_parts(d, names)}"
+                    for i, d in enumerate(decs, start=1)
+                ])
     elif isinstance(doc, VectorInstance):
         n = doc.a.n
+        names = list(map(str, range(n)))
         _emit_headers(out, "vector", n, doc.meta)
-        for name, v in (("a", doc.a), ("b", doc.b)):
-            out.append(f"begin vector {name}")
-            out += _fmt_rows(v.coords[None])
-            out.append(f"end vector {name}")
-            out.append("")
-        for name, dec in (("a", doc.dec_a), ("b", doc.dec_b)):
-            if dec is None:
-                continue
-            out.append(f"begin decomposition {name}")
-            out.append(_fmt_parts(dec, _IndexText(base=0)))
-            out.append(f"end decomposition {name}")
-            out.append("")
+        _section(out, "vector a", _fmt_rows(doc.a.coords[None]))
+        _section(out, "vector b", _fmt_rows(doc.b.coords[None]))
+        for name, dec in (("decomposition a", doc.dec_a), ("decomposition b", doc.dec_b)):
+            if dec is not None:
+                _section(out, name, [_fmt_parts(dec, names)])
     elif isinstance(doc, ResultDocument):
         _emit_headers(out, doc.kind, doc.n, doc.meta)
-        out.append("begin values")
         output = doc.output
-        out += _fmt_rows(np.atleast_2d(output.values), np.atleast_2d(output.finite))
-        out.append("end values")
-        out.append("")
+        _section(out, "values", _fmt_rows(
+            np.atleast_2d(output.values), np.atleast_2d(output.finite)
+        ))
     else:
         raise TypeError(f"cannot serialize {type(doc).__name__}")
     return "\n".join(out)

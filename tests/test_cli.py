@@ -92,6 +92,23 @@ GEN_SHA256 = {
 }
 
 
+#: SHA-256 of ``minplus decompose`` with the second flags on the output of
+#: ``minplus gen --n 16 --seed 0`` with the first, recorded before the
+#: writer put every section through one helper.
+DECOMPOSE_SHA256 = {
+    ("fewvalues", "--mode nondec"):
+        "4a15c996e6c9db997e14f972a3b1d1e1a6f8bbf0f59c528d0b0a92b6098aafe5",
+    ("fewvalues", "--mode greedy"):
+        "9c08a293302f987f164c2afd525001ade15dbe6a1402a9e8080c5eae91442ac1",
+    ("fewvalues", "--mode uniform"):
+        "623a0f176baafa72c9947473065e84e0a6c9c55212844b5e871e1cd50c791c0f",
+    ("fig3", "--mode nondec --target a"):
+        "bf19610adc26839a69eeb387e716a68657b052c80e759b1aa45dc44011d5f825",
+    ("fig4", "--mode uniform --target both"):
+        "59c9bec6f552dba7c9559089b02758a49442cebb09b280b8ff8624c6449a0cad",
+}
+
+
 def run(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
@@ -260,7 +277,8 @@ class TestCompute:
         code, out, err = run(capsys, "compute", str(dec), "--algo", "fig1")
         if direction is None:
             assert code == cli.EXIT_VALIDATION
-            assert "do not share one direction; pass --direction" in err
+            assert "no direction fits both the row and the column parts" in err
+            assert "--direction" not in err
         else:
             assert code == 0
             assert f"meta direction: {direction}" in out
@@ -372,6 +390,17 @@ class TestDecompose:
         assert values_section(r_fig) == values_section(r_naive)
         assert "meta witness-matrix-calls: 9" in r_fig.read_text()
 
+    @pytest.mark.parametrize("flags", sorted(DECOMPOSE_SHA256))
+    def test_output_is_pinned(self, capsys, tmp_path, flags):
+        gen_flags, dec_flags = flags
+        inst, dec = tmp_path / "i.txt", tmp_path / "d.txt"
+        assert run(capsys, "gen", "--algo", *gen_flags.split(), "--n", "16",
+                   "--seed", "0", "--out", str(inst))[0] == 0
+        assert run(capsys, "decompose", str(inst), *dec_flags.split(),
+                   "--out", str(dec))[0] == 0
+        digest = hashlib.sha256(dec.read_bytes()).hexdigest()
+        assert digest == DECOMPOSE_SHA256[flags]
+
     def test_wrong_target_for_kind(self, capsys, tmp_path):
         inst = tmp_path / "v.txt"
         inst.write_text(VECTOR_DOC)
@@ -387,6 +416,14 @@ class TestVerify:
                            "--n", "12", "--seed", "3")
         assert code == 0
         assert out.strip() == "all equal (5 trials)"
+
+    @pytest.mark.parametrize("trials", ["0", "-2"])
+    def test_trials_mode_needs_a_trial(self, capsys, trials):
+        code, out, err = run(capsys, "verify", "--algo", "fig1", "--trials",
+                             trials, "--n", "8")
+        assert code == cli.EXIT_VALIDATION
+        assert out == ""
+        assert "--trials must be at least 1" in err
 
     def test_file_mode_against_naive(self, capsys, tmp_path):
         inst = tmp_path / "i.txt"

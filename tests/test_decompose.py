@@ -291,3 +291,42 @@ class TestStats:
             st_ = decomposition_stats(d, v)
             if st_.lower_bound_certificate is not None:
                 assert d.part_count == st_.lower_bound_certificate
+
+
+def stats_on(s):
+    return decomposition_stats(Decomposition(2, (Subsequence((0, 1), ND),)), s)
+
+
+SEQUENCE_READERS = [
+    decompose_nondecreasing,
+    decompose_nonincreasing,
+    decompose_monotone_greedy,
+    decompose_uniform,
+    longest_strictly_increasing_length,
+    longest_strictly_decreasing_length,
+    stats_on,
+]
+
+
+class TestSequenceInputs:
+    """Sequences are read as IntVector reads them: integers only, none
+    wrapped or truncated."""
+
+    @pytest.mark.parametrize("fn", SEQUENCE_READERS)
+    def test_non_integers_are_refused(self, fn):
+        # astype(int64) made the falling [1.5, 1.2] the constant [1, 1].
+        for s in (np.array([1.5, 1.2]), [1.0, 2.0], np.array([True, False]), ["1", "2"]):
+            with pytest.raises(TypeError, match="must hold integers"):
+                fn(s)
+
+    @pytest.mark.parametrize("fn", SEQUENCE_READERS)
+    def test_unsigned_past_int64_is_refused(self, fn):
+        # astype(int64) read 2**63 as -2**63.
+        with pytest.raises(ValueError, match="beyond the int64 range"):
+            fn(np.array([2**63, 0], dtype=np.uint64))
+
+    def test_unsigned_values_are_read_exactly(self):
+        u = np.array([2**63 - 1, 3, 7], dtype=np.uint64)
+        v = u.astype(np.int64)
+        assert piles_of(decompose_nondecreasing(u)) == piles_of(decompose_nondecreasing(v))
+        assert longest_strictly_decreasing_length(u) == 2

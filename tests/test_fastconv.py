@@ -51,7 +51,7 @@ class TestIntConvolution:
 
     def test_methods_agree_across_the_cutoff(self, monkeypatch):
         rng = np.random.default_rng(7)
-        for n in (5, 64, 511, 512, 513, 700):
+        for n in (5, 64, 223, 224, 225, 511, 512, 513, 700):
             p = IntVector(rng.integers(0, 31, n))
             q = IntVector(rng.integers(0, 31, n))
             direct = int_convolution_on("direct", p, q, monkeypatch)

@@ -15,6 +15,7 @@ from minplus import (
     SHIFTED_ENTRY_BOUND,
     CoverageGapError,
     Decomposition,
+    IndexOutOfRange,
     IntMatrix,
     IntVector,
     MinPlusOutput,
@@ -134,6 +135,13 @@ class TestRoundTrip:
 
     def test_serialized_text_ends_with_newline(self):
         assert serialize(mat_doc()).endswith("\n")
+
+    def test_part_index_past_n_is_not_written(self):
+        # Written out, it would make a file the parser refuses.
+        dec = Decomposition(2, (Subsequence((0, 5), ND),))
+        doc = VectorInstance(IntVector([1, 2]), IntVector([1, 2]), dec, None)
+        with pytest.raises(IndexOutOfRange, match=r"outside \[0, 2\)"):
+            serialize(doc)
 
     def test_comments_and_blank_lines_ignored(self):
         text = MATRIX_TEXT.replace(
@@ -599,7 +607,7 @@ class TestFastSectionReader:
         finite = np.ones((n, n), dtype=bool)
         finite[5, 7] = finite[n - 1, 0] = False
         text = serialize(ResultDocument("result-matrix", n, MinPlusOutput(values, finite)))
-        with mock.patch.object(fileio, "_ints", _refuse):
+        with mock.patch.object(fileio, "_token_values", _refuse):
             doc = parse_document(text)
         assert np.array_equal(doc.output.finite, finite)
         assert np.array_equal(doc.output.values, np.where(finite, values, 0))
@@ -616,7 +624,7 @@ class TestFastSectionReader:
         src.write_text(text)
         assert cli.main(["decompose", str(src), "--mode", "nondec",
                          "--target", "both", "--out", str(dec)]) == 0
-        with mock.patch.object(fileio, "_ints", _refuse):
+        with mock.patch.object(fileio, "_token_values", _refuse):
             doc = parse_document(dec.read_text())
         assert all(p.positions.base is not None for d in doc.dec_rows for p in d.parts)
 
@@ -746,6 +754,27 @@ def test_serialized_bytes_are_pinned(name):
     text = serialize(guard_docs()[name])
     assert hashlib.sha256(text.encode()).hexdigest() == GUARD_SHA256[name]
     assert parse_document(text) == guard_docs()[name]
+
+
+def result_with_holes():
+    """A result matrix with ``inf`` first, last and along a whole row, and
+    the shifted bound at both signs."""
+    values = np.arange(25, dtype=np.int64).reshape(5, 5) * 7919 - 90000
+    values[1] = [SHIFTED_ENTRY_BOUND, -SHIFTED_ENTRY_BOUND, 0, -1, 1]
+    finite = np.ones((5, 5), dtype=bool)
+    finite[0, 0] = finite[4, 4] = False
+    finite[2] = False
+    output = MinPlusOutput(values, finite)
+    return ResultDocument("result-matrix", 5, output, {"algorithm": "naive"})
+
+
+def test_result_with_holes_is_pinned():
+    # Recorded before the writer put every section through one helper.
+    text = serialize(result_with_holes())
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "ce87e64faf564f2556ea326ccbab67b537303f86ca62b9b2428c07c9b3762a44"
+    )
+    assert serialize(parse_document(text)) == text
 
 
 #: SHA-256 of serialize(parse(text)) for each seed's decomposed file, as
