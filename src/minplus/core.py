@@ -320,7 +320,8 @@ def _as_int64(values: IntSeq, what: str) -> np.ndarray:
     arr = np.asarray(values)
     if arr.dtype == np.int64:
         return arr
-    if arr.dtype.kind not in "iu":
+    # An empty sequence reads as float64: its fault is its size, not dtype.
+    if arr.size and arr.dtype.kind not in "iu":
         raise TypeError(f"{what} must hold integers, got dtype {arr.dtype}")
     if arr.dtype.kind == "u" and arr.size and arr.max() > INT64_MAX:
         raise ValueError(f"{what} holds unsigned values beyond the int64 range")

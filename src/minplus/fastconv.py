@@ -8,26 +8,25 @@ solver packs an operand once with :func:`packed` for all the calls it
 enters, fig4's groups all at once; other operands are packed per call, the
 table in the rows read.  ``_lead_ranks`` ORs such windows in rank order.
 
-Extreme witnesses come from a capped word scan.  "max" is "min" on both
-vectors reversed (l -> n-1-l, k -> 2n-2-k).  p is packed into uint64
-words, and the reversed q behind n - 1 zero bits, so that the 64 bits of
-q from bit 2n-2-k+x on hold q_{k-l} for l in x..x+63 (0 outside the legal
-window).  The first step needs no gathers: output k reads its 64 legal
-bits from its first legal index lo = max(k - n + 1, 0) on, ANDing p's
-window at bit lo with q's at bit 2n-2-k+lo.  For k < n that is p's first
-word and q's window at 2n-2-k; for k >= n it is p's window at k-n+1 and
-q's fixed window at n - 1.  Both sets of windows are all 64 shifts of the
-packed words, and the lowest set bit of a nonzero AND is the least
-witness.  Only the outputs left with legal bits past those 64 enter the
-scan, a handful per planted pair.  Each scan step ANDs, per output, its
-next p word with q's window lined up with it; an output also leaves once
-past min(k, n - 1).  After ceil(sqrt(n)) steps in all, the first one
-included, O(n**1.5) word operations, the outputs left go to square-root
-blocking (Alon, Galil, Margalit and Naor, FOCS 1992): block slices of p,
-transformed in row chunks of about 1 MB, are convolved with q to find per
-output the first block holding a witness, and the scan restarts there,
-ending within s // 64 + 2 steps for blocks of size s.  A solver packs each
-operand's words and windows once with :func:`witness_packed`.
+Extreme witnesses come from a capped scan.  "max" is "min" on both
+vectors reversed (l -> n-1-l, k -> 2n-2-k).  Each operand is packed as
+64-bit windows: p's at bits 0..n-1, and the reversed q's behind n - 1
+zero bits, so that q's window at index i holds q_{i-j} at bit j (0 for
+j > i).  A scan step of output k at bit x ANDs p's window at x with q's
+at k - x; while lo = max(k - n + 1, 0) <= x <= min(k, n - 1) both
+indices lie in [0, n - 1], every set bit j of the AND is a legal witness
+x + j, and the lowest is the least.  The first step, at x = lo, needs no
+gathers: for k < n it is p's first window with q's at k; for k >= n
+p's at k-n+1 with q's last.  Only the outputs left with legal bits past
+those 64 scan on from lo + 64, a handful per planted pair; an output
+leaves once resolved or past min(k, n - 1).  After ceil(sqrt(n)) steps in
+all, the first one included, O(n**1.5) word operations, the outputs left
+go to square-root blocking (Alon, Galil, Margalit and Naor, FOCS 1992):
+block slices of p, transformed in row chunks of about 1 MB, are convolved
+with q to find per output the first block t holding a witness, and the
+scan restarts at bit max(t s, lo), ending within ceil(s/64) steps for
+blocks of size s.  A solver packs each operand's windows once with
+:func:`witness_packed`, for any block size.
 
 The block search and dense ``bool_convolution`` run on a float64 FFT of
 the least 5-smooth length holding the output, rounded with ``np.rint``
@@ -171,7 +170,7 @@ def _windows(q: BoolVector | Packed, r: np.ndarray) -> tuple[np.ndarray, np.ndar
 def _shift_table(bits: np.ndarray, shifts=range(64)) -> np.ndarray:
     """A (len(shifts), windows, count) view: [i, w] holds the count =
     ceil((2n-1)/64) words from bit 64 w + shifts[i] on of ``bits`` behind
-    n - 1 zero bits, as ``_scan`` reads q."""
+    n - 1 zero bits."""
     n, count = bits.size, (2 * bits.size + 62) // 64
     words = _words(bits, n - 1, (n - 1) // 64 + count + 1)
     r = np.asarray(shifts, dtype=np.uint64)[:, None]
@@ -186,31 +185,22 @@ def _words(bits: np.ndarray, lead: int, count: int) -> np.ndarray:
     return np.packbits(buf, bitorder="little").view("<u8")
 
 
-def _scan(pw, qw, n, ks, pos, steps, wit):
-    """Scan outputs ``ks`` from p word ``pos`` on for at most ``steps``
-    steps, writing their witnesses into ``wit``; return the outputs left
-    and the steps run.  Outputs come here only when the first step, or the
-    block search, has shown that no witness lies below word ``pos``.  A
-    resolved output is parked on the zero words ending ``pw`` until the
-    next compaction."""
-    parked = pw.size - steps  # pw[parked - 1 - t + t'] is 0 for t' > t
-    off = 2 * n - 2 - ks + 64 * pos  # window bit lined up with word pos
-    jq, r = off >> 6, (off & 63).astype(np.uint64)
-    rl = 64 - r  # numpy shifts by 64 or more give 0, so r = 0 needs no branch
-    stop = (np.minimum(ks, n - 1) >> 6) - pos
-    t = dead = 0  # dead: resolved since the last compaction
-    while t < steps and ks.size:
-        a = pw[t:][pos] & ((qw[t:][jq] >> r) | (qw[t + 1 :][jq] << rl))
+def _scan(p_windows, q_windows, n, ks, x, steps, wit):
+    """Scan outputs ``ks`` from bits ``x`` on, 64 bits a step for at most
+    ``steps`` steps, writing their witnesses into ``wit``; return the
+    outputs left.  Callers have shown that no witness of k lies below its
+    x and that x <= min(k, n - 1); an output leaves once resolved or past
+    that."""
+    for _ in range(steps):
+        if not ks.size:
+            break
+        d = ks - x
+        a = p_windows[x] & q_windows[d]
         h = np.flatnonzero(a)
-        wit[ks[h]] = 64 * (pos[h] + t) + lowest_set_bit(a[h])
-        pos[h], stop[h] = parked - 1 - t, -1
-        dead, t = dead + h.size, t + 1
-        # Outputs past their end leave at most 16 steps later.
-        if 8 * dead >= ks.size or t % 16 == 0:
-            idx = np.flatnonzero(stop >= t)
-            ks, pos, jq, r, rl, stop = (x[idx] for x in (ks, pos, jq, r, rl, stop))
-            dead = 0
-    return ks[stop >= t], t
+        wit[ks[h]] = x[h] + lowest_set_bit(a[h])
+        keep = (a == 0) & (d >= 64) & (x < n - 64)  # legal bits past x + 63
+        ks, x = ks[keep], x[keep] + 64
+    return ks
 
 
 def _bit_windows(words: np.ndarray, x0: int, x1: int) -> np.ndarray:
@@ -222,35 +212,23 @@ def _bit_windows(words: np.ndarray, x0: int, x1: int) -> np.ndarray:
     return table.reshape(-1)[x0 - 64 * j0 : x1 - 64 * j0]
 
 
-def _pad_words(n: int, s: int) -> int:
-    """Zero words behind the data of the scan's ``pw`` and ``qw``: the
-    first scan runs at most ceil(_SCAN_CAP * sqrt(n)) steps, the restarted
-    one s // 64 + 2, and each may read two runs of that many past the
-    data (live and parked outputs)."""
-    return 2 * max(math.ceil(_SCAN_CAP * math.sqrt(n)), s // 64 + 2)
-
-
-def _witness_pack(bits: np.ndarray, side: str, kind: str, pad: int):
-    """``bits`` packed as the witness engine reads side "p" or "q" of
-    ``kind``: the scan's words behind ``pad`` zero words, and the first
-    step's windows.  p's windows start at bits 0..n-1; q's, reversed
-    behind n - 1 zero bits, at bits 2n-2 down to n-1, so output k < n
-    reads its window at index k and every k >= n the one at index n - 1."""
+def _witness_pack(bits: np.ndarray, side: str, kind: str) -> np.ndarray:
+    """``bits``' 64-bit windows as the witness engine reads side "p" or "q"
+    of ``kind``.  p's windows start at bits 0..n-1; q's, reversed behind
+    n - 1 zero bits, at bits 2n-2 down to n-1, so that q's window at index
+    i holds q_{i-j} at bit j (0 for j > i)."""
     n = bits.size
     bits = bits[::-1] if kind == "max" else bits
     if side == "p":
-        words = _words(bits, 0, (n + 63) // 64 + pad)
-        return words, _bit_windows(words, 0, n)
-    words = _words(bits[::-1], n - 1, (2 * n + 126) // 64 + pad)
-    return words, _bit_windows(words, n - 1, 2 * n - 1)[::-1]
+        return _bit_windows(_words(bits, 0, (n + 127) // 64), 0, n)
+    words = _words(bits[::-1], n - 1, (2 * n + 126) // 64)
+    return _bit_windows(words, n - 1, 2 * n - 1)[::-1]
 
 
 def witness_packed(bits: np.ndarray, side: str, kind: str) -> Packed:
     """``bits`` packed once for the :func:`conv_extreme_witness` calls of
-    ``kind`` it enters as ``side`` "p" or "q", at the default block size."""
-    n = bits.size
-    pad = _pad_words(n, checked_size(n, None, "block size"))
-    return Packed(bits, (side, kind, pad), _witness_pack(bits, side, kind, pad))
+    ``kind`` it enters as ``side`` "p" or "q", at any block size."""
+    return Packed(bits, (side, kind), _witness_pack(bits, side, kind))
 
 
 def conv_extreme_witness(
@@ -276,20 +254,19 @@ def conv_extreme_witness(
         raise ValueError(f"witness kind must be 'min' or 'max', got {kind!r}")
     n = p.n
     s = checked_size(n, block_size, "block size")
-    cap, rest, pad = math.ceil(_SCAN_CAP * math.sqrt(n)), s // 64 + 2, _pad_words(n, s)
-    lp, lq = ("p", kind, pad), ("q", kind, pad)
-    pw, p_windows = packed_words(p, lp, lambda bits: _witness_pack(bits, *lp))
-    qw, q_windows = packed_words(q, lq, lambda bits: _witness_pack(bits, *lq))
+    cap = math.ceil(_SCAN_CAP * math.sqrt(n))
+    lp, lq = ("p", kind), ("q", kind)
+    p_windows = packed_words(p, lp, lambda bits: _witness_pack(bits, *lp))
+    q_windows = packed_words(q, lq, lambda bits: _witness_pack(bits, *lq))
+    lo = np.maximum(np.arange(1 - n, n), 0)  # each output's first legal l
     if cap:
-        # First step: each output's 64 legal bits from its first, lo, on.
-        a = np.concatenate((pw[0] & q_windows, p_windows[1:] & q_windows[-1]))
-        lo = np.maximum(np.arange(1 - n, n), 0)
+        # First step: each output's 64 legal bits from lo on.
+        a = np.concatenate((p_windows[0] & q_windows, p_windows[1:] & q_windows[-1]))
         wit = np.where(a != 0, lo + lowest_set_bit(a), NO_WITNESS)
         # Outputs 64..2n-66 have legal bits past those; the ones with no
-        # witness yet scan on from the next word, within the cap.
+        # witness yet scan on from lo + 64, within the cap.
         ks = 64 + np.flatnonzero(a[64 : 2 * n - 65] == 0)
-        if ks.size:
-            ks, _ = _scan(pw, qw, n, ks, (lo[ks] >> 6) + 1, cap - 1, wit)
+        ks = _scan(p_windows, q_windows, n, ks, lo[ks] + 64, cap - 1, wit)
     else:
         wit = np.full(2 * n - 1, NO_WITNESS, dtype=np.int64)
         ks = np.arange(2 * n - 1)
@@ -298,13 +275,13 @@ def conv_extreme_witness(
 
         pb, qb = (p.bits, q.bits) if kind == "min" else (p.bits[::-1], q.bits[::-1])
         # Block t's slice convolved with q counts the witnesses in block t,
-        # shifted by t * s.  Outputs left have none below 64 * (start + cap)
-        # (the least start is ks[0]'s), so the search starts at block b0.
+        # shifted by t * s.  Outputs left have none below lo + 64 * cap
+        # (the least lo is ks[0]'s), so the search starts at block b0.
         size = _fft_size(s + n - 1)
         q_spectrum = fft.rfft(qb.astype(np.float64), size)
         blocks = np.pad(pb.astype(np.float64), (0, -n % s)).reshape(-1, s)
         rows = max(1, _CHUNK_ELEMENTS // size)
-        b0 = 64 * ((max(ks[0] - n + 1, 0) >> 6) + cap) // s
+        b0 = (lo[ks[0]] + 64 * cap) // s
         first = np.full(2 * n - 1, -1, dtype=np.int64)
         for r0 in range(b0, blocks.shape[0], rows):
             chunk = fft.irfft(fft.rfft(blocks[r0 : r0 + rows], size) * q_spectrum, size)
@@ -312,11 +289,13 @@ def conv_extreme_witness(
             for t in range(r0, r0 + hit.shape[0]):
                 kk = t * s + np.flatnonzero(hit[t - r0])
                 first[kk[first[kk] < 0]] = t
-        # No witness lies below an output's first block: restart there.
+        # No witness lies below an output's first block, and its least one
+        # lies in that block's s bits from max(first * s, lo) on.
         ks = ks[first[ks] >= 0]
-        _scan(pw, qw, n, ks, first[ks] * s >> 6, rest, wit)
+        x = np.maximum(first[ks] * s, lo[ks])
+        _scan(p_windows, q_windows, n, ks, x, -(-s // 64), wit)
     if kind == "max":
         wit = np.where(wit[::-1] >= 0, n - 1 - wit[::-1], NO_WITNESS)
     if counters is not None:
         counters.witness_conv_calls += 1
-    return WitnessArray(wit)
+    return WitnessArray._adopt(wit)

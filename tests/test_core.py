@@ -44,6 +44,7 @@ from minplus import (
     OverlapError,
     Subsequence,
     WitnessArray,
+    decompose_nondecreasing,
     validate_decomposition,
     values_satisfy,
 )
@@ -286,6 +287,25 @@ def test_other_shapes_are_unequal():
 )
 def test_value_type_constructor_messages(make, error, message):
     with pytest.raises(error) as ei:
+        make()
+    assert str(ei.value) == message
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: IntVector([]), "vector length 0 outside [1, 1048576]"),
+        (lambda: IntMatrix([[]]), "matrix must be square, got shape (1, 0)"),
+        (lambda: decompose_nondecreasing([]), "host_length must be >= 1"),
+        (lambda: WitnessArray([]), None),
+    ],
+)
+def test_empty_sequences_read_as_int64(make, message):
+    # np.asarray([]) is float64; the fault of an empty input is its size.
+    if message is None:
+        assert make().values.dtype == np.int64
+        return
+    with pytest.raises(ValueError) as ei:
         make()
     assert str(ei.value) == message
 

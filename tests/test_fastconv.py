@@ -1,7 +1,8 @@
 """Exact counting convolutions on the package's transform, Boolean
-convolutions, and extreme convolution witnesses: the capped word scan and
+convolutions, and extreme convolution witnesses: the capped scan and
 the block search that takes the outputs it leaves."""
 
+import itertools
 import math
 import os
 import subprocess
@@ -344,6 +345,10 @@ class TestConvExtremeWitness:
     def test_undefined_where_bit_is_zero(self):
         w = conv_extreme_witness(bv([1, 0]), bv([1, 0]), "min")
         assert w.get(0) == 0 and w.get(1) is None and w.get(2) is None
+        # The engine hands its fresh array over, read-only.
+        for kind in ("min", "max"):
+            w = conv_extreme_witness(bv([1, 0]), bv([1, 1]), kind)
+            assert not w.values.flags.writeable
 
     def test_matches_oracle_all_block_sizes(self):
         rng = np.random.default_rng(5)
@@ -413,14 +418,21 @@ class TestConvExtremeWitness:
         else:
             rng = np.random.default_rng(29)
             p, q = rng.random(n) < 0.02, rng.random(n) < 0.02
-        scans = []
-        scan = fastconv._scan
+        # Each scan step takes the lowest set bits once: count its steps so.
+        scans, calls = [], [0]
+        scan, lowest = fastconv._scan, fastconv.lowest_set_bit
+
+        def counting_lowest(words):
+            calls[0] += 1
+            return lowest(words)
 
         def spy(*args):
-            left, steps = scan(*args)
-            scans.append((steps, left.size))
-            return left, steps
+            before = calls[0]
+            left = scan(*args)
+            scans.append((calls[0] - before, left.size))
+            return left
 
+        monkeypatch.setattr(fastconv, "lowest_set_bit", counting_lowest)
         monkeypatch.setattr(fastconv, "_scan", spy)
         for kind in ("min", "max"):
             scans.clear()
@@ -431,8 +443,8 @@ class TestConvExtremeWitness:
             # scan after it never runs past cap - 1.  Where it stops there,
             # the block search's restarted scan resolves every output left.
             if pattern == "halves":
-                assert len(scans) <= 1, scans
-                assert all(1 + steps <= cap for steps, _ in scans), scans
+                assert len(scans) == 1 and scans[0][1] == 0, scans
+                assert 1 + scans[0][0] <= cap, scans
             else:
                 assert len(scans) == 2 and 1 + scans[0][0] == cap, scans
                 assert scans[1][1] == 0, scans
@@ -465,19 +477,19 @@ class TestConvExtremeWitness:
 
     def test_planted_pairs_leave_few_outputs_to_the_scan(self, monkeypatch):
         # The first step settles all but a few of the 4,095 outputs of each
-        # planted n = 2048 pair; the word scan sees only those.
+        # planted n = 2048 pair; the scan sees only those.
         from minplus import convolution, generators
 
         sizes, packs = [], []
         scan, pack = fastconv._scan, fastconv._witness_pack
 
-        def spy(pw, qw, n, ks, *rest):
+        def spy(p_windows, q_windows, n, ks, *rest):
             sizes.append(ks.size)
-            return scan(pw, qw, n, ks, *rest)
+            return scan(p_windows, q_windows, n, ks, *rest)
 
-        def pack_spy(bits, side, kind, pad):
+        def pack_spy(bits, side, kind):
             packs.append(side)
-            return pack(bits, side, kind, pad)
+            return pack(bits, side, kind)
 
         monkeypatch.setattr(fastconv, "_scan", spy)
         monkeypatch.setattr(fastconv, "_witness_pack", pack_spy)
@@ -498,21 +510,34 @@ class TestConvExtremeWitness:
         restarts = []
         scan = fastconv._scan
 
-        def spy(pw, qw, n, ks, *rest):
-            restarts.append(ks.copy())
-            return scan(pw, qw, n, ks, *rest)
+        def spy(p_windows, q_windows, n, ks, x, *rest):
+            restarts.append((ks.copy(), x.copy()))
+            return scan(p_windows, q_windows, n, ks, x, *rest)
 
         monkeypatch.setattr(fastconv, "_scan", spy)
         rng = np.random.default_rng(3)
-        p, q = rng.random(300) < 0.3, rng.random(300) < 0.3
-        for kind in ("min", "max"):
+        lone = np.zeros(300, dtype=bool)
+        lone[299] = True  # "min" witnesses up to 99 bits into a block of 100
+        ones = np.ones(300, dtype=bool)
+        pairs = [(rng.random(300) < 0.3, rng.random(300) < 0.3), (lone, ones)]
+        mid = set()
+        for (p, q), kind, block_size in itertools.product(
+            pairs, ("min", "max"), (None, 37, 100)
+        ):
             restarts.clear()
-            got = conv_extreme_witness(bv(p), bv(q), kind)
+            got = conv_extreme_witness(bv(p), bv(q), kind, block_size=block_size)
             assert np.array_equal(got.values, oracles.conv_witness_loops(p, q, kind))
             defined = np.flatnonzero(got.defined)
             if kind == "max":  # "max" runs on both vectors reversed
                 defined = 2 * 300 - 2 - defined[::-1]
-            assert len(restarts) == 1 and np.array_equal(restarts[0], defined)
+            assert len(restarts) == 1 and np.array_equal(restarts[0][0], defined)
+            # Outputs k >= n whose lo = k - n + 1 lies inside their first
+            # block restart there, mid-block.
+            ks, x = restarts[0]
+            s = block_size or math.isqrt(299) + 1
+            if ((x % s != 0) & (x == ks - 299)).any():
+                mid.add(block_size)
+        assert mid == {None, 37, 100}
 
     @pytest.mark.parametrize("n", [1, 64, 129, 1000])
     def test_packed_forms_match_and_others_are_repacked(self, n):
@@ -534,8 +559,9 @@ class TestConvExtremeWitness:
                     assert np.array_equal(got.values, want), (kind, bs)
 
     def test_word_shift_by_64_is_zero(self):
-        # The scan reads a window at bit offset r as (w >> r) | (v << 64 - r)
-        # and relies on numpy giving 0 for r = 0, where C leaves it undefined.
+        # _bit_windows and _shift_table read a window at bit offset r as
+        # (w >> r) | (v << 64 - r) and rely on numpy giving 0 for r = 0,
+        # where C leaves it undefined.
         words = np.array([1, 2**63 + 5], dtype=np.uint64)
         assert not (words << np.uint64(64)).any()
         assert not (words >> np.uint64(64)).any()
