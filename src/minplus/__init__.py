@@ -40,12 +40,10 @@ from .core import (
     UniformViolation,
     WitnessArray,
     validate_decomposition,
-    values_satisfy,
 )
 from .decompose import (
     DecompositionStats,
     decompose_cols,
-    decompose_monotone_greedy,
     decompose_nondecreasing,
     decompose_nonincreasing,
     decompose_rows,
@@ -99,7 +97,6 @@ __all__ = [
     "conv_naive",
     "conv_shift_offsets",
     "decompose_cols",
-    "decompose_monotone_greedy",
     "decompose_nondecreasing",
     "decompose_nonincreasing",
     "decompose_rows",
@@ -116,6 +113,5 @@ __all__ = [
     "shift_transform_matrices",
     "shift_transform_vectors",
     "validate_decomposition",
-    "values_satisfy",
     "__version__",
 ]

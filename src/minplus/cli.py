@@ -78,6 +78,16 @@ def _require(condition: bool, message: str) -> None:
         raise MinPlusError(message)
 
 
+def _read_instance(path: str):
+    """The instance in ``path``; a result document is refused."""
+    inst = fileio.parse_path(path)
+    _require(
+        not isinstance(inst, fileio.ResultDocument),
+        f"{path} is a result document, not an instance",
+    )
+    return inst
+
+
 def _infer_matrix_direction(inst: fileio.MatrixInstance) -> str:
     # A parsed instance carries what validating its decompositions returned.
     rows = inst.rows_parts or validate_decomposition(inst.dec_rows, inst.A.entries)
@@ -259,7 +269,7 @@ def _stats_line(label: str, dec: Decomposition, host: np.ndarray) -> str:
 
 
 def _cmd_decompose(args) -> int:
-    inst = fileio.parse_path(args.input)
+    inst = _read_instance(args.input)
     report: list[str] = []
     if isinstance(inst, fileio.VectorInstance):
         _require(
@@ -301,7 +311,7 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_compute(args) -> int:
-    inst = fileio.parse_path(args.input)
+    inst = _read_instance(args.input)
     counters = OpCounters()
     output, params = _run_algorithm(inst, args.algo, args, counters)
     meta = {"algorithm": args.algo}
@@ -333,7 +343,7 @@ def _cmd_verify(args) -> int:
         print(f"all equal ({args.trials} trials)")
         return EXIT_OK
     _require(args.input is not None, "need an input file or --trials")
-    inst = fileio.parse_path(args.input)
+    inst = _read_instance(args.input)
     got, _ = _run_algorithm(inst, args.algo, args, OpCounters())
     if args.result is not None:
         doc = fileio.parse_path(args.result)

@@ -190,11 +190,6 @@ def _wrong_steps(values: np.ndarray, tag: MonotoneTag) -> np.ndarray:
     return after != before
 
 
-def values_satisfy(values: np.ndarray, tag: MonotoneTag) -> bool:
-    """Whether a value sequence satisfies the (weak) order of ``tag``."""
-    return not _wrong_steps(values, tag).any()
-
-
 def _as_index(i) -> int:
     """``i`` as a Python int; floats and bools are rejected, not truncated."""
     if isinstance(i, bool):

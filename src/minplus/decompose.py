@@ -1,10 +1,10 @@
 """Decompositions of integer sequences into monotone subsequences.
 
 Provides exact minimum-cardinality decompositions for a single direction
-(non-decreasing or non-increasing), a greedy mixed-direction heuristic, the
-distinct-value (uniform) decomposition, and per-row/per-column
-decompositions of a matrix.  Rows and columns keep their own part counts:
-:func:`~minplus.core.validate_decomposition` lines them up for the solvers.
+(non-decreasing or non-increasing) or into constant values (uniform), of
+a sequence or of each row or column of a matrix, each with its own part
+count: :func:`~minplus.core.validate_decomposition` lines them up.
+No mode mixes directions: a minimum mixed-direction partition is NP-hard.
 
 The single-direction decompositions are the piles of a greedy scan, as
 many as the longest strictly decreasing (increasing) subsequence, so exact
@@ -28,7 +28,6 @@ from .core import (
     MonotoneTag,
     Subsequence,
     _as_int64,
-    values_satisfy,
 )
 
 
@@ -97,60 +96,6 @@ def decompose_nonincreasing(s) -> Decomposition:
     return _monotone_parts(_host_values(s), MonotoneTag.NON_INCREASING)
 
 
-def _value_tag(vals: np.ndarray) -> MonotoneTag:
-    if values_satisfy(vals, MonotoneTag.UNIFORM):
-        return MonotoneTag.UNIFORM
-    if values_satisfy(vals, MonotoneTag.NON_DECREASING):
-        return MonotoneTag.NON_DECREASING
-    return MonotoneTag.NON_INCREASING
-
-
-def _merge_monotone_parts(index_lists: list[list[int]], values: np.ndarray):
-    """Repeatedly merge part pairs whose index-interleaving stays monotone
-    (in either direction).  Quadratic in the part count per round; intended
-    for the small part counts this package targets."""
-    parts = [list(p) for p in index_lists]
-    merged = True
-    while merged:
-        merged = False
-        for x in range(len(parts)):
-            for y in range(x + 1, len(parts)):
-                cand = sorted(parts[x] + parts[y])
-                vals = values[cand]
-                if values_satisfy(vals, MonotoneTag.NON_DECREASING) or values_satisfy(
-                    vals, MonotoneTag.NON_INCREASING
-                ):
-                    parts[x] = cand
-                    del parts[y]
-                    merged = True
-                    break
-            if merged:
-                break
-    return parts
-
-
-def decompose_monotone_greedy(s) -> Decomposition:
-    """Heuristic partition into monotone subsequences of mixed directions.
-
-    Both exact single-direction decompositions are computed, each is
-    improved by greedy pairwise merging of parts that interleave into a
-    monotone sequence, and the smaller result wins (ties prefer the one
-    derived from the non-decreasing decomposition).  The result never has
-    more parts than the better single-direction minimum; no approximation
-    guarantee is made relative to the true mixed-direction minimum.
-    """
-    values = _host_values(s)
-    best = None
-    for base in (decompose_nondecreasing(values), decompose_nonincreasing(values)):
-        merged = _merge_monotone_parts([p.indices for p in base.parts], values)
-        if best is None or len(merged) < len(best):
-            best = merged
-    parts = tuple(
-        Subsequence(p, _value_tag(values[p])) for p in best
-    )
-    return Decomposition(values.shape[0], parts)
-
-
 def decompose_uniform(s) -> Decomposition:
     """Partition into constant-valued subsequences, one per distinct value.
 
@@ -173,22 +118,26 @@ def decompose_uniform(s) -> Decomposition:
 DECOMPOSE_MODES = {
     "nondec": decompose_nondecreasing,
     "noninc": decompose_nonincreasing,
-    "greedy": decompose_monotone_greedy,
     "uniform": decompose_uniform,
 }
+
+
+def _decompose_each(vectors, mode: str) -> list[Decomposition]:
+    """``mode``'s decomposition of each vector; ValueError for unknown modes."""
+    if mode not in DECOMPOSE_MODES:
+        raise ValueError(f"unknown mode {mode!r}; modes: {', '.join(DECOMPOSE_MODES)}")
+    return list(map(DECOMPOSE_MODES[mode], vectors))
 
 
 def decompose_rows(A: IntMatrix, mode: str) -> list[Decomposition]:
     """One decomposition per row of A.  Modes: the keys of
     :data:`DECOMPOSE_MODES`."""
-    fn = DECOMPOSE_MODES[mode]
-    return [fn(A.entries[i]) for i in range(A.n)]
+    return _decompose_each(A.entries, mode)
 
 
 def decompose_cols(B: IntMatrix, mode: str) -> list[Decomposition]:
     """One decomposition per column of B."""
-    fn = DECOMPOSE_MODES[mode]
-    return [fn(B.entries[:, j]) for j in range(B.n)]
+    return _decompose_each(B.entries.T, mode)
 
 
 def longest_strictly_increasing_length(s) -> int:

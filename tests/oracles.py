@@ -24,7 +24,6 @@ from minplus.core import (
     OrderViolation,
     OverlapError,
     Subsequence,
-    values_satisfy,
 )
 from minplus import fastconv
 from minplus.fileio import ParseError
@@ -271,6 +270,18 @@ def checked_add(x: int, y: int) -> int:
     if s < INT64_MIN or s > INT64_MAX:
         raise OverflowError(f"{x} + {y} leaves the 64-bit range")
     return s
+
+
+def values_satisfy(values, tag) -> bool:
+    """Whether a value sequence keeps the (weak) order of ``tag``, compared
+    as Python ints neighbour by neighbour."""
+    xs = [int(x) for x in values]
+    steps = list(zip(xs, xs[1:]))
+    if tag is MonotoneTag.NON_DECREASING:
+        return all(x <= y for x, y in steps)
+    if tag is MonotoneTag.NON_INCREASING:
+        return all(x >= y for x, y in steps)
+    return all(x == y for x, y in steps)
 
 
 def rows_monotone(M, tag) -> bool:

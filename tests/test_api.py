@@ -41,9 +41,7 @@ PUBLIC = {
     "UniformViolation",
     # validation and decomposition
     "validate_decomposition",
-    "values_satisfy",
     "decompose_cols",
-    "decompose_monotone_greedy",
     "decompose_nondecreasing",
     "decompose_nonincreasing",
     "decompose_rows",

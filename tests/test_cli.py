@@ -37,21 +37,6 @@ begin vector b
 end vector b
 """
 
-#: Greedy splits a = [3, 1, 2] into (0,) uniform and (1, 2) nondec.
-GREEDY_DOC = """format: minplus/1
-kind: vector
-n: 3
-index-base: 0
-
-begin vector a
-3 1 2
-end vector a
-
-begin vector b
-4 4 4
-end vector b
-"""
-
 #: Rows of A and columns of B with 1, 3 and 2 nondec parts each.
 UNEQUAL_PARTS_DOC = """format: minplus/1
 kind: matrix
@@ -98,10 +83,11 @@ GEN_SHA256 = {
 DECOMPOSE_SHA256 = {
     ("fewvalues", "--mode nondec"):
         "4a15c996e6c9db997e14f972a3b1d1e1a6f8bbf0f59c528d0b0a92b6098aafe5",
-    ("fewvalues", "--mode greedy"):
-        "9c08a293302f987f164c2afd525001ade15dbe6a1402a9e8080c5eae91442ac1",
     ("fewvalues", "--mode uniform"):
         "623a0f176baafa72c9947473065e84e0a6c9c55212844b5e871e1cd50c791c0f",
+    # The noninc pin, taken later on the same writer.
+    ("fig2", "--mode noninc --target rows"):
+        "1f01c5b3d7125698ed2fb8c0ec6593caa182efaa6bfda24fb59cfcff23632b10",
     ("fig3", "--mode nondec --target a"):
         "bf19610adc26839a69eeb387e716a68657b052c80e759b1aa45dc44011d5f825",
     ("fig4", "--mode uniform --target both"):
@@ -113,6 +99,21 @@ def run(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def result_file(capsys, tmp_path):
+    """A result document: the naive product of a generated matrix pair."""
+    inst, res = tmp_path / "inst.txt", tmp_path / "r.txt"
+    run(capsys, "gen", "--algo", "naive", "--kind", "matrix", "--n", "4",
+        "--out", str(inst))
+    assert run(capsys, "compute", str(inst), "--algo", "naive",
+               "--out", str(res))[0] == 0
+    return res
+
+
+def assert_refused_as_result(code, err, path):
+    assert code == cli.EXIT_VALIDATION
+    assert err == f"error: {path} is a result document, not an instance\n"
 
 
 def values_section(path):
@@ -316,6 +317,11 @@ class TestCompute:
                          "--algo", "naive")
         assert code == cli.EXIT_PARSE
 
+    def test_result_document_input_is_refused(self, capsys, tmp_path):
+        res = result_file(capsys, tmp_path)
+        code, _, err = run(capsys, "compute", str(res), "--algo", "naive")
+        assert_refused_as_result(code, err, res)
+
     def test_overflow_maps_to_its_exit_code(self, capsys, tmp_path,
                                             monkeypatch):
         def boom(args):
@@ -340,14 +346,6 @@ class TestDecompose:
         assert "a: parts=3 direction=nondec lower-bound=3" in out
         assert "begin decomposition a" in out_file.read_text()
 
-    def test_greedy_uniform_part_fits_either_direction(self, capsys, tmp_path):
-        inst = tmp_path / "v.txt"
-        inst.write_text(GREEDY_DOC)
-        code, out, _ = run(capsys, "decompose", str(inst), "--mode", "greedy",
-                           "--target", "a", "--out", str(tmp_path / "o.txt"))
-        assert code == 0
-        assert "a: parts=2 direction=nondec lower-bound=2" in out
-
     def test_uniform_constant_vector_single_part(self, capsys, tmp_path):
         inst = tmp_path / "c.txt"
         inst.write_text(CONSTANT_DOC)
@@ -361,7 +359,7 @@ class TestDecompose:
         run(capsys, "gen", "--algo", "naive", "--kind", "matrix", "--n", "6",
             "--seed", "2", "--out", str(inst))
         out_file = tmp_path / "md.txt"
-        code, out, _ = run(capsys, "decompose", str(inst), "--mode", "greedy",
+        code, out, _ = run(capsys, "decompose", str(inst), "--mode", "noninc",
                            "--target", "both", "--out", str(out_file))
         assert code == 0
         assert "rows: count=6 max-parts=" in out
@@ -400,6 +398,11 @@ class TestDecompose:
                    "--out", str(dec))[0] == 0
         digest = hashlib.sha256(dec.read_bytes()).hexdigest()
         assert digest == DECOMPOSE_SHA256[flags]
+
+    def test_result_document_input_is_refused(self, capsys, tmp_path):
+        res = result_file(capsys, tmp_path)
+        code, _, err = run(capsys, "decompose", str(res), "--mode", "nondec")
+        assert_refused_as_result(code, err, res)
 
     def test_wrong_target_for_kind(self, capsys, tmp_path):
         inst = tmp_path / "v.txt"
@@ -460,6 +463,11 @@ class TestVerify:
                            "--result", str(res))
         assert code == 0
         assert out.strip() == "all equal"
+
+    def test_result_document_input_is_refused(self, capsys, tmp_path):
+        res = result_file(capsys, tmp_path)
+        code, _, err = run(capsys, "verify", str(res), "--result", str(res))
+        assert_refused_as_result(code, err, res)
 
 
 class TestBench:
@@ -536,6 +544,11 @@ class TestParser:
     def test_unknown_algo_exits_two(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["compute", "x.txt", "--algo", "fig9"])
+        assert exc.value.code == 2
+
+    def test_removed_greedy_mode_exits_two(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["decompose", "x.txt", "--mode", "greedy"])
         assert exc.value.code == 2
 
     def test_two_calls_build_one_parser(self, capsys, monkeypatch):

@@ -46,9 +46,8 @@ from minplus import (
     WitnessArray,
     decompose_nondecreasing,
     validate_decomposition,
-    values_satisfy,
 )
-from oracles import checked_add, validate_decomposition_loop
+from oracles import checked_add, validate_decomposition_loop, values_satisfy
 
 ND = MonotoneTag.NON_DECREASING
 NI = MonotoneTag.NON_INCREASING
@@ -310,33 +309,49 @@ def test_empty_sequences_read_as_int64(make, message):
     assert str(ei.value) == message
 
 
+def holds(values) -> set:
+    """The tags ``validate_decomposition``'s ``holds`` gives one part
+    spanning ``values``, tagged with the first tag that accepts it; a part
+    that every tag refuses keeps none."""
+    host = np.array(values, dtype=np.int64)
+    for tag in MonotoneTag:
+        try:
+            parts = validate_decomposition(dec(host.size, (range(host.size), tag)), host)
+        except OrderViolation:
+            continue
+        return {t for t, h in parts.holds.items() if h[0, 0]}
+    return set()
+
+
 class TestMonotoneTags:
     def test_values_satisfy(self):
-        assert values_satisfy(np.array([1, 1, 2]), ND)
-        assert not values_satisfy(np.array([1, 0]), ND)
-        assert values_satisfy(np.array([3, 3, 1]), NI)
-        assert values_satisfy(np.array([7, 7]), UN)
-        assert not values_satisfy(np.array([7, 8]), UN)
+        assert holds([1, 1, 2]) == {ND}
+        assert holds([1, 0]) == {NI}
+        assert holds([3, 3, 1]) == {NI}
+        assert holds([7, 7]) == {ND, NI, UN}
+        assert holds([7, 8]) == {ND}
+        assert holds([1, 0, 1]) == set()
 
     def test_full_int64_span_does_not_wrap(self):
         # Neighbours 2**64 - 2 apart: their difference overflows int64.
         lo, hi = -(2**63) + 1, 2**63 - 1
-        assert values_satisfy(np.array([lo, hi]), ND)
-        assert not values_satisfy(np.array([lo, hi]), NI)
-        assert values_satisfy(np.array([hi, lo]), NI)
-        assert not values_satisfy(np.array([hi, lo]), ND)
-        assert not values_satisfy(np.array([lo, hi]), UN)
+        assert holds([lo, hi]) == {ND}
+        assert holds([hi, lo]) == {NI}
+        assert holds([lo, hi, lo]) == set()
 
     def test_singletons_and_empty_satisfy_everything(self):
+        assert holds([5]) == set(MonotoneTag)
         for tag in MonotoneTag:
-            assert values_satisfy(np.array([5]), tag)
-            assert values_satisfy(np.array([], dtype=np.int64), tag)
+            d = dec(2, ((0, 1), ND), ((), tag))
+            parts = validate_decomposition(d, np.array([5, 6]))
+            assert all(h[1, 0] for h in parts.holds.values())
 
-    @given(st.lists(st.integers(-5, 5), max_size=6))
+    @given(st.lists(st.integers(-5, 5), min_size=1, max_size=6))
     def test_uniform_implies_both_directions(self, xs):
-        arr = np.array(xs, dtype=np.int64)
-        if values_satisfy(arr, UN):
-            assert values_satisfy(arr, ND) and values_satisfy(arr, NI)
+        tags = holds(xs)
+        if UN in tags:
+            assert {ND, NI} <= tags
+        assert tags == {tag for tag in MonotoneTag if values_satisfy(xs, tag)}
 
 
 class TestSubsequence:

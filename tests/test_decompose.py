@@ -10,13 +10,15 @@ from hypothesis import strategies as st
 import oracles
 from oracles import char_vector
 from minplus import (
+    IntMatrix,
     MonotoneTag,
     OrderViolation,
     Decomposition,
     Subsequence,
-    decompose_monotone_greedy,
+    decompose_cols,
     decompose_nondecreasing,
     decompose_nonincreasing,
+    decompose_rows,
     decompose_uniform,
     decomposition_stats,
     longest_strictly_decreasing_length,
@@ -174,26 +176,6 @@ class TestPeeledPiles:
             assert dst.read_text() == serialize(doc)
 
 
-class TestGreedyEitherDirection:
-    @given(int_lists)
-    @settings(max_examples=100)
-    def test_valid_and_never_worse_than_exact(self, xs):
-        v = np.array(xs, dtype=np.int64)
-        d = decompose_monotone_greedy(v)
-        validate_decomposition(d, v)
-        assert d.part_count <= min(
-            oracles.longest_strict_dec(xs), oracles.longest_strict_inc(xs)
-        )
-
-    def test_merging_can_beat_both_single_directions(self):
-        # rising run then falling run: one nondec and one noninc part
-        # suffice, while either single direction needs 3 or 4
-        v = np.array([1, 2, 3, 9, 6, 0])
-        assert decompose_nondecreasing(v).part_count == 3
-        assert decompose_nonincreasing(v).part_count == 4
-        assert decompose_monotone_greedy(v).part_count == 2
-
-
 class TestUniform:
     def test_constant_pair(self):
         d = decompose_uniform(np.array([5, 5]))
@@ -213,6 +195,14 @@ class TestUniform:
         d = decompose_uniform(v)
         validate_decomposition(d, v)
         assert d.part_count == len(set(xs))
+
+
+class TestModes:
+    @pytest.mark.parametrize("fn", [decompose_rows, decompose_cols])
+    def test_unknown_mode_names_the_modes(self, fn):
+        # Not a bare KeyError: the message lists what the table offers.
+        with pytest.raises(ValueError, match="'greedy'; modes: nondec, noninc, uniform"):
+            fn(IntMatrix([[1, 2], [3, 4]]), "greedy")
 
 
 class TestCharVector:
@@ -264,10 +254,9 @@ class TestStats:
         assert st_.lower_bound_certificate == 2
 
     def test_uniform_parts_fit_either_direction(self):
-        # Greedy splits [3, 1, 2] into (0,) uniform and (1, 2) nondec.
         v = np.array([3, 1, 2])
-        d = decompose_monotone_greedy(v)
-        assert [p.tag for p in d.parts] == [MonotoneTag.UNIFORM, ND]
+        d = Decomposition(3, (Subsequence((0,), MonotoneTag.UNIFORM),
+                              Subsequence((1, 2), ND)))
         st_ = decomposition_stats(d, v)
         assert (st_.direction, st_.lower_bound_certificate) == ("nondec", 2)
         v = np.array([1, 3, 2])
@@ -277,8 +266,11 @@ class TestStats:
         assert (st_.direction, st_.lower_bound_certificate) == ("noninc", 2)
 
     def test_mixed_has_no_certificate(self):
+        # A rising run then a falling run: one part of each direction.
         v = np.array([1, 2, 3, 9, 6, 0])
-        st_ = decomposition_stats(decompose_monotone_greedy(v), v)
+        d = Decomposition(6, (Subsequence((0, 1, 2, 3), ND), Subsequence((4, 5), NI)))
+        validate_decomposition(d, v)
+        st_ = decomposition_stats(d, v)
         assert st_.direction == "mixed"
         assert st_.lower_bound_certificate is None
 
@@ -300,7 +292,6 @@ def stats_on(s):
 SEQUENCE_READERS = [
     decompose_nondecreasing,
     decompose_nonincreasing,
-    decompose_monotone_greedy,
     decompose_uniform,
     longest_strictly_increasing_length,
     longest_strictly_decreasing_length,

@@ -94,8 +94,10 @@ def test_matrix_algorithms_equal_naive(case):
 
     for d in DIRECTIONS:
         assert minplus_decomposed(A, rows(d), B, cols(d), d) == want
-    assert minplus_mixed_uniform(A, rows("greedy"), B, cols("uniform")) == want
-    assert minplus_uniform_mixed(A, rows("uniform"), B, cols("greedy")) == want
+        # Single-direction parts are valid mixed ones, so fig2 runs both
+        # witness kinds.
+        assert minplus_mixed_uniform(A, rows(d), B, cols("uniform")) == want
+        assert minplus_uniform_mixed(A, rows("uniform"), B, cols(d)) == want
     assert minplus_few_values_product(A, rows("uniform"), B, cols("uniform")) == want
 
 

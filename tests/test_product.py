@@ -210,12 +210,13 @@ class TestMixedUniform:
     def test_constant_columns(self):
         rng = np.random.default_rng(20)
         A = IntMatrix(rng.integers(-40, 40, (7, 7)))
-        rows = decompose_rows(A, "greedy")
         col_vals = rng.integers(-40, 40, 7)
         B = IntMatrix(np.tile(col_vals, (7, 1)))
         cols = [dec(7, MonotoneTag.UNIFORM, tuple(range(7)))] * 7
-        out = minplus_mixed_uniform(A, rows, B, cols)
-        assert out == minplus_naive(A, B)
+        # Rows of either direction, so both witness kinds run.
+        for mode in ("nondec", "noninc"):
+            out = minplus_mixed_uniform(A, decompose_rows(A, mode), B, cols)
+            assert out == minplus_naive(A, B)
 
     def test_worked_rows_against_two_value_columns(self):
         A = IntMatrix(np.tile([1, 7, 3, 9, 8, 4], (6, 1)))
