@@ -42,15 +42,11 @@ from .core import (
     validate_decomposition,
 )
 from .decompose import (
-    DecompositionStats,
     decompose_cols,
     decompose_nondecreasing,
     decompose_nonincreasing,
     decompose_rows,
     decompose_uniform,
-    decomposition_stats,
-    longest_strictly_decreasing_length,
-    longest_strictly_increasing_length,
 )
 from .fastconv import bool_convolution, conv_extreme_witness
 from .product import (
@@ -73,7 +69,6 @@ __all__ = [
     "BoolVector",
     "CoverageGapError",
     "Decomposition",
-    "DecompositionStats",
     "DimensionMismatch",
     "DirectionViolation",
     "IndexOutOfRange",
@@ -101,9 +96,6 @@ __all__ = [
     "decompose_nonincreasing",
     "decompose_rows",
     "decompose_uniform",
-    "decomposition_stats",
-    "longest_strictly_decreasing_length",
-    "longest_strictly_increasing_length",
     "mat_extreme_witness",
     "minplus_decomposed",
     "minplus_few_values_product",

@@ -19,7 +19,6 @@ import numpy as np
 from . import fileio
 from .convolution import conv_decomposed, conv_few_values, conv_naive
 from .core import (
-    Decomposition,
     DirectionViolation,
     MinPlusError,
     MinPlusOutput,
@@ -33,7 +32,6 @@ from .decompose import (
     decompose_cols,
     decompose_rows,
     decompose_uniform,
-    decomposition_stats,
 )
 from .generators import (
     planted_matrix_cols,
@@ -120,7 +118,7 @@ def _run_naive(inst, args, counters):
 
 def _run_fig1(inst, args, counters):
     dec_rows, dec_cols = _attached(inst, "fig1")
-    direction = args.direction or _infer_matrix_direction(inst)
+    direction = _infer_matrix_direction(inst)
     out = minplus_decomposed(
         inst.A, dec_rows, inst.B, dec_cols, direction, counters=counters
     )
@@ -257,15 +255,15 @@ def _cmd_gen(args) -> int:
     return EXIT_OK
 
 
-def _stats_line(label: str, dec: Decomposition, host: np.ndarray) -> str:
-    st = decomposition_stats(dec, host)
-    bound = "-" if st.lower_bound_certificate is None else str(
-        st.lower_bound_certificate
+def _report(inst, target: str, decs, mode: str) -> str:
+    """The report line for ``target``'s decompositions, also kept as its
+    ``dec-stats-<target>`` meta entry."""
+    stats = (
+        f"count={len(decs)} max-parts={max(d.part_count for d in decs)} "
+        f"mode={mode}"
     )
-    return (
-        f"{label}: parts={st.parts_count} direction={st.direction} "
-        f"lower-bound={bound}"
-    )
+    inst.meta[f"dec-stats-{target}"] = stats
+    return f"{target}: {stats}"
 
 
 def _cmd_decompose(args) -> int:
@@ -279,10 +277,10 @@ def _cmd_decompose(args) -> int:
         fn = _MODE_FNS[args.mode]
         if args.target in ("a", "both"):
             inst.dec_a = fn(inst.a.coords)
-            report.append(_stats_line("a", inst.dec_a, inst.a.coords))
+            report.append(_report(inst, "a", [inst.dec_a], args.mode))
         if args.target in ("b", "both"):
             inst.dec_b = fn(inst.b.coords)
-            report.append(_stats_line("b", inst.dec_b, inst.b.coords))
+            report.append(_report(inst, "b", [inst.dec_b], args.mode))
     else:
         _require(
             args.target in ("rows", "cols", "both"),
@@ -291,16 +289,11 @@ def _cmd_decompose(args) -> int:
         if args.target in ("rows", "both"):
             inst.dec_rows = tuple(decompose_rows(inst.A, args.mode))
             inst.rows_parts = None
-            m = max(d.part_count for d in inst.dec_rows)
-            report.append(f"rows: count={inst.A.n} max-parts={m} mode={args.mode}")
+            report.append(_report(inst, "rows", inst.dec_rows, args.mode))
         if args.target in ("cols", "both"):
             inst.dec_cols = tuple(decompose_cols(inst.B, args.mode))
             inst.cols_parts = None
-            m = max(d.part_count for d in inst.dec_cols)
-            report.append(f"cols: count={inst.B.n} max-parts={m} mode={args.mode}")
-    for line in report:
-        label, _, stats = line.partition(": ")
-        inst.meta[f"dec-stats-{label}"] = stats
+            report.append(_report(inst, "cols", inst.dec_cols, args.mode))
     if args.out:
         fileio.write_atomic(args.out, fileio.serialize(inst))
         for line in report:
@@ -414,7 +407,6 @@ def _cmd_bench(args) -> int:
 
 
 def _add_run_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--direction", choices=["nondec", "noninc"], default=None)
     p.add_argument("--ell", type=int, default=None)
 
 
@@ -424,6 +416,7 @@ def _add_gen_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--m-a", dest="m_a", type=int, default=3)
     p.add_argument("--m-b", dest="m_b", type=int, default=3)
     p.add_argument("--h", dest="h", type=int, default=3)
+    p.add_argument("--direction", choices=["nondec", "noninc"], default=None)
     p.add_argument("--seed", type=int, default=0)
 
 
@@ -440,7 +433,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen", help="generate a seeded instance file")
     p.add_argument("--algo", required=True, choices=ALGOS)
     _add_gen_flags(p)
-    p.add_argument("--direction", choices=["nondec", "noninc"], default="nondec")
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("decompose", help="attach decompositions to an instance")

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import bisect
 import itertools
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -138,53 +137,3 @@ def decompose_rows(A: IntMatrix, mode: str) -> list[Decomposition]:
 def decompose_cols(B: IntMatrix, mode: str) -> list[Decomposition]:
     """One decomposition per column of B."""
     return _decompose_each(B.entries.T, mode)
-
-
-def longest_strictly_increasing_length(s) -> int:
-    """Length of the longest strictly increasing subsequence, O(n log n)."""
-    tails: list[int] = []
-    for x in _host_values(s).tolist():
-        pos = bisect.bisect_left(tails, x)
-        if pos == len(tails):
-            tails.append(x)
-        else:
-            tails[pos] = x
-    return len(tails)
-
-
-def longest_strictly_decreasing_length(s) -> int:
-    """Length of the longest strictly decreasing subsequence, O(n log n)."""
-    return longest_strictly_increasing_length(_host_values(s)[::-1])
-
-
-@dataclass(frozen=True)
-class DecompositionStats:
-    """Summary of a decomposition: part count, overall direction, and for
-    the exact single-direction and uniform modes a matching lower-bound
-    certificate (the extremal opposing subsequence length, respectively the
-    distinct-value count)."""
-
-    parts_count: int
-    direction: str  # "nondec" | "noninc" | "uniform" | "mixed"
-    lower_bound_certificate: int | None
-
-
-def decomposition_stats(d: Decomposition, host) -> DecompositionStats:
-    """Stats for a decomposition of ``host``; the certificate is computed
-    independently of how ``d`` was produced."""
-    values = _host_values(host)
-    # A UNIFORM part satisfies either order, so it fits either direction.
-    tags = {p.tag for p in d.parts} - {MonotoneTag.UNIFORM}
-    if not tags:
-        direction = "uniform"
-        cert: int | None = len(set(values.tolist()))
-    elif tags == {MonotoneTag.NON_DECREASING}:
-        direction = "nondec"
-        cert = longest_strictly_decreasing_length(values)
-    elif tags == {MonotoneTag.NON_INCREASING}:
-        direction = "noninc"
-        cert = longest_strictly_increasing_length(values)
-    else:
-        direction = "mixed"
-        cert = None
-    return DecompositionStats(d.part_count, direction, cert)

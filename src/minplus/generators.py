@@ -89,17 +89,17 @@ def planted_monotone_vector(
 def _plant_uniform_values(
     rng: np.random.Generator, n: int, classes: int
 ) -> tuple[np.ndarray, Decomposition]:
+    if classes < 1:
+        raise ValueError("need at least one value class")
     if classes > 2 * DEFAULT_VALUE_BOUND + 1:
         raise ValueError("not enough distinct values in range")
     pool = rng.choice(2 * DEFAULT_VALUE_BOUND + 1, size=classes, replace=False)
-    pool = pool.astype(np.int64) - DEFAULT_VALUE_BOUND
-    assign = rng.integers(0, classes, size=n)
-    values = pool[assign]
-    subs = tuple(
-        Subsequence(np.flatnonzero(assign == cls), MonotoneTag.UNIFORM)
-        for cls in range(classes)
-    )
-    return values, Decomposition(n, subs)
+    values = np.zeros(n, dtype=np.int64)
+    subs = []
+    for value, indices in zip(pool.tolist(), random_index_partition(rng, n, classes)):
+        values[indices] = value - DEFAULT_VALUE_BOUND
+        subs.append(Subsequence(indices, MonotoneTag.UNIFORM))
+    return values, Decomposition(n, tuple(subs))
 
 
 def planted_uniform_vector(

@@ -21,7 +21,6 @@ PUBLIC = {
     "BoolMatrix",
     "BoolVector",
     "Decomposition",
-    "DecompositionStats",
     "IntMatrix",
     "IntVector",
     "MinPlusOutput",
@@ -46,9 +45,6 @@ PUBLIC = {
     "decompose_nonincreasing",
     "decompose_rows",
     "decompose_uniform",
-    "decomposition_stats",
-    "longest_strictly_decreasing_length",
-    "longest_strictly_increasing_length",
     # Boolean engines
     "bool_convolution",
     "bool_matmul",
@@ -141,4 +137,12 @@ def test_generator_options_are_pinned():
 def test_cli_rejects_block_size(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["compute", "x.txt", "--algo", "fig1", "--block-size", "3"])
+    assert exc.value.code == 2
+
+
+def test_cli_compute_rejects_direction(capsys):
+    # fig1 infers its direction from the attached parts; only the
+    # generators take --direction.
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["compute", "x.txt", "--algo", "fig1", "--direction", "nondec"])
     assert exc.value.code == 2

@@ -88,10 +88,12 @@ DECOMPOSE_SHA256 = {
     # The noninc pin, taken later on the same writer.
     ("fig2", "--mode noninc --target rows"):
         "1f01c5b3d7125698ed2fb8c0ec6593caa182efaa6bfda24fb59cfcff23632b10",
+    # The vector pins, re-taken when the vector report line took the
+    # matrix shape; only their meta dec-stats lines changed.
     ("fig3", "--mode nondec --target a"):
-        "bf19610adc26839a69eeb387e716a68657b052c80e759b1aa45dc44011d5f825",
+        "1de9ff7127a22d8a5369ea26eefa1eb59a2de4539a76d407cf609309b4e3d483",
     ("fig4", "--mode uniform --target both"):
-        "59c9bec6f552dba7c9559089b02758a49442cebb09b280b8ff8624c6449a0cad",
+        "d647fddf0be55218ba35fd00e43cdac885902b35ec774e28277fb06cb906ecb1",
 }
 
 
@@ -179,6 +181,29 @@ class TestGen:
         with pytest.raises(ValueError, match=r"^dimension 0 outside \[1, 1048576\]$"):
             plant(rng)
         assert rng.bit_generator.state == state
+
+    @pytest.mark.parametrize("classes", [0, -1])
+    @pytest.mark.parametrize(
+        "plant",
+        [
+            generators.planted_uniform_vector,
+            generators.planted_uniform_matrix_rows,
+            generators.planted_uniform_matrix_cols,
+        ],
+    )
+    def test_bad_class_count_rejected_before_any_draw(self, plant, classes):
+        rng = np.random.default_rng(7)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match="^need at least one value class$"):
+            plant(rng, 8, classes)
+        assert rng.bit_generator.state == state
+
+    def test_bad_class_count_is_validation_error(self, capsys):
+        code, out, err = run(capsys, "gen", "--algo", "fig4", "--n", "8",
+                             "--h", "0")
+        assert code == cli.EXIT_VALIDATION == 3
+        assert out == ""
+        assert err == "error: need at least one value class\n"
 
     def test_stdout_when_no_out(self, capsys):
         code, out, _ = run(capsys, "gen", "--algo", "fig4", "--n", "6")
@@ -343,7 +368,7 @@ class TestDecompose:
         code, out, _ = run(capsys, "decompose", str(inst), "--mode", "nondec",
                            "--target", "a", "--out", str(out_file))
         assert code == 0
-        assert "a: parts=3 direction=nondec lower-bound=3" in out
+        assert "a: count=1 max-parts=3 mode=nondec" in out
         assert "begin decomposition a" in out_file.read_text()
 
     def test_uniform_constant_vector_single_part(self, capsys, tmp_path):
@@ -352,7 +377,20 @@ class TestDecompose:
         code, out, _ = run(capsys, "decompose", str(inst), "--mode", "uniform",
                            "--target", "a", "--out", str(tmp_path / "o.txt"))
         assert code == 0
-        assert "a: parts=1 direction=uniform lower-bound=1" in out
+        assert "a: count=1 max-parts=1 mode=uniform" in out
+
+    def test_vector_both_targets_keep_their_report(self, capsys, tmp_path):
+        inst = tmp_path / "v.txt"
+        inst.write_text(VECTOR_DOC)
+        out_file = tmp_path / "vd.txt"
+        code, out, _ = run(capsys, "decompose", str(inst), "--mode", "nondec",
+                           "--target", "both", "--out", str(out_file))
+        assert code == 0
+        assert out == ("a: count=1 max-parts=3 mode=nondec\n"
+                       "b: count=1 max-parts=3 mode=nondec\n")
+        text = out_file.read_text()
+        assert "meta dec-stats-a: count=1 max-parts=3 mode=nondec\n" in text
+        assert "meta dec-stats-b: count=1 max-parts=3 mode=nondec\n" in text
 
     def test_matrix_targets(self, capsys, tmp_path):
         inst = tmp_path / "m.txt"

@@ -20,9 +20,6 @@ from minplus import (
     decompose_nonincreasing,
     decompose_rows,
     decompose_uniform,
-    decomposition_stats,
-    longest_strictly_decreasing_length,
-    longest_strictly_increasing_length,
     validate_decomposition,
 )
 from minplus import cli
@@ -217,85 +214,21 @@ class TestCharVector:
         assert not char_vector(p, 4).bits.any()
 
 
-class TestExtremalLengths:
-    @given(int_lists)
-    def test_against_quadratic_dp(self, xs):
-        assert longest_strictly_increasing_length(
-            np.array(xs)
-        ) == oracles.longest_strict_inc(xs)
-        assert longest_strictly_decreasing_length(
-            np.array(xs)
-        ) == oracles.longest_strict_dec(xs)
-
-    def test_known_values(self):
-        v = np.array([1, 7, 3, 9, 8, 4])
-        assert longest_strictly_decreasing_length(v) == 3  # e.g. 9, 8, 4
-        assert longest_strictly_increasing_length(v) == 3  # e.g. 1, 3, 4
-
-    def test_int64_extremes_do_not_wrap(self):
-        v = np.array([-(2**63), 0])
-        assert longest_strictly_decreasing_length(v) == 1
-        assert longest_strictly_increasing_length(v) == 2
-
-
-class TestStats:
-    def test_nondec_certificate(self):
-        v = np.array([1, 7, 3, 9, 8, 4])
-        d = decompose_nondecreasing(v)
-        st_ = decomposition_stats(d, v)
-        assert st_.parts_count == 3
-        assert st_.direction == "nondec"
-        assert st_.lower_bound_certificate == 3
-
-    def test_uniform_certificate_counts_values(self):
-        v = np.array([2, 2, 5, 2])
-        st_ = decomposition_stats(decompose_uniform(v), v)
-        assert st_.direction == "uniform"
-        assert st_.lower_bound_certificate == 2
-
-    def test_uniform_parts_fit_either_direction(self):
-        v = np.array([3, 1, 2])
-        d = Decomposition(3, (Subsequence((0,), MonotoneTag.UNIFORM),
-                              Subsequence((1, 2), ND)))
-        st_ = decomposition_stats(d, v)
-        assert (st_.direction, st_.lower_bound_certificate) == ("nondec", 2)
-        v = np.array([1, 3, 2])
-        d = Decomposition(3, (Subsequence((0,), MonotoneTag.UNIFORM),
-                              Subsequence((1, 2), NI)))
-        st_ = decomposition_stats(d, v)
-        assert (st_.direction, st_.lower_bound_certificate) == ("noninc", 2)
-
-    def test_mixed_has_no_certificate(self):
-        # A rising run then a falling run: one part of each direction.
-        v = np.array([1, 2, 3, 9, 6, 0])
-        d = Decomposition(6, (Subsequence((0, 1, 2, 3), ND), Subsequence((4, 5), NI)))
-        validate_decomposition(d, v)
-        st_ = decomposition_stats(d, v)
-        assert st_.direction == "mixed"
-        assert st_.lower_bound_certificate is None
-
+class TestCertificate:
     @given(int_lists)
     @settings(max_examples=60)
     def test_certificate_is_a_true_lower_bound(self, xs):
+        # The longest strictly opposing subsequence needs one part per
+        # element, so it bounds the part count, and the piles meet it.
         v = np.array(xs, dtype=np.int64)
-        for fn in (decompose_nondecreasing, decompose_nonincreasing):
-            d = fn(v)
-            st_ = decomposition_stats(d, v)
-            if st_.lower_bound_certificate is not None:
-                assert d.part_count == st_.lower_bound_certificate
-
-
-def stats_on(s):
-    return decomposition_stats(Decomposition(2, (Subsequence((0, 1), ND),)), s)
+        assert decompose_nondecreasing(v).part_count == oracles.longest_strict_dec(xs)
+        assert decompose_nonincreasing(v).part_count == oracles.longest_strict_inc(xs)
 
 
 SEQUENCE_READERS = [
     decompose_nondecreasing,
     decompose_nonincreasing,
     decompose_uniform,
-    longest_strictly_increasing_length,
-    longest_strictly_decreasing_length,
-    stats_on,
 ]
 
 
@@ -320,4 +253,4 @@ class TestSequenceInputs:
         u = np.array([2**63 - 1, 3, 7], dtype=np.uint64)
         v = u.astype(np.int64)
         assert piles_of(decompose_nondecreasing(u)) == piles_of(decompose_nondecreasing(v))
-        assert longest_strictly_decreasing_length(u) == 2
+        assert decompose_nondecreasing(u).part_count == 2
