@@ -184,8 +184,7 @@ def _run_algorithm(inst, algo: str, args, counters: OpCounters):
 
 def _generate_instance(args, algo: str, seed: int):
     """A seeded instance planted for ``algo`` from the generator flags."""
-    n, m_a, m_b, h = args.n, args.m_a, args.m_b, args.h
-    direction = args.direction or "nondec"
+    n, m_a, m_b, h, direction = args.n, args.m_a, args.m_b, args.h, args.direction
     rng = np.random.default_rng(seed)
     meta = {"algo": algo, "seed": str(seed)}
     if algo == "naive":
@@ -410,14 +409,17 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--ell", type=int, default=None)
 
 
+#: The generator flags' defaults, by destination: filled in after parsing,
+#: so ``verify <input>``, which reads none of them, can refuse one given.
+_GEN_DEFAULTS = dict(kind=None, n=None, m_a=3, m_b=3, h=3, direction="nondec", seed=0)
+
+
 def _add_gen_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--kind", choices=["matrix", "vector"], default=None)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--m-a", dest="m_a", type=int, default=3)
-    p.add_argument("--m-b", dest="m_b", type=int, default=3)
-    p.add_argument("--h", dest="h", type=int, default=3)
-    p.add_argument("--direction", choices=["nondec", "noninc"], default=None)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--kind", choices=["matrix", "vector"], default=argparse.SUPPRESS)
+    for flag in ("--n", "--m-a", "--m-b", "--h"):
+        p.add_argument(flag, type=int, default=argparse.SUPPRESS)
+    p.add_argument("--direction", choices=["nondec", "noninc"], default=argparse.SUPPRESS)
+    p.add_argument("--seed", type=int, default=argparse.SUPPRESS)
 
 
 @functools.cache
@@ -468,7 +470,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    given = [name for name in _GEN_DEFAULTS if name in vars(args)]
+    if args.command == "verify" and args.input is not None and given:
+        flag = "--" + given[0].replace("_", "-")
+        parser.error(f"verify <input> takes no generator flags, got {flag}")
+    args = argparse.Namespace(**{**_GEN_DEFAULTS, **vars(args)})
     # Looked up at call time, so a replaced ``_cmd_*`` is the one called.
     command = globals()[f"_cmd_{args.command}"]
     try:

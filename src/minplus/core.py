@@ -18,6 +18,7 @@ read-only), so they can be shared freely across threads.
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 import operator
 from dataclasses import asdict, dataclass
@@ -178,23 +179,14 @@ def row_tiles(n: int) -> list[slice]:
     return [slice(lo, min(lo + h, n)) for lo in range(0, n, h)]
 
 
-def _wrong_steps(values: np.ndarray, tag: MonotoneTag) -> np.ndarray:
-    """Whether each step between neighbouring values breaks ``tag``."""
-    # Neighbours are compared, not subtracted, so no difference can wrap.
-    values = np.asarray(values)
-    before, after = values[:-1], values[1:]
-    if tag is MonotoneTag.NON_DECREASING:
-        return after < before
-    if tag is MonotoneTag.NON_INCREASING:
-        return after > before
-    return after != before
-
-
 def _as_index(i) -> int:
     """``i`` as a Python int; floats and bools are rejected, not truncated."""
     if isinstance(i, bool):
         raise TypeError(f"index must be an integer, got {i!r}")
     return operator.index(i)
+
+
+_PAST_INT32 = "subsequence index outside the int32 range"
 
 
 def _index_array(indices) -> np.ndarray:
@@ -208,7 +200,7 @@ def _index_array(indices) -> np.ndarray:
         and indices.dtype.kind in "iu"
     ):
         if indices.dtype == np.uint64 and indices.size and indices.max() > INT64_MAX:
-            raise ValueError("subsequence index outside the int64 range")
+            raise ValueError(_PAST_INT32)
         return indices.astype(np.int64)
     ix = tuple(indices)
     if not set(map(type, ix)) <= {int}:
@@ -216,22 +208,55 @@ def _index_array(indices) -> np.ndarray:
     try:
         return np.array(ix, dtype=np.int64)
     except OverflowError:
-        raise ValueError("subsequence index outside the int64 range") from None
+        raise ValueError(_PAST_INT32) from None
 
 
-class Subsequence:
+class _Keyed:
+    """Base of :class:`Subsequence` and :class:`Decomposition`: no field
+    can be assigned, two are equal when their ``_key()`` is, and copies
+    and pickles go through ``_of``, so their arrays stay read-only."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _of(cls, *fields):
+        """An instance holding ``fields``, one per slot, as built: arrays are
+        made read-only, not copied."""
+        self = object.__new__(cls)
+        for name, value in zip(cls.__slots__, fields):
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
+            object.__setattr__(self, name, value)
+        return self
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __reduce__(self):
+        return type(self)._of, tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other) -> bool:
+        return self._key() == other._key() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+
+class Subsequence(_Keyed):
     """A tagged subsequence of a host sequence, stored as one read-only
-    int64 array of 0-based positions, ``positions``.
+    int32 array of 0-based positions, ``positions``: the parts a
+    :class:`Decomposition` hands out are views of its ``indices``, made by
+    ``_of`` from positions known to rise strictly from 0.
 
-    The indices must be strictly increasing; they may come as a tuple, a
-    list or a numpy integer array.  ``indices`` reads them back as a tuple
-    of ints.  Empty subsequences are legal: a part with no positions
-    constrains nothing.
+    The indices must be strictly increasing and below 2**31; they may come
+    as a tuple, a list or a numpy integer array.  ``indices`` reads them
+    back as a tuple of ints.  Empty subsequences are legal: a part with no
+    positions constrains nothing.
     """
 
     __slots__ = ("positions", "tag")
 
-    def __init__(self, indices, tag: MonotoneTag):
+    def __new__(cls, indices, tag: MonotoneTag):
         arr = _index_array(indices)
         if arr.size > 1:
             t = (arr[1:] <= arr[:-1]).argmax()  # 0 if every step rises
@@ -241,25 +266,9 @@ class Subsequence:
                 )
         if arr.size and arr[0] < 0:
             raise ValueError("negative subsequence index")
-        arr.setflags(write=False)
-        object.__setattr__(self, "positions", arr)
-        object.__setattr__(self, "tag", tag)
-
-    @classmethod
-    def _of(cls, positions: np.ndarray, tag: MonotoneTag) -> "Subsequence":
-        """A part over ``positions``, read-only int64 known to rise strictly from 0."""
-        self = object.__new__(cls)
-        object.__setattr__(self, "positions", positions)
-        object.__setattr__(self, "tag", tag)
-        return self
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __reduce__(self):
-        # Through the constructor, so a copy or an unpickled part holds a
-        # fresh read-only array: slot assignment is refused above.
-        return Subsequence, (self.positions, self.tag)
+        if arr.size and arr[-1] > np.iinfo(np.int32).max:
+            raise ValueError(_PAST_INT32)
+        return cls._of(arr.astype(np.int32), tag)
 
     @property
     def indices(self) -> tuple[int, ...]:
@@ -268,15 +277,8 @@ class Subsequence:
     def __len__(self) -> int:
         return self.positions.shape[0]
 
-    def __eq__(self, other) -> bool:
-        if type(other) is not Subsequence:
-            return NotImplemented
-        return self.tag == other.tag and np.array_equal(
-            self.positions, other.positions
-        )
-
-    def __hash__(self):
-        return hash((self.positions.tobytes(), self.tag))
+    def _key(self) -> tuple:
+        return self.tag, self.positions.tobytes()  # always int32
 
     def __repr__(self) -> str:
         return f"Subsequence(indices={self.indices!r}, tag={self.tag!r})"
@@ -286,26 +288,51 @@ class Subsequence:
         return host[self.positions]
 
 
-@dataclass(frozen=True)
-class Decomposition:
-    """A list of tagged subsequences meant to partition ``{0..host_length-1}``.
+class Decomposition(_Keyed):
+    """Tagged subsequences meant to partition ``{0..host_length-1}``, held
+    as one CSR pair: part o is ``indices[indptr[o]:indptr[o + 1]]``
+    (read-only int32, each part ascending) with tag ``tags[o]``.  Empty
+    parts keep their slot.  ``parts`` hands the parts out as
+    :class:`Subsequence` views of ``indices``.
 
     Construction performs only structural checks so that invalid candidates
     can still be built and then rejected by :func:`validate_decomposition`.
     """
 
-    host_length: int
-    parts: tuple[Subsequence, ...]
+    __slots__ = ("host_length", "indptr", "indices", "tags")
 
-    def __post_init__(self):
-        object.__setattr__(self, "parts", tuple(self.parts))
-        object.__setattr__(self, "host_length", _as_index(self.host_length))
-        if self.host_length < 1:
+    def __new__(cls, host_length: int, parts):
+        parts = tuple(parts)
+        indptr = np.cumsum([0, *map(len, parts)], dtype=np.int32)
+        indices = np.concatenate([p.positions for p in parts] or [indptr[:0]])
+        return cls._of(host_length, indptr, indices, [p.tag for p in parts])
+
+    @classmethod
+    def _of(cls, host_length: int, indptr: np.ndarray, indices: np.ndarray, tags):
+        """A decomposition over int32 ``indptr`` and ``indices`` as built,
+        each part ascending from 0: made read-only, not copied."""
+        host_length = _as_index(host_length)
+        if host_length < 1:
             raise ValueError("host_length must be >= 1")
+        return super()._of(host_length, indptr, indices, tuple(tags))
 
     @property
     def part_count(self) -> int:
-        return len(self.parts)
+        return len(self.tags)
+
+    @property
+    def parts(self) -> tuple[Subsequence, ...]:
+        bounds = self.indptr.tolist()
+        return tuple(
+            Subsequence._of(self.indices[a:b], tag)
+            for a, b, tag in zip(bounds, bounds[1:], self.tags)
+        )
+
+    def _key(self) -> tuple:
+        return self.host_length, self.tags, self.indptr.tobytes(), self.indices.tobytes()
+
+    def __repr__(self) -> str:
+        return f"Decomposition(host_length={self.host_length!r}, parts={self.parts!r})"
 
 
 IntSeq = Union[Sequence[int], np.ndarray]
@@ -645,20 +672,23 @@ def validate_decomposition(
         if hosts.ndim != 2 or hosts.shape[0] != len(decs):
             raise DimensionMismatch(f"{len(decs)} decompositions, hosts {hosts.shape}")
     k, n = hosts.shape
-    parts = [p for dt in decs for p in dt.parts]
     counts = np.array([dt.part_count for dt in decs], dtype=np.intp)
     m = max(1, int(counts.max(initial=0)))
     # Part o of decomposition t is cell (t, o) of the (k, m) tables.
     real = np.arange(m) < counts[:, None]
     lens, tags = np.zeros((2, k, m), dtype=np.intp)
-    lens[real] = [len(p) for p in parts]
-    tags[real] = [_TAG_ROW[p.tag] for p in parts]
+    # Each decomposition's indptr differences, less the one across the
+    # seam to the next decomposition's indptr.
+    ends = np.diff(np.concatenate([dt.indptr for dt in decs] or [[0]]))
+    lens[real] = np.delete(ends, np.cumsum(counts + 1)[:-1] - 1) if k > 1 else ends
+    every_tag = itertools.chain.from_iterable(dt.tags for dt in decs)
+    tags[real] = np.fromiter(map(_TAG_ROW.__getitem__, every_tag), np.intp)
     sizes, lens = lens.sum(axis=1), lens.ravel()
     starts = np.cumsum(lens) - lens
     # Index i of part o of decomposition t is cell t*n + i of the hosts
-    # and cell (o*k + t)*n + i of the (m, k, n) stack.
-    cells = np.repeat(np.arange(k) * n, sizes)
-    index = _joined_positions(parts)
+    # and cell (o*k + t)*n + i of the (m, k, n) stack, both int64.
+    cells = np.repeat(np.arange(k, dtype=np.int64) * n, sizes)
+    index = np.concatenate([dt.indices for dt in decs] or [cells[:0]], dtype=np.int64)
     # A wrong length or an index past the host marks its decomposition bad
     # like a partition or order fault below; such an index is clipped into
     # its row first, so the tables can still be built.
@@ -696,11 +726,6 @@ def validate_decomposition(
     return AxisParts(chars, first.reshape(k, m).T, holds)
 
 
-def _joined_positions(parts: Sequence[Subsequence]) -> np.ndarray:
-    """The positions of ``parts`` end to end, as one int64 array."""
-    return np.concatenate([p.positions for p in parts] or [np.zeros(0, dtype=np.int64)])
-
-
 def _raise_first_violation(d: Decomposition, values: np.ndarray) -> None:
     """Name the first violation of one decomposition known to have one:
     walking its parts in order, the first index out of range or claimed
@@ -711,8 +736,8 @@ def _raise_first_violation(d: Decomposition, values: np.ndarray) -> None:
         raise LengthMismatch(
             f"decomposition is for length {d.host_length}, host has {n}"
         )
-    index = _joined_positions(d.parts)
-    part = np.repeat(np.arange(d.part_count), [len(p) for p in d.parts])
+    index = d.indices
+    part = np.repeat(np.arange(d.part_count), np.diff(d.indptr))
     order = np.argsort(index, kind="stable")
     bad = index >= n
     bad[order[1:]] |= index[order[1:]] == index[order[:-1]]
@@ -726,6 +751,8 @@ def _raise_first_violation(d: Decomposition, values: np.ndarray) -> None:
     if not covered.all():
         raise CoverageGapError(int(covered.argmin()))
     for p, sub in enumerate(d.parts):
-        wrong = _wrong_steps(sub.values(values), sub.tag)
+        v = sub.values(values)  # neighbours compared, never subtracted
+        falls, rises = v[1:] < v[:-1], v[1:] > v[:-1]
+        wrong = (falls, rises, falls | rises)[_TAG_ROW[sub.tag]]
         if wrong.any():
             raise OrderViolation(p, int(np.argmax(wrong)))

@@ -25,7 +25,6 @@ from .core import (
     IntMatrix,
     IntVector,
     MonotoneTag,
-    Subsequence,
     _as_int64,
 )
 
@@ -50,7 +49,7 @@ def _monotone_parts(values: np.ndarray, tag: MonotoneTag) -> Decomposition:
     """The greedy piles of ``values`` as ``tag`` parts (module docstring):
     the peeled piles, then the bisect scan's piles of what peeling left."""
     acc = np.maximum if tag is MonotoneTag.NON_DECREASING else np.minimum
-    left, vals, piles = np.arange(values.shape[0], dtype=np.int64), values, []
+    left, vals, piles = np.arange(values.shape[0], dtype=np.int32), values, []
     while left.size >= _PEEL_MIN:
         rec = vals == acc.accumulate(vals)  # compared, never negated
         piles.append(left[rec])
@@ -68,12 +67,10 @@ def _monotone_parts(values: np.ndarray, tag: MonotoneTag) -> Decomposition:
         else:
             tail[pos].append(i)
             tails[pos] = x
-    order = np.concatenate([*piles, np.fromiter(itertools.chain(*tail), np.int64)])
-    order.setflags(write=False)  # so no part's positions can be written
+    order = np.concatenate([*piles, np.fromiter(itertools.chain(*tail), np.int32)])
     sizes = [p.size for p in piles] + list(map(len, tail))
-    bounds = itertools.pairwise(itertools.accumulate(sizes, initial=0))
-    parts = [Subsequence._of(order[a:b], tag) for a, b in bounds]
-    return Decomposition(values.shape[0], parts)
+    indptr = np.cumsum([0, *sizes], dtype=np.int32)
+    return Decomposition._of(values.shape[0], indptr, order, (tag,) * len(sizes))
 
 
 def decompose_nondecreasing(s) -> Decomposition:
@@ -103,13 +100,16 @@ def decompose_uniform(s) -> Decomposition:
     the minimum possible for constant parts.
     """
     values = _host_values(s)
-    by_value: dict[int, list[int]] = {}
-    for i, x in enumerate(values.tolist()):
-        by_value.setdefault(x, []).append(i)
-    parts = tuple(
-        Subsequence(ix, MonotoneTag.UNIFORM) for ix in by_value.values()
-    )
-    return Decomposition(values.shape[0], parts)
+    # Each element's part is its value's rank by first index; one stable
+    # sort of the parts then lists each part's indices in ascending order.
+    _, first, inverse = np.unique(values, return_index=True, return_inverse=True)
+    rank = np.empty_like(first)
+    rank[np.argsort(first)] = np.arange(first.size)
+    part = rank[inverse]
+    order = np.argsort(part, kind="stable").astype(np.int32)
+    indptr = np.bincount(part + 1, minlength=first.size + 1).cumsum().astype(np.int32)
+    tags = (MonotoneTag.UNIFORM,) * first.size
+    return Decomposition._of(values.shape[0], indptr, order, tags)
 
 
 #: Decomposition modes by name.  The CLI's ``--mode`` choices; lookups go

@@ -255,7 +255,8 @@ def _read_decompositions(lines, base: int, n: int) -> list[Decomposition]:
     """One decomposition per (line number, parts text) pair.  The index text
     is read by :func:`_int_rows` and checked in one pass; else each part's
     tokens are converted and the part checked as it is built, so faults
-    raise in line order."""
+    raise in line order.  Read in one pass, the decompositions' indices are
+    views of one read-only int32 array."""
     shapes, index_lines, lengths = [], [], []
     for ln, text in lines:
         line, idx = [], []
@@ -268,7 +269,7 @@ def _read_decompositions(lines, base: int, n: int) -> list[Decomposition]:
         index_lines.append(" ".join(idx))
     flat = _int_rows(index_lines, MAX_DIMENSION) if all(index_lines) else None
     if flat is not None:
-        flat = flat - base  # a fresh array, made read-only below
+        flat = (flat - base).astype(np.int32)  # MAX_DIMENSION fits int32
         cut = np.zeros(flat.size + 1, dtype=bool)
         cut[np.cumsum(lengths)] = True  # where one part ends, the next starts
         if flat.min() < 0 or not ((flat[1:] > flat[:-1]) | cut[1:-1]).all():
@@ -279,23 +280,26 @@ def _read_decompositions(lines, base: int, n: int) -> list[Decomposition]:
         tokens = " ".join(index_lines).split()
     decs, at = [], 0
     for ln, line in shapes:
-        subs = []
+        start, tags, subs = at, [], []
         for tag, k in line:
             if tag is None:
                 raise ParseError("empty part needs its tag", ln)
             if tag not in _TAGS:
                 raise ParseError(f"unknown part tag {tag!r}", ln)
-            if flat is not None:
-                subs.append(Subsequence._of(flat[at : at + k], _TAGS[tag]))
-                at += k
-                continue
-            idx = [_parse_int(t, ln, MAX_DIMENSION) - base for t in tokens[at : at + k]]
+            tags.append(_TAGS[tag])
             at += k
+            if flat is not None:
+                continue
+            idx = [_parse_int(t, ln, MAX_DIMENSION) - base for t in tokens[at - k : at]]
             try:
-                subs.append(Subsequence(idx, _TAGS[tag]))
+                subs.append(Subsequence(idx, tags[-1]))
             except ValueError as exc:
                 raise ParseError(str(exc), ln) from None
-        decs.append(Decomposition(n, subs))
+        if flat is None:
+            decs.append(Decomposition(n, subs))
+        else:
+            indptr = np.cumsum([0, *(k for _, k in line)], dtype=np.int32)
+            decs.append(Decomposition._of(n, indptr, flat[start:at], tags))
     return decs
 
 
@@ -403,21 +407,15 @@ def _parse_vector_instance(sections, n, meta):
         IntVector(_section_values(sections, name, n, ENTRY_BOUND)[0])
         for name in ("vector a", "vector b")
     )
-    dec_a = dec_b = None
+    decs = {}
     for name, host in (("decomposition a", a), ("decomposition b", b)):
         if name in sections:
             lineno, body = sections[name]
             if len(body) != 1:
-                raise ParseError(
-                    f"section {name!r} must be a single line", lineno
-                )
-            (dec,) = _read_decompositions(body, base=0, n=n)
-            validate_decomposition(dec, host.coords)
-            if name.endswith(" a"):
-                dec_a = dec
-            else:
-                dec_b = dec
-    return VectorInstance(a, b, dec_a, dec_b, meta)
+                raise ParseError(f"section {name!r} must be a single line", lineno)
+            (decs[name],) = _read_decompositions(body, base=0, n=n)
+            validate_decomposition(decs[name], host.coords)
+    return VectorInstance(a, b, decs.get("decomposition a"), decs.get("decomposition b"), meta)
 
 
 def parse_path(path):
@@ -428,9 +426,11 @@ def parse_path(path):
 def _fmt_parts(dec: Decomposition, names: list[str]) -> str:
     """A part line; ``names[i]`` is the text of index ``i < len(names)``."""
     try:
+        index = list(map(names.__getitem__, dec.indices.tolist()))
+        bounds = dec.indptr.tolist()
         return " | ".join(
-            " ".join([p.tag.value, *map(names.__getitem__, p.positions.tolist())])
-            for p in dec.parts
+            " ".join([tag.value, *index[a:b]])
+            for a, b, tag in zip(bounds, bounds[1:], dec.tags)
         )
     except IndexError:
         raise IndexOutOfRange(f"a part index lies outside [0, {len(names)})") from None

@@ -7,6 +7,8 @@ from [-10^6, 10^6], far inside the construction entry bound.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from .core import (
@@ -14,7 +16,6 @@ from .core import (
     IntMatrix,
     IntVector,
     MonotoneTag,
-    Subsequence,
     check_dimension,
     parse_direction,
 )
@@ -27,17 +28,6 @@ def as_generator(seed) -> np.random.Generator:
     if isinstance(seed, np.random.Generator):
         return seed
     return np.random.default_rng(seed)
-
-
-def random_index_partition(
-    rng: np.random.Generator, n: int, parts: int
-) -> list[np.ndarray]:
-    """Assign each of 0..n-1 to one of ``parts`` classes uniformly;
-    classes may come back empty.  Each class is an ascending index array."""
-    if parts < 1:
-        raise ValueError("need at least one part")
-    assign = rng.integers(0, parts, size=n)
-    return [np.flatnonzero(assign == p) for p in range(parts)]
 
 
 def _draw_values(rng: np.random.Generator, size) -> np.ndarray:
@@ -56,23 +46,43 @@ def random_matrix(seed, n: int) -> IntMatrix:
 _DIRECTIONS = (MonotoneTag.NON_DECREASING, MonotoneTag.NON_INCREASING)
 
 
-def _plant_monotone_values(
-    rng: np.random.Generator, n: int, parts: int, tag: MonotoneTag | None
-) -> tuple[np.ndarray, Decomposition]:
-    """Values with a planted ``parts``-part decomposition whose parts all
-    take ``tag``; with ``tag`` None each part draws its own direction just
-    before its values."""
-    idx_parts = random_index_partition(rng, n, parts)
-    values = np.zeros(n, dtype=np.int64)
-    subs = []
-    for indices in idx_parts:
-        part_tag = _DIRECTIONS[rng.integers(0, 2)] if tag is None else tag
-        v = np.sort(_draw_values(rng, len(indices)))
-        if part_tag is MonotoneTag.NON_INCREASING:
-            v = v[::-1]
-        values[indices] = v
-        subs.append(Subsequence(indices, part_tag))
-    return values, Decomposition(n, tuple(subs))
+def _planted_axis(rng, k: int, n: int, parts: int, tag: MonotoneTag | None):
+    """k hosts of length n, as (k, n) values, and their planted ``parts``-part
+    decompositions, each a view of one int32 block of positions and one of
+    indptr.  ``n`` is checked first.  Each host's positions are dealt to the
+    parts uniformly in one draw, so parts may be empty.  UNIFORM parts take
+    distinct values, drawn before the deal; the others take sorted draws in
+    ``tag``'s direction, or with ``tag`` None in a direction each part draws
+    just before its values."""
+    check_dimension(n)
+    uniform = tag is MonotoneTag.UNIFORM
+    if parts < 1:
+        raise ValueError(f"need at least one {'value class' if uniform else 'part'}")
+    if uniform and parts > 2 * DEFAULT_VALUE_BOUND + 1:
+        raise ValueError("not enough distinct values in range")
+    values = np.zeros((k, n), dtype=np.int64)
+    positions = np.empty((k, n), dtype=np.int32)
+    indptr = np.zeros((k, parts + 1), dtype=np.int32)
+    tags = [(tag,) * parts] * k  # one tuple for every row, unless tag is None
+    for r, (row, pos, ptr) in enumerate(zip(values, positions, indptr)):
+        if uniform:
+            pool = rng.choice(2 * DEFAULT_VALUE_BOUND + 1, size=parts, replace=False)
+        assign = rng.integers(0, parts, size=n)
+        pos[:] = np.argsort(assign, kind="stable")  # part p is pos[ptr[p]:ptr[p + 1]]
+        ptr[1:] = np.cumsum(np.bincount(assign, minlength=parts))
+        if uniform:
+            row[pos] = np.repeat(pool - DEFAULT_VALUE_BOUND, np.diff(ptr))
+            continue
+        drawn = []
+        for a, b in itertools.pairwise(ptr.tolist()):
+            drawn.append(_DIRECTIONS[rng.integers(0, 2)] if tag is None else tag)
+            v = np.sort(_draw_values(rng, b - a))
+            row[pos[a:b]] = v[::-1] if drawn[-1] is MonotoneTag.NON_INCREASING else v
+        if tag is None:
+            tags[r] = tuple(drawn)
+    positions.setflags(write=False)  # so no part's positions can be written
+    indptr.setflags(write=False)
+    return values, [Decomposition._of(n, *rows) for rows in zip(indptr, positions, tags)]
 
 
 def planted_monotone_vector(
@@ -80,26 +90,9 @@ def planted_monotone_vector(
 ) -> tuple[IntVector, Decomposition]:
     """Vector whose planted decomposition has exactly ``parts`` parts, all
     monotone in ``direction``."""
-    rng = as_generator(seed)
     tag = parse_direction(direction)
-    values, dec = _plant_monotone_values(rng, n, parts, tag)
-    return IntVector(values), dec
-
-
-def _plant_uniform_values(
-    rng: np.random.Generator, n: int, classes: int
-) -> tuple[np.ndarray, Decomposition]:
-    if classes < 1:
-        raise ValueError("need at least one value class")
-    if classes > 2 * DEFAULT_VALUE_BOUND + 1:
-        raise ValueError("not enough distinct values in range")
-    pool = rng.choice(2 * DEFAULT_VALUE_BOUND + 1, size=classes, replace=False)
-    values = np.zeros(n, dtype=np.int64)
-    subs = []
-    for value, indices in zip(pool.tolist(), random_index_partition(rng, n, classes)):
-        values[indices] = value - DEFAULT_VALUE_BOUND
-        subs.append(Subsequence(indices, MonotoneTag.UNIFORM))
-    return values, Decomposition(n, tuple(subs))
+    values, (dec,) = _planted_axis(as_generator(seed), 1, n, parts, tag)
+    return IntVector(values[0]), dec
 
 
 def planted_uniform_vector(
@@ -107,17 +100,8 @@ def planted_uniform_vector(
 ) -> tuple[IntVector, Decomposition]:
     """Vector taking at most ``classes`` distinct values, with the planted
     constant-valued decomposition (one part per class, possibly empty)."""
-    rng = as_generator(seed)
-    values, dec = _plant_uniform_values(rng, n, classes)
-    return IntVector(values), dec
-
-
-def _stack_rows(n: int, plant) -> tuple[IntMatrix, list[Decomposition]]:
-    """A matrix of ``n`` rows, each drawn by ``plant()`` as (values,
-    decomposition), and its row decompositions; ``n`` is checked first."""
-    check_dimension(n)
-    rows, decs = zip(*(plant() for _ in range(n)))
-    return IntMatrix(np.stack(rows)), list(decs)
+    values, (dec,) = _planted_axis(as_generator(seed), 1, n, classes, MonotoneTag.UNIFORM)
+    return IntVector(values[0]), dec
 
 
 def planted_matrix_rows(
@@ -125,9 +109,8 @@ def planted_matrix_rows(
 ) -> tuple[IntMatrix, list[Decomposition]]:
     """Matrix whose every row carries a planted ``parts``-part monotone
     decomposition in ``direction``."""
-    rng = as_generator(seed)
-    tag = parse_direction(direction)
-    return _stack_rows(n, lambda: _plant_monotone_values(rng, n, parts, tag))
+    values, decs = _planted_axis(as_generator(seed), n, n, parts, parse_direction(direction))
+    return IntMatrix(values), decs
 
 
 def planted_matrix_cols(
@@ -143,8 +126,8 @@ def planted_mixed_matrix_rows(
     seed, n: int, parts: int
 ) -> tuple[IntMatrix, list[Decomposition]]:
     """Matrix rows with planted parts of independently random directions."""
-    rng = as_generator(seed)
-    return _stack_rows(n, lambda: _plant_monotone_values(rng, n, parts, None))
+    values, decs = _planted_axis(as_generator(seed), n, n, parts, None)
+    return IntMatrix(values), decs
 
 
 def planted_uniform_matrix_rows(
@@ -152,8 +135,8 @@ def planted_uniform_matrix_rows(
 ) -> tuple[IntMatrix, list[Decomposition]]:
     """Matrix whose every row takes at most ``classes`` distinct values,
     with planted constant-valued row decompositions."""
-    rng = as_generator(seed)
-    return _stack_rows(n, lambda: _plant_uniform_values(rng, n, classes))
+    values, decs = _planted_axis(as_generator(seed), n, n, classes, MonotoneTag.UNIFORM)
+    return IntMatrix(values), decs
 
 
 def planted_uniform_matrix_cols(

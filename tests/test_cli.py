@@ -474,6 +474,21 @@ class TestVerify:
         assert code == 0
         assert out.strip() == "all equal"
 
+    @pytest.mark.parametrize("flag", [
+        ("--direction", "noninc"), ("--n", "6"), ("--m-a", "3"), ("--m-b", "2"),
+        ("--h", "3"), ("--seed", "0"), ("--kind", "matrix"),
+    ])
+    def test_file_mode_refuses_generator_flags(self, capsys, tmp_path, flag):
+        # With an input file no generator flag is read: each one given,
+        # even at its default, is refused by name, not silently ignored.
+        inst = tmp_path / "i.txt"
+        run(capsys, "gen", "--algo", "fig1", "--n", "6", "--out", str(inst))
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["verify", str(inst), "--algo", "fig1", *flag])
+        assert exc.value.code == 2
+        assert f"takes no generator flags, got {flag[0]}" in capsys.readouterr().err
+        assert run(capsys, "verify", str(inst), "--algo", "fig1")[0] == 0
+
     def test_corrupted_result_detected(self, capsys, tmp_path):
         inst = tmp_path / "i.txt"
         run(capsys, "gen", "--algo", "fig1", "--n", "6", "--seed", "9",

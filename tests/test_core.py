@@ -45,6 +45,8 @@ from minplus import (
     Subsequence,
     WitnessArray,
     decompose_nondecreasing,
+    decompose_nonincreasing,
+    decompose_uniform,
     validate_decomposition,
 )
 from oracles import checked_add, validate_decomposition_loop, values_satisfy
@@ -402,7 +404,7 @@ class TestSubsequence:
         for p in parts:
             assert p == parts[0] and hash(p) == hash(parts[0])
             assert p.indices == ix and len(p) == 4
-            assert p.positions.dtype == np.int64
+            assert p.positions.dtype == np.int32
             assert not p.positions.flags.writeable
         assert Subsequence(ix, NI) != parts[0]
         assert Subsequence(ix[:3], ND) != parts[0]
@@ -443,9 +445,11 @@ class TestSubsequence:
             Subsequence(bad, ND)
         assert str(ei.value) == message
 
-    @pytest.mark.parametrize("bad", [(2**70,), np.array([2**64 - 1], dtype=np.uint64)])
+    @pytest.mark.parametrize("bad", [
+        (2**70,), np.array([2**64 - 1], dtype=np.uint64), (0, 2**31), np.array([2**31]),
+    ])
     def test_indices_past_int64_are_refused(self, bad):
-        with pytest.raises(ValueError, match="outside the int64 range"):
+        with pytest.raises(ValueError, match="outside the int32 range"):
             Subsequence(bad, ND)
 
     def test_parts_read_from_a_file_are_read_only_views(self):
@@ -462,7 +466,7 @@ class TestSubsequence:
         for got, built in zip(doc.dec_rows, rows):
             for p, q in zip(got.parts, built.parts):
                 assert p.positions.base is not None  # a view, not a copy
-                assert p.positions.dtype == np.int64
+                assert p.positions.dtype == np.int32
                 assert not p.positions.flags.writeable
                 with pytest.raises(ValueError):
                     p.positions.setflags(write=True)
@@ -479,12 +483,105 @@ class TestSubsequence:
             for c in (copy.copy(v), copy.deepcopy(v), pickle.loads(pickle.dumps(v))):
                 assert type(c) is type(v) and c == v, v
         for c in (copy.copy(part), copy.deepcopy(part), pickle.loads(pickle.dumps(part))):
-            assert hash(c) == hash(part) and c.positions.dtype == np.int64
+            assert hash(c) == hash(part) and c.positions.dtype == np.int32
             assert not c.positions.flags.writeable
 
     def test_numpy_integer_lengths_and_counts(self):
         d = Decomposition(np.int64(2), (Subsequence((0, 1), ND),))
         assert type(d.host_length) is int and d == dec(2, ((0, 1), ND))
+
+
+def produced_decompositions():
+    """Decompositions from each producer that fills the arrays itself: the
+    generators, the decomposer and the parser."""
+    A, rows = planted_matrix_rows(0, 16, 3, "nondec")
+    _, mixed = gen.planted_mixed_matrix_rows(1, 8, 4)
+    _, vec = gen.planted_monotone_vector(2, 3, 6, "noninc")  # empty parts
+    _, uni = gen.planted_uniform_vector(3, 9, 4)
+    parsed = parse_document(serialize(MatrixInstance(A, A, rows, None))).dec_rows
+    values = np.array([4, 7, 4, 1, 7, 2, 2])
+    return [
+        *rows[:2], *mixed[:2], vec, uni, *parsed[:2],
+        decompose_nondecreasing(values),
+        decompose_nonincreasing(values),
+        decompose_uniform(values),
+    ]
+
+
+def rebuilt(d: Decomposition) -> Decomposition:
+    """``d`` through the public constructor, from tuples."""
+    return Decomposition(d.host_length, [Subsequence(p.indices, p.tag) for p in d.parts])
+
+
+class TestDecompositionArrays:
+    """A decomposition is one int32 CSR pair and a tag per part, whoever
+    built it."""
+
+    @pytest.mark.parametrize("d", produced_decompositions())
+    def test_public_constructor_builds_the_producers_form(self, d):
+        built = rebuilt(d)
+        assert built == d and hash(built) == hash(d)
+        assert built.parts == d.parts and built.part_count == d.part_count
+        for x in (d, built):
+            assert x.indptr.dtype == x.indices.dtype == np.int32
+            assert x.indptr.shape == (x.part_count + 1,)
+            assert x.indptr[0] == 0 and x.indptr[-1] == x.indices.size
+            assert len(x.tags) == x.part_count
+        other_tag = {ND: NI, NI: ND, UN: ND}[d.tags[0]]
+        moved = Decomposition(d.host_length, [
+            Subsequence(p.indices, other_tag if o == 0 else p.tag)
+            for o, p in enumerate(d.parts)
+        ])
+        assert moved != d
+        assert Decomposition(d.host_length + 1, d.parts) != d
+
+    @pytest.mark.parametrize("d", produced_decompositions())
+    def test_parts_are_read_only_int32_views(self, d):
+        for p in d.parts:
+            assert p.positions.dtype == np.int32
+            assert p.positions.base is not None  # a view, not a copy
+            assert not p.positions.flags.writeable
+            with pytest.raises(ValueError):
+                p.positions.setflags(write=True)
+        assert not d.indptr.flags.writeable and not d.indices.flags.writeable
+        with pytest.raises(AttributeError):
+            d.tags = ()
+
+    def test_empty_parts_keep_their_slot(self):
+        d = dec(4, ((), ND), ((0, 1, 2, 3), ND), ((), NI), ((), UN))
+        assert d.part_count == 4 and d.indptr.tolist() == [0, 0, 4, 4, 4]
+        assert [p.indices for p in d.parts] == [(), (0, 1, 2, 3), (), ()]
+        assert [p.tag for p in d.parts] == [ND, ND, NI, UN]
+        assert d != dec(4, ((0, 1, 2, 3), ND), ((), ND), ((), NI), ((), UN))
+        validate_decomposition(d, np.array([1, 2, 3, 4]))
+        # A generator hands back every part it was asked for.
+        _, v = gen.planted_monotone_vector(0, 2, 5)
+        assert v.part_count == 5 and sum(map(len, v.parts)) == 2
+        assert v == rebuilt(v)
+
+    @pytest.mark.parametrize("d", produced_decompositions())
+    def test_copies_and_pickles(self, d):
+        for c in (copy.copy(d), copy.deepcopy(d), pickle.loads(pickle.dumps(d))):
+            assert type(c) is Decomposition and c == d and hash(c) == hash(d)
+            assert c.indices.dtype == c.indptr.dtype == np.int32
+            assert not c.indices.flags.writeable and not c.indptr.flags.writeable
+
+    def test_planted_axes_hold_one_int32_block(self):
+        # Both axes of a benchmark-sized planted pair: their decompositions
+        # hold one n x n int32 block per axis and a few small views per
+        # row, about 2.3 MiB; one int64 array per part held about 4.6.
+        n = 512
+        planted_matrix_rows(0, 8, 3)  # warm numpy's caches before tracing
+        tracemalloc.start()
+        try:
+            A, rows = planted_matrix_rows(0, n, 3, "nondec")
+            B, cols = gen.planted_matrix_cols(0, n, 3, "nondec")
+            del A, B
+            retained, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(rows) == len(cols) == n
+        assert retained < 2.5 * 2**20, retained / 2**20
 
 
 class TestValidateDecomposition:
