@@ -460,6 +460,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=None)
     _add_gen_flags(p)
     _add_run_flags(p)
+    p.set_defaults(usage_error=p.error)  # the refusal in main shows verify's usage
 
     p = sub.add_parser("bench", help="time and count one instance")
     p.add_argument("--algo", required=True, help="comma-separated list")
@@ -470,12 +471,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     given = [name for name in _GEN_DEFAULTS if name in vars(args)]
     if args.command == "verify" and args.input is not None and given:
         flag = "--" + given[0].replace("_", "-")
-        parser.error(f"verify <input> takes no generator flags, got {flag}")
+        args.usage_error(f"verify <input> takes no generator flags, got {flag}")
     args = argparse.Namespace(**{**_GEN_DEFAULTS, **vars(args)})
     # Looked up at call time, so a replaced ``_cmd_*`` is the one called.
     command = globals()[f"_cmd_{args.command}"]

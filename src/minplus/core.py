@@ -211,17 +211,22 @@ def _index_array(indices) -> np.ndarray:
         raise ValueError(_PAST_INT32) from None
 
 
-class _Keyed:
-    """Base of :class:`Subsequence` and :class:`Decomposition`: no field
-    can be assigned, two are equal when their ``_key()`` is, and copies
-    and pickles go through ``_of``, so their arrays stay read-only."""
+class _Frozen:
+    """Base of the eight domain types below.  No field can be assigned:
+    each type's ``__slots__`` are filled once, by ``_adopt``.  Two are
+    equal when they have the same type and the same ``_key()``, in which
+    an array field counts as its shape and bytes (each slot holds one
+    dtype) and any other field as itself.  Copies and pickles go through
+    ``_adopt``, so their arrays stay read-only."""
 
     __slots__ = ()
 
     @classmethod
-    def _of(cls, *fields):
+    def _adopt(cls, *fields):
         """An instance holding ``fields``, one per slot, as built: arrays are
-        made read-only, not copied."""
+        made read-only, not copied.  For values the package has just built
+        and hands over; the public constructors copy and check what callers
+        pass."""
         self = object.__new__(cls)
         for name, value in zip(cls.__slots__, fields):
             if isinstance(value, np.ndarray):
@@ -232,21 +237,30 @@ class _Keyed:
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
 
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
     def __reduce__(self):
-        return type(self)._of, tuple(getattr(self, name) for name in self.__slots__)
+        return type(self)._adopt, self._values()
+
+    def _key(self) -> tuple:
+        return tuple(
+            (v.shape, v.tobytes()) if isinstance(v, np.ndarray) else v
+            for v in self._values()
+        )
 
     def __eq__(self, other) -> bool:
-        return self._key() == other._key() if type(other) is type(self) else NotImplemented
+        return type(other) is type(self) and self._key() == other._key()
 
     def __hash__(self):
         return hash(self._key())
 
 
-class Subsequence(_Keyed):
+class Subsequence(_Frozen):
     """A tagged subsequence of a host sequence, stored as one read-only
     int32 array of 0-based positions, ``positions``: the parts a
     :class:`Decomposition` hands out are views of its ``indices``, made by
-    ``_of`` from positions known to rise strictly from 0.
+    ``_adopt`` from positions known to rise strictly from 0.
 
     The indices must be strictly increasing and below 2**31; they may come
     as a tuple, a list or a numpy integer array.  ``indices`` reads them
@@ -268,7 +282,7 @@ class Subsequence(_Keyed):
             raise ValueError("negative subsequence index")
         if arr.size and arr[-1] > np.iinfo(np.int32).max:
             raise ValueError(_PAST_INT32)
-        return cls._of(arr.astype(np.int32), tag)
+        return cls._adopt(arr.astype(np.int32), tag)
 
     @property
     def indices(self) -> tuple[int, ...]:
@@ -276,9 +290,6 @@ class Subsequence(_Keyed):
 
     def __len__(self) -> int:
         return self.positions.shape[0]
-
-    def _key(self) -> tuple:
-        return self.tag, self.positions.tobytes()  # always int32
 
     def __repr__(self) -> str:
         return f"Subsequence(indices={self.indices!r}, tag={self.tag!r})"
@@ -288,7 +299,7 @@ class Subsequence(_Keyed):
         return host[self.positions]
 
 
-class Decomposition(_Keyed):
+class Decomposition(_Frozen):
     """Tagged subsequences meant to partition ``{0..host_length-1}``, held
     as one CSR pair: part o is ``indices[indptr[o]:indptr[o + 1]]``
     (read-only int32, each part ascending) with tag ``tags[o]``.  Empty
@@ -305,16 +316,16 @@ class Decomposition(_Keyed):
         parts = tuple(parts)
         indptr = np.cumsum([0, *map(len, parts)], dtype=np.int32)
         indices = np.concatenate([p.positions for p in parts] or [indptr[:0]])
-        return cls._of(host_length, indptr, indices, [p.tag for p in parts])
+        return cls._adopt(host_length, indptr, indices, [p.tag for p in parts])
 
     @classmethod
-    def _of(cls, host_length: int, indptr: np.ndarray, indices: np.ndarray, tags):
+    def _adopt(cls, host_length: int, indptr: np.ndarray, indices: np.ndarray, tags):
         """A decomposition over int32 ``indptr`` and ``indices`` as built,
         each part ascending from 0: made read-only, not copied."""
         host_length = _as_index(host_length)
         if host_length < 1:
             raise ValueError("host_length must be >= 1")
-        return super()._of(host_length, indptr, indices, tuple(tags))
+        return super()._adopt(host_length, indptr, indices, tuple(tags))
 
     @property
     def part_count(self) -> int:
@@ -324,12 +335,9 @@ class Decomposition(_Keyed):
     def parts(self) -> tuple[Subsequence, ...]:
         bounds = self.indptr.tolist()
         return tuple(
-            Subsequence._of(self.indices[a:b], tag)
+            Subsequence._adopt(self.indices[a:b], tag)
             for a, b, tag in zip(bounds, bounds[1:], self.tags)
         )
-
-    def _key(self) -> tuple:
-        return self.host_length, self.tags, self.indptr.tobytes(), self.indices.tobytes()
 
     def __repr__(self) -> str:
         return f"Decomposition(host_length={self.host_length!r}, parts={self.parts!r})"
@@ -351,23 +359,20 @@ def _as_int64(values: IntSeq, what: str) -> np.ndarray:
 
 
 def _as_bits(values, what: str) -> np.ndarray:
-    """``values`` as a fresh read-only bool array: bools or 0/1 integers, no
+    """``values`` as a fresh bool array: bools or 0/1 integers, no
     truthiness."""
     arr = np.asarray(values)
     if arr.size and arr.dtype != bool and (_as_int64(arr, what) & ~1).any():
         raise ValueError(f"{what} holds integers other than 0 and 1")
-    arr = arr.astype(bool)
-    arr.setflags(write=False)
-    return arr
+    return arr.astype(bool)
 
 
-class _FrozenArrays:
+class _FrozenArrays(_Frozen):
     """Base of the value types below.  Each holds exactly the read-only
     numpy arrays named by its ``__slots__``, and nothing derived from
     them: solvers keep packed forms of their operands in local
-    :class:`Packed` tuples.  So two of them are equal when they have the
-    same type and equal arrays.  The first slot is the main array: ``n``
-    is its length, and the accessors check their positions against it."""
+    :class:`Packed` tuples.  The first slot is the main array: ``n`` is
+    its length, and the accessors check their positions against it."""
 
     __slots__ = ()
 
@@ -377,17 +382,6 @@ class _FrozenArrays:
         # as the subclass's own attribute (``BoolVector.n`` is per-call).
         cls._main = cls.__dict__[cls._fields[0]]
 
-    @classmethod
-    def _adopt(cls, *arrays: np.ndarray):
-        """An instance holding ``arrays`` themselves, made read-only: for
-        arrays the package has just built and hands over.  The public
-        constructors copy and check what callers pass."""
-        self = object.__new__(cls)
-        for name, arr in zip(cls._fields, arrays):
-            arr.setflags(write=False)
-            setattr(self, name, arr)
-        return self
-
     @property
     def n(self) -> int:
         return self._main.shape[0]
@@ -395,31 +389,15 @@ class _FrozenArrays:
     def __len__(self) -> int:
         return self.n
 
-    def _arrays(self) -> tuple[np.ndarray, ...]:
-        return tuple(getattr(self, name) for name in self._fields)
-
-    def __eq__(self, other) -> bool:
-        return type(other) is type(self) and all(
-            map(np.array_equal, self._arrays(), other._arrays())
-        )
-
-    def __hash__(self):
-        return hash(tuple((a.shape, a.tobytes()) for a in self._arrays()))
-
     def __repr__(self) -> str:
         if len(self._fields) == 1:
             body = repr(self._main.astype(int).tolist())  # bits print as 0/1
         else:
             body = ", ".join(
                 f"{name}={a.tolist()!r}"
-                for name, a in zip(self._fields, self._arrays())
+                for name, a in zip(self._fields, self._values())
             )
         return f"{type(self).__name__}({body})"
-
-    def __reduce__(self):
-        # Through _adopt, so copies and pickles keep their arrays read-only:
-        # a deep copy or an unpickled array would otherwise be writeable.
-        return type(self)._adopt, self._arrays()
 
     @staticmethod
     def _cell(n: int, first: int, *pos, what: str = "index") -> tuple[int, ...]:
@@ -440,7 +418,7 @@ class IntVector(_FrozenArrays):
 
     __slots__ = ("coords",)
 
-    def __init__(self, coords: IntSeq, *, entry_bound: int = ENTRY_BOUND):
+    def __new__(cls, coords: IntSeq, *, entry_bound: int = ENTRY_BOUND):
         arr = _as_int64(coords, "vector").copy()
         if arr.ndim != 1:
             raise ValueError("vector input must be one-dimensional")
@@ -451,8 +429,7 @@ class IntVector(_FrozenArrays):
             raise ValueError(
                 f"coordinate magnitude exceeds the bound {entry_bound}"
             )
-        arr.setflags(write=False)
-        self.coords = arr
+        return cls._adopt(arr)
 
     def __getitem__(self, i: int) -> int:
         return int(self.coords[self._cell(self.n, 0, i, what="coordinate")])
@@ -463,7 +440,7 @@ class IntMatrix(_FrozenArrays):
 
     __slots__ = ("entries",)
 
-    def __init__(self, entries: IntSeq, *, entry_bound: int = ENTRY_BOUND):
+    def __new__(cls, entries: IntSeq, *, entry_bound: int = ENTRY_BOUND):
         arr = _as_int64(entries, "matrix").copy()
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ValueError(f"matrix must be square, got shape {arr.shape}")
@@ -472,8 +449,7 @@ class IntMatrix(_FrozenArrays):
             raise ValueError(
                 f"entry magnitude exceeds the bound {entry_bound}"
             )
-        arr.setflags(write=False)
-        self.entries = arr
+        return cls._adopt(arr)
 
     def entry(self, i: int, j: int) -> int:
         """Entry at 1-based row i, column j."""
@@ -496,11 +472,11 @@ class BoolVector(_FrozenArrays):
 
     __slots__ = ("bits",)
 
-    def __init__(self, bits):
+    def __new__(cls, bits):
         arr = _as_bits(bits, "bool vector")
         if arr.ndim != 1:
             raise ValueError("bool vector must be one-dimensional")
-        self.bits = arr
+        return cls._adopt(arr)
 
 
 class BoolMatrix(_FrozenArrays):
@@ -508,11 +484,11 @@ class BoolMatrix(_FrozenArrays):
 
     __slots__ = ("bits",)
 
-    def __init__(self, bits):
+    def __new__(cls, bits):
         arr = _as_bits(bits, "bool matrix")
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ValueError(f"bool matrix must be square, got {arr.shape}")
-        self.bits = arr
+        return cls._adopt(arr)
 
 
 class Packed(NamedTuple):
@@ -546,13 +522,11 @@ class WitnessArray(_FrozenArrays):
 
     __slots__ = ("values",)
 
-    def __init__(self, values: np.ndarray):
+    def __new__(cls, values: np.ndarray):
         arr = np.asarray(values)
         if arr.ndim not in (1, 2):
             raise ValueError("witness array must be 1-D or 2-D")
-        arr = _as_int64(arr, "witness array").copy()
-        arr.setflags(write=False)
-        self.values = arr
+        return cls._adopt(_as_int64(arr, "witness array").copy())
 
     @property
     def defined(self) -> np.ndarray:
@@ -578,16 +552,14 @@ class MinPlusOutput(_FrozenArrays):
 
     __slots__ = ("values", "finite")
 
-    def __init__(self, values: np.ndarray, finite: np.ndarray | None = None):
+    def __new__(cls, values: np.ndarray, finite: np.ndarray | None = None):
         arr = _as_int64(values, "output").copy()
         fin = np.ones(arr.shape, dtype=bool) if finite is None else finite
         fin = _as_bits(fin, "finiteness mask")
         if fin.shape != arr.shape:
             raise ValueError("values and finiteness mask shapes differ")
         arr[~fin] = 0  # canonical filler under the mask
-        arr.setflags(write=False)
-        self.values = arr
-        self.finite = fin
+        return cls._adopt(arr, fin)
 
     @property
     def is_matrix(self) -> bool:

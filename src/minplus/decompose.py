@@ -70,7 +70,7 @@ def _monotone_parts(values: np.ndarray, tag: MonotoneTag) -> Decomposition:
     order = np.concatenate([*piles, np.fromiter(itertools.chain(*tail), np.int32)])
     sizes = [p.size for p in piles] + list(map(len, tail))
     indptr = np.cumsum([0, *sizes], dtype=np.int32)
-    return Decomposition._of(values.shape[0], indptr, order, (tag,) * len(sizes))
+    return Decomposition._adopt(values.shape[0], indptr, order, (tag,) * len(sizes))
 
 
 def decompose_nondecreasing(s) -> Decomposition:
@@ -109,7 +109,7 @@ def decompose_uniform(s) -> Decomposition:
     order = np.argsort(part, kind="stable").astype(np.int32)
     indptr = np.bincount(part + 1, minlength=first.size + 1).cumsum().astype(np.int32)
     tags = (MonotoneTag.UNIFORM,) * first.size
-    return Decomposition._of(values.shape[0], indptr, order, tags)
+    return Decomposition._adopt(values.shape[0], indptr, order, tags)
 
 
 #: Decomposition modes by name.  The CLI's ``--mode`` choices; lookups go

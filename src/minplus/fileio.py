@@ -299,7 +299,7 @@ def _read_decompositions(lines, base: int, n: int) -> list[Decomposition]:
             decs.append(Decomposition(n, subs))
         else:
             indptr = np.cumsum([0, *(k for _, k in line)], dtype=np.int32)
-            decs.append(Decomposition._of(n, indptr, flat[start:at], tags))
+            decs.append(Decomposition._adopt(n, indptr, flat[start:at], tags))
     return decs
 
 

@@ -2,7 +2,8 @@
 
 Planted parts may be empty, so the part count handed back is exactly the
 count requested; operation-count tests rely on that.  Values are drawn
-from [-10^6, 10^6], far inside the construction entry bound.
+from [-10^6, 10^6], far inside the construction entry bound, so the
+planted generators hand their fresh value blocks to ``_adopt`` uncopied.
 """
 
 from __future__ import annotations
@@ -82,7 +83,7 @@ def _planted_axis(rng, k: int, n: int, parts: int, tag: MonotoneTag | None):
             tags[r] = tuple(drawn)
     positions.setflags(write=False)  # so no part's positions can be written
     indptr.setflags(write=False)
-    return values, [Decomposition._of(n, *rows) for rows in zip(indptr, positions, tags)]
+    return values, [Decomposition._adopt(n, *rows) for rows in zip(indptr, positions, tags)]
 
 
 def planted_monotone_vector(
@@ -92,7 +93,7 @@ def planted_monotone_vector(
     monotone in ``direction``."""
     tag = parse_direction(direction)
     values, (dec,) = _planted_axis(as_generator(seed), 1, n, parts, tag)
-    return IntVector(values[0]), dec
+    return IntVector._adopt(values[0]), dec
 
 
 def planted_uniform_vector(
@@ -101,7 +102,7 @@ def planted_uniform_vector(
     """Vector taking at most ``classes`` distinct values, with the planted
     constant-valued decomposition (one part per class, possibly empty)."""
     values, (dec,) = _planted_axis(as_generator(seed), 1, n, classes, MonotoneTag.UNIFORM)
-    return IntVector(values[0]), dec
+    return IntVector._adopt(values[0]), dec
 
 
 def planted_matrix_rows(
@@ -110,7 +111,7 @@ def planted_matrix_rows(
     """Matrix whose every row carries a planted ``parts``-part monotone
     decomposition in ``direction``."""
     values, decs = _planted_axis(as_generator(seed), n, n, parts, parse_direction(direction))
-    return IntMatrix(values), decs
+    return IntMatrix._adopt(values), decs
 
 
 def planted_matrix_cols(
@@ -127,7 +128,7 @@ def planted_mixed_matrix_rows(
 ) -> tuple[IntMatrix, list[Decomposition]]:
     """Matrix rows with planted parts of independently random directions."""
     values, decs = _planted_axis(as_generator(seed), n, n, parts, None)
-    return IntMatrix(values), decs
+    return IntMatrix._adopt(values), decs
 
 
 def planted_uniform_matrix_rows(
@@ -136,7 +137,7 @@ def planted_uniform_matrix_rows(
     """Matrix whose every row takes at most ``classes`` distinct values,
     with planted constant-valued row decompositions."""
     values, decs = _planted_axis(as_generator(seed), n, n, classes, MonotoneTag.UNIFORM)
-    return IntMatrix(values), decs
+    return IntMatrix._adopt(values), decs
 
 
 def planted_uniform_matrix_cols(

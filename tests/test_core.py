@@ -453,7 +453,7 @@ class TestSubsequence:
             Subsequence(bad, ND)
 
     def test_parts_read_from_a_file_are_read_only_views(self):
-        # The reader builds parts with Subsequence._of, as slices of one
+        # The reader builds parts with Subsequence._adopt, as slices of one
         # read-only array per axis: no part's positions can be made
         # writable, and they equal parts built from tuples.
         A = IntMatrix([[1, 7, 3], [4, 4, 2], [0, 5, 9]])
@@ -582,6 +582,22 @@ class TestDecompositionArrays:
             tracemalloc.stop()
         assert len(rows) == len(cols) == n
         assert retained < 2.5 * 2**20, retained / 2**20
+
+    @pytest.mark.parametrize("make", [
+        planted_matrix_rows, gen.planted_mixed_matrix_rows, gen.planted_uniform_matrix_rows,
+    ], ids=lambda f: f.__name__)
+    def test_planted_rows_hand_their_values_over_uncopied(self, make):
+        # The n x n int64 block the generator drew becomes the matrix's
+        # entries: about 3.2 MiB at the peak, 5.2 when IntMatrix copied it.
+        make(0, 8, 3)  # warm numpy's caches before tracing
+        tracemalloc.start()
+        try:
+            A, rows = make(0, 512, 3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert A.n == len(rows) == 512
+        assert peak < 4.5 * 2**20, peak / 2**20
 
 
 class TestValidateDecomposition:
@@ -855,6 +871,14 @@ VALUES = {
 }
 
 
+#: One of each of the eight domain types, with a numpy array of its values.
+FROZEN = [
+    *((v, getattr(v, type(v).__slots__[0]).copy()) for v in VALUES.values()),
+    (Subsequence((0, 2), ND), np.array([0, 2])),
+    (dec(3, ((0, 2), ND), ((1,), NI)), np.array([0, 2, 1])),
+]
+
+
 def _held(x) -> set[str]:
     """The names of every attribute set on ``x`` itself."""
     slots = {s for c in type(x).__mro__ for s in getattr(c, "__slots__", ())}
@@ -878,6 +902,18 @@ class TestFrozenArrays:
             assert _held(c) == set(cls._fields)
             for name in cls._fields:
                 assert not getattr(c, name).flags.writeable, name
+
+    @pytest.mark.parametrize("x, same", FROZEN, ids=[type(x).__name__ for x, _ in FROZEN])
+    def test_no_field_can_be_assigned(self, x, same):
+        # A field swapped after construction could give a vector coords of
+        # another length, or an output a finite mask of another shape.
+        for name in type(x).__slots__:
+            held = getattr(x, name)
+            with pytest.raises(AttributeError):
+                setattr(x, name, np.array([9]))
+            assert getattr(x, name) is held
+        assert (x == same) is False
+        assert x == copy.copy(x)
 
     @pytest.mark.parametrize("algo", ["fig1", "fig2", "fig4"])
     def test_a_solve_adds_nothing_to_its_engine_inputs(self, algo, monkeypatch):
